@@ -45,10 +45,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run a built-in verification case")
     p_ver.add_argument("case", choices=("cbf", "meshupdate"))
     p_ver.add_argument("--h", type=float, required=True, help="grid size")
-    p_ver.add_argument("--dt", type=float, default=0.05,
-                       help="time step (cbf case only, default 0.05)")
-    p_ver.add_argument("--steps", type=int, default=20,
-                       help="number of steps (cbf case only, default 20)")
+    p_ver.add_argument("--dt", type=float,
+                       help="time step (default 0.05 for cbf, 1.0 for meshupdate)")
+    p_ver.add_argument("--steps", type=int, help="number of steps (default 20)")
     p_ver.add_argument("--out", required=True, help="output directory")
 
     p_sw = sub.add_parser("sweep", help="run a config once per swept value")
@@ -75,8 +74,10 @@ def _cmd_run(args) -> int:
 
 def _cmd_verify(args) -> int:
     os.makedirs(args.out, exist_ok=True)
+    # unset options keep each case's own defaults
+    given = {k: v for k, v in (("dt", args.dt), ("n_steps", args.steps)) if v is not None}
     if args.case == "cbf":
-        table = verify.run_cbf_case(h=args.h, dt=args.dt, n_steps=args.steps)
+        table = verify.run_cbf_case(h=args.h, **given)
         path = os.path.join(args.out, "cbf_errors.csv")
         table.to_csv(path)
         print("h,dt,error,runtime")
@@ -84,9 +85,9 @@ def _cmd_verify(args) -> int:
             print(f"{h:g},{dt:g},{e:.6e},{r:.3f}")
         print(f"wrote {path}")
     else:
-        err = verify.run_meshupdate_case(args.h)
+        err = verify.run_meshupdate_case(args.h, **given)
         table = verify.ErrorTable(norm_kind="max_over_time_L2")
-        table.add_row(args.h, 1.0, err, 0.0)
+        table.add_row(args.h, given.get("dt", 1.0), err, 0.0)
         path = os.path.join(args.out, "meshupdate_errors.csv")
         table.to_csv(path)
         print(f"max L2 error at h={args.h:g}: {err:.6e}")

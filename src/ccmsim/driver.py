@@ -1,12 +1,14 @@
 """Scale-coupled melting-probe simulation driver.
 
-Each time step runs three stages: (A) solve one space-time slab for the
-solid temperature with the melt interface held at the melting point,
-(B) recover the solid-side heat flux at the tip and evaluate the melt
-closure for the approach velocity U, and (C) slide the mesh band by
-U*dt.  The velocity computed from a slab deforms the *next* slab
-(explicit one-step lag), so a transient run starts from U = 0 and an
-equilibrium run applies the closed-form velocity from the first step on.
+Each time step runs three stages: (A) slide the mesh band by U*dt and
+solve one space-time slab for the solid temperature with the melt
+interface held at the melting point, (B) recover the solid-side heat flux
+at the tip and (C) evaluate the melt closure for the approach velocity U.
+Stage A is :func:`slab_step`, the step core shared with the sliding-band
+check in :mod:`ccmsim.verify`.  The velocity computed from a slab deforms
+the *next* slab (explicit one-step lag), so a transient run starts from
+U = 0 and an equilibrium run applies the closed-form velocity from the
+first step on.
 
 Configuration is a flat INI file; every section and key is validated
 against the schema documented in the README (unknown keys are errors).
@@ -28,7 +30,7 @@ from . import motion
 from . import velocity as vel
 from .cbf import recover_flux
 from .errors import ConfigError, NumericalError
-from .mesh import Mesh, PointLocator, load_mesh
+from .mesh import Mesh, MeshFormatError, load_mesh
 from .stfem import SlabOperator, SlabProblem
 
 __all__ = [
@@ -38,6 +40,7 @@ __all__ = [
     "load_config",
     "run",
     "sample_sensors",
+    "slab_step",
     "write_vtk",
 ]
 
@@ -124,7 +127,6 @@ class StepRecord:
     slip_count: int
     clamped: bool
     stalled: bool
-    iterations: int
 
 
 @dataclass
@@ -153,9 +155,12 @@ def _cfg_float(cp, section, key, default=None, required=False):
         return default
     raw = cp.get(section, key)
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key}: not a number: {raw!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"[{section}] {key}: not finite: {raw!r}")
+    return value
 
 
 def _cfg_int(cp, section, key, default=None, required=False):
@@ -308,6 +313,12 @@ def load_config(path) -> RunConfig:
     )
     if cfg.tip_area is not None and not cfg.tip_area > 0.0:
         raise ConfigError("[source] tip_area: must be positive")
+    if not cfg.kappa_s > 0.0:
+        raise ConfigError("[material.solid] kappa: must be positive")
+    if cfg.T_w is not None and not cfg.T_w > cfg.T_m:
+        raise ConfigError("[source] T_w: must be above the melting point [melting] T_m")
+    if cfg.q_h is not None and not cfg.q_h > 0.0:
+        raise ConfigError("[source] q_h: must be positive")
     try:
         cfg.ccm_params  # triggers physical-parameter validation
     except ValueError as exc:
@@ -350,22 +361,35 @@ def write_vtk(path, coords, conn, temperature, active_mask) -> None:
             f.write(f"{int(a)}\n")
 
 
-def sample_sensors(mesh: Mesh, state, T: np.ndarray, sensors) -> np.ndarray:
-    """Interpolate T at fixed spatial points over the active elements.
+def sample_sensors(mesh: Mesh, active, T: np.ndarray, sensors) -> np.ndarray:
+    """Interpolate T at fixed spatial points over the ``active`` triangles.
 
-    Points outside the active domain (inside the source hole, or in the
-    deactivated part of the band) yield NaN — a data gap, not an error.
+    One vectorized barycentric scan over the active triangles.  A point on
+    a shared edge goes to the lowest triangle index; its barycentric
+    weights are clipped to [0, 1] and renormalised.  Points outside the
+    active domain (inside the source hole, or in the deactivated part of
+    the band) yield NaN — a data gap, not an error.
     """
     if not sensors:
         return np.empty(0)
-    active = motion.active_elements(mesh, state) if state is not None else None
-    loc = PointLocator(mesh.nodes, mesh.triangles, active)
+    tol = 1e-10
+    tri = mesh.triangles[active]
+    p0, p1, p2 = (mesh.nodes[tri[:, i]] for i in range(3))
+    q = np.asarray(sensors, dtype=float)
+    rx = q[:, 0, None] - p0[:, 0]                       # (sensors, triangles)
+    ry = q[:, 1, None] - p0[:, 1]
+    d = ((p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1])
+         - (p2[:, 0] - p0[:, 0]) * (p1[:, 1] - p0[:, 1]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        l1 = ((p2[:, 1] - p0[:, 1]) * rx - (p2[:, 0] - p0[:, 0]) * ry) / d
+        l2 = (-(p1[:, 1] - p0[:, 1]) * rx + (p1[:, 0] - p0[:, 0]) * ry) / d
+    l0 = 1.0 - l1 - l2
+    hit = (d > 0) & (l0 >= -tol) & (l1 >= -tol) & (l2 >= -tol)
     out = np.full(len(sensors), np.nan)
-    for k, pt in enumerate(sensors):
-        hit = loc.locate(pt)
-        if hit is not None:
-            tri_id, bary = hit
-            out[k] = float(np.dot(T[mesh.triangles[tri_id]], bary))
+    for k in np.flatnonzero(hit.any(axis=1)):
+        j = np.argmax(hit[k])
+        lam = np.clip(np.array([l0[k, j], l1[k, j], l2[k, j]]), 0.0, 1.0)
+        out[k] = float(np.dot(T[tri[j]], lam / lam.sum()))
     return out
 
 
@@ -394,6 +418,36 @@ class _CsvWriter:
 # main loop
 
 
+def slab_step(mesh: Mesh, state, T: np.ndarray, active: np.ndarray, distance: float,
+              *, dt: float, alpha: float, dirichlet_nodes, dirichlet_values,
+              background: np.ndarray, solver_tol: float = 1e-10):
+    """One time step of the sliding-band method: move the band, solve a slab.
+
+    Shifts the band by ``distance`` (``state`` is None for a mesh without
+    one: nothing moves).  The slab is assembled on the triangles active
+    both in the old position (``active``) and in the new one, less those
+    touching a node that wrapped round the ring.  Wrapped nodes are
+    reseeded in ``T`` from the nodal field ``background`` before the
+    solve; nodes outside the new active mask take ``background`` after it.
+    Returns ``(operator, solution, T_new, active_new)``.
+    """
+    coords_old = mesh.nodes.copy()
+    act = active
+    if state is not None:
+        wrapped = motion.advance(mesh, state, distance).wrapped_nodes
+        T[wrapped] = background[wrapped]
+        active = motion.active_elements(mesh, state)
+        act = act & active & ~np.isin(mesh.triangles, wrapped).any(axis=1)
+    prob = SlabProblem(coords_old, mesh.nodes, mesh.triangles[act], dt=dt, alpha=alpha,
+                       t_prev=T, dirichlet_nodes=dirichlet_nodes,
+                       dirichlet_values=dirichlet_values)
+    op = SlabOperator(prob, solver_tol=solver_tol)
+    sol = op.solve()
+    inside = np.zeros(len(T), dtype=bool)
+    inside[mesh.triangles[active]] = True
+    return op, sol, np.where(inside, sol.t_top, background), active
+
+
 def _equilibrium_velocity(cfg: RunConfig) -> float:
     p = cfg.ccm_params
     if cfg.mode == "temperature":
@@ -404,16 +458,21 @@ def _equilibrium_velocity(cfg: RunConfig) -> float:
 def run(config: RunConfig) -> RunReport:
     """Execute the configured run and return the full report."""
     cfg = config
-    mesh = load_mesh(cfg.mesh_path)
+    try:
+        mesh = load_mesh(cfg.mesh_path)
+    except (OSError, MeshFormatError) as exc:
+        raise ConfigError(f"[mesh] path: cannot load {cfg.mesh_path}: {exc}") from exc
     if cfg.h_row_override is not None:
         if mesh.strip is None:
             raise ConfigError("[mesh] h_row: mesh has no sliding band to override")
         mesh.strip.h_row = cfg.h_row_override
     state = None
+    act = np.ones(len(mesh.triangles), dtype=bool)
     if mesh.strip is not None:
         if cfg.direction is None:
             raise ConfigError("[mesh] direction: required for a mesh with a sliding band")
         state = motion.init_motion(mesh, cfg.direction)
+        act = motion.active_elements(mesh, state)
 
     p = cfg.ccm_params
     rho_cp = cfg.rho_s * cfg.cp_s
@@ -442,46 +501,29 @@ def run(config: RunConfig) -> RunReport:
         head = "time," + ",".join(f"sensor_{k}" for k in range(len(cfg.sensors)))
         sensor_csv = _CsvWriter(os.path.join(cfg.out_dir, "sensors.csv"), head)
 
-    T = np.full(len(mesh.nodes), cfg.T_s)
+    virgin = np.full(len(mesh.nodes), cfg.T_s)   # recycled rows are virgin solid
+    T = virgin.copy()
     U = U_eq if cfg.coupling == "equilibrium" else 0.0
     displacement = 0.0
     records: list[StepRecord] = []
     sensor_rows = []
     sensor_times = []
     warnings: list[str] = []
-    all_nodes = np.arange(len(mesh.nodes))
 
     step = -1
     try:
         for step in range(cfg.n_steps):
             t_n = step * cfg.dt
-            coords_old = mesh.nodes.copy()
-            act_old = (motion.active_elements(mesh, state) if state is not None
-                       else np.ones(len(mesh.triangles), dtype=bool))
-
-            d = U * cfg.dt
-            slips_total = 0
-            if state is not None and d > 0.0:
-                res = motion.advance(mesh, state, d)
-                if res.wrapped_nodes.size:
-                    T[res.wrapped_nodes] = cfg.T_s     # recycled rows are virgin solid
-                slips_total = state.n_slips
+            op, sol, T, act = slab_step(
+                mesh, state, T, act, U * cfg.dt, dt=cfg.dt, alpha=cfg.alpha_s,
+                dirichlet_nodes=dir_nodes, dirichlet_values=dir_vals,
+                background=virgin, solver_tol=cfg.solver_tol)
+            if state is not None:
                 displacement = state.displacement
-                act_new = motion.active_elements(mesh, state)
-                act = act_old & act_new
-                if res.wrapped_nodes.size:
-                    act &= ~np.isin(mesh.triangles, res.wrapped_nodes).any(axis=1)
+                slips_total = state.n_slips
             else:
-                displacement += d
-                slips_total = state.n_slips if state is not None else 0
-                act_new = act_old
-                act = act_old
-
-            prob = SlabProblem(coords_old, mesh.nodes, mesh.triangles[act],
-                               dt=cfg.dt, alpha=cfg.alpha_s, t_prev=T,
-                               dirichlet_nodes=dir_nodes, dirichlet_values=dir_vals)
-            op = SlabOperator(prob, solver_tol=cfg.solver_tol)
-            sol = op.solve()
+                displacement += U * cfg.dt
+                slips_total = 0
 
             q_s = 0.0
             q_min = 0.0
@@ -507,11 +549,6 @@ def run(config: RunConfig) -> RunReport:
             else:
                 U_next = U_eq
 
-            T = sol.t_top.copy()
-            outside = np.setdiff1d(all_nodes, np.unique(mesh.triangles[act_new]),
-                                   assume_unique=True)
-            T[outside] = cfg.T_s
-
             if far_nodes.size and np.any(np.abs(T[far_nodes] - cfg.T_s) > 0.1):
                 msg = (f"step {step}: far-field boundary temperature strayed more "
                        f"than 0.1 K from T_s = {cfg.T_s} K")
@@ -521,28 +558,27 @@ def run(config: RunConfig) -> RunReport:
 
             records.append(StepRecord(t=t_n, U=U, displacement=displacement,
                                       q_s_avg=q_s, slip_count=slips_total,
-                                      clamped=clamped, stalled=stalled,
-                                      iterations=1))
+                                      clamped=clamped, stalled=stalled))
             run_csv.row([t_n, U, displacement, q_s, q_min, q_max, slips_total])
 
             if cfg.sensors:
-                values = sample_sensors(mesh, state, T, cfg.sensors)
+                values = sample_sensors(mesh, act, T, cfg.sensors)
                 sensor_rows.append(values)
                 sensor_times.append(t_n + cfg.dt)
                 sensor_csv.row([t_n + cfg.dt, *values])
 
             if cfg.vtk_every and (step + 1) % cfg.vtk_every == 0:
                 write_vtk(os.path.join(cfg.out_dir, f"state_{step + 1:06d}.vtk"),
-                          mesh.nodes, mesh.triangles, T, act_new)
+                          mesh.nodes, mesh.triangles, T, act)
 
             U = U_next
     except (NumericalError, ConfigError):
         log.error("run aborted at step %d; writing state dump", step)
         try:
+            # the band may have moved since ``act`` was computed
             write_vtk(os.path.join(cfg.out_dir, "abort_state.vtk"), mesh.nodes,
                       mesh.triangles, T,
-                      motion.active_elements(mesh, state) if state is not None
-                      else np.ones(len(mesh.triangles), dtype=bool))
+                      act if state is None else motion.active_elements(mesh, state))
         except OSError:  # pragma: no cover - best effort
             pass
         raise

@@ -1,9 +1,9 @@
 """Triangle meshes with an embedded moving strip.
 
-Plain container types plus file I/O, validation and point location for the
-two-region meshes used by the melting solver: a *static* part that never
-moves, a *strip* whose node rows translate rigidly and recycle through a
-virtual reservoir, and a one-cell-wide *update* band of shear triangles that
+Plain container types plus file I/O and validation for the two-region
+meshes used by the melting solver: a *static* part that never moves, a
+*strip* whose node rows translate rigidly and recycle through a virtual
+reservoir, and a one-cell-wide *update* band of shear triangles that
 stitches the two together.
 
 Mesh file format (version 1, plain text, whitespace separated)::
@@ -99,16 +99,6 @@ class Mesh:
         if not idx:
             return np.empty((0, 2), dtype=np.int64)
         return self.boundary_edges[np.array(idx, dtype=np.int64)]
-
-    def copy(self) -> "Mesh":
-        strip = None
-        if self.strip is not None:
-            strip = StripLayout(self.strip.h_row,
-                                [r.copy() for r in self.strip.rows],
-                                self.strip.virtual_rows.copy())
-        return Mesh(self.nodes.copy(), self.triangles.copy(), self.tri_region.copy(),
-                    self.boundary_edges.copy(), list(self.boundary_tags),
-                    dict(self.region_roles), strip)
 
 
 # ---------------------------------------------------------------------------
@@ -301,97 +291,3 @@ def _strip_axis(mesh: Mesh, s: StripLayout) -> int:
     c1 = mesh.nodes[s.rows[-1]]
     span = np.abs(c1.mean(axis=0) - c0.mean(axis=0))
     return int(np.argmax(span))
-
-
-# ---------------------------------------------------------------------------
-# point location and interpolation
-
-class PointLocator:
-    """Locate points in the active part of a (possibly deformed) mesh.
-
-    Builds a uniform background grid over the active triangles so repeated
-    queries (sensor probes every step) stay cheap; falls back to a vectorized
-    scan when the grid cell has no candidates.  Ties on shared edges resolve
-    to the lowest triangle index, so results are deterministic.
-    """
-
-    def __init__(self, coords, conn, active=None, target_cells: int = 4096):
-        self.coords = coords
-        self.conn = conn
-        if active is None:
-            self.tri_ids = np.arange(len(conn), dtype=np.int64)
-        else:
-            active = np.asarray(active)
-            if active.dtype == bool:
-                self.tri_ids = np.where(active)[0].astype(np.int64)
-            else:
-                self.tri_ids = np.asarray(active, dtype=np.int64)
-        if self.tri_ids.size == 0:                # empty active set: miss all
-            self._buckets = {}
-            self._gmin = np.zeros(2)
-            self._cell = np.ones(2)
-            self._nx = self._ny = 1
-            return
-        pts = coords[conn[self.tri_ids]]          # (m, 3, 2)
-        self._lo = pts.min(axis=1)                # per-triangle bounding boxes
-        self._hi = pts.max(axis=1)
-        gmin = self._lo.min(axis=0)
-        gmax = self._hi.max(axis=0)
-        ext = np.maximum(gmax - gmin, 1e-300)
-        self._nx = self._ny = max(1, int(np.sqrt(target_cells)))
-        self._gmin = gmin
-        self._cell = ext / (self._nx, self._ny)
-        ix0 = np.clip(((self._lo[:, 0] - gmin[0]) / self._cell[0]).astype(int), 0, self._nx - 1)
-        ix1 = np.clip(((self._hi[:, 0] - gmin[0]) / self._cell[0]).astype(int), 0, self._nx - 1)
-        iy0 = np.clip(((self._lo[:, 1] - gmin[1]) / self._cell[1]).astype(int), 0, self._ny - 1)
-        iy1 = np.clip(((self._hi[:, 1] - gmin[1]) / self._cell[1]).astype(int), 0, self._ny - 1)
-        buckets: dict[tuple[int, int], list[int]] = {}
-        for k in range(len(self.tri_ids)):
-            for ix in range(ix0[k], ix1[k] + 1):
-                for iy in range(iy0[k], iy1[k] + 1):
-                    buckets.setdefault((ix, iy), []).append(k)
-        self._buckets = {key: np.array(v, dtype=np.int64) for key, v in buckets.items()}
-
-    def locate(self, point, tol: float = 1e-10):
-        """Return (triangle_id, barycentric[3]) or None if outside."""
-        p = np.asarray(point, dtype=float)
-        ix = int(np.clip((p[0] - self._gmin[0]) / self._cell[0], 0, self._nx - 1))
-        iy = int(np.clip((p[1] - self._gmin[1]) / self._cell[1], 0, self._ny - 1))
-        cand = self._buckets.get((ix, iy))
-        hit = self._scan(cand, p, tol) if cand is not None else None
-        if hit is None:
-            hit = self._scan(np.arange(len(self.tri_ids)), p, tol)
-        return hit
-
-    def _scan(self, local_ids, p, tol):
-        tids = self.tri_ids[local_ids]
-        tri = self.conn[tids]
-        p0 = self.coords[tri[:, 0]]
-        p1 = self.coords[tri[:, 1]]
-        p2 = self.coords[tri[:, 2]]
-        d = ((p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1])
-             - (p2[:, 0] - p0[:, 0]) * (p1[:, 1] - p0[:, 1]))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            l1 = ((p2[:, 1] - p0[:, 1]) * (p[0] - p0[:, 0])
-                  - (p2[:, 0] - p0[:, 0]) * (p[1] - p0[:, 1])) / d
-            l2 = (-(p1[:, 1] - p0[:, 1]) * (p[0] - p0[:, 0])
-                  + (p1[:, 0] - p0[:, 0]) * (p[1] - p0[:, 1])) / d
-        l0 = 1.0 - l1 - l2
-        ok = (d > 0) & (l0 >= -tol) & (l1 >= -tol) & (l2 >= -tol)
-        idx = np.where(ok)[0]
-        if idx.size == 0:
-            return None
-        k = idx[np.argmin(tids[idx])]
-        lam = np.clip(np.array([l0[k], l1[k], l2[k]]), 0.0, 1.0)
-        lam = lam / lam.sum()
-        return int(tids[k]), lam
-
-
-def locate_point(mesh: Mesh, point, active=None, tol: float = 1e-10):
-    """One-shot point location (builds a throwaway locator)."""
-    return PointLocator(mesh.nodes, mesh.triangles, active).locate(point, tol)
-
-
-def interpolate(values: np.ndarray, conn_row: np.ndarray, bary: np.ndarray) -> float:
-    """Linear interpolation of a nodal field at a located point."""
-    return float(np.dot(values[conn_row], bary))

@@ -10,8 +10,8 @@ factor is the rational function (1 - z/3)/(1 + 2z/3 + z^2/6), which tends
 to zero for stiff modes).
 
 All equations are scaled by 1/(rho*c_p), so the PDE solved is
-dT/dt = alpha * div(grad T) with alpha = kappa/(rho*c_p), and prescribed
-boundary flux values are alpha * dT/dn in temperature units.  Mesh motion
+dT/dt = alpha * div(grad T) with alpha = kappa/(rho*c_p), and boundary
+flux functionals are alpha * dT/dn in temperature units.  Mesh motion
 needs no extra transport term: the time derivative of a basis function
 tied to a moving node automatically carries -grad(phi) . x_dot through the
 prism Jacobian.
@@ -47,7 +47,6 @@ class SlabProblem:
     t_prev: np.ndarray                # (n,) trace carried over from last slab
     dirichlet_nodes: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
     dirichlet_values: np.ndarray = field(default_factory=lambda: np.empty(0))
-    neumann: list = field(default_factory=list)   # [(edges (e,2), alpha*dT/dn)]
 
 
 @dataclass
@@ -140,28 +139,7 @@ class SlabOperator:
         data = ke.ravel()
         rhs = np.zeros(2 * self._n_act)
         np.add.at(rhs, dof.ravel(), fe.ravel())
-
-        for edges, value in p.neumann:
-            self._neumann_load(np.asarray(edges, dtype=np.int64), value, rhs)
         return data, rows, cols, rhs
-
-    def _neumann_load(self, edges, value, rhs):
-        """Prescribed flux on lateral faces (ruled surfaces edge x time)."""
-        p = self.problem
-        ao, bo = p.coords_old[edges[:, 0]], p.coords_old[edges[:, 1]]
-        an, bn = p.coords_new[edges[:, 0]], p.coords_new[edges[:, 1]]
-        gauss = _TH_PTS                                 # reuse 2-pt rule
-        for s, ws in zip(gauss, _TH_W):
-            nsh = np.array([1.0 - s, s])
-            for th, wth in zip(gauss, _TH_W):
-                lsh = np.array([1.0 - th, th])
-                ev = (1.0 - th) * (bo - ao) + th * (bn - an)   # edge vector
-                elen = np.hypot(ev[:, 0], ev[:, 1])
-                load = ws * wth * p.dt * elen * value          # (e,)
-                for i_t in range(2):
-                    for i_n in range(2):
-                        d = self.index[edges[:, i_n]] + i_t * self._n_act
-                        np.add.at(rhs, d, load * nsh[i_n] * lsh[i_t])
 
     # -- constraints and solve ---------------------------------------------
 

@@ -19,10 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import meshgen, motion
+from . import driver, meshgen, motion, stfem
 from .cbf import recover_flux, series_flux_reference
 from .errors import NumericalError
-from .stfem import SlabProblem, solve_slab
+from .stfem import SlabProblem
 
 __all__ = [
     "ErrorTable",
@@ -155,9 +155,7 @@ def run_cbf_case(h: float = 0.02, dt: float = 0.05, n_steps: int = 20,
         prob = SlabProblem(coords, coords, mesh.triangles, dt=dt, alpha=1.0,
                            t_prev=t_prev, dirichlet_nodes=dir_nodes,
                            dirichlet_values=dir_vals)
-        from .stfem import SlabOperator
-
-        op = SlabOperator(prob)
+        op = stfem.SlabOperator(prob)
         sol = op.solve()
         t_mid = (i + 0.5) * dt
         fr = recover_flux(op, sol, edges, rho_cp=1.0, timestamp=t_mid,
@@ -176,44 +174,30 @@ def run_meshupdate_case(h: float, velocity: float = 0.005, dt: float = 1.0,
     A vertical band of the unit-square mesh (0.3 < x < 0.7) slides
     downward with the given velocity through a recycling window while the
     temperature field T = x (imposed by Dirichlet values 0 and 1 on the
-    left and right edges) should remain unchanged.  Returns the largest
-    L2 error over all steps, computed on the active elements.
+    left and right edges) should remain unchanged.  Each step is
+    :func:`ccmsim.driver.slab_step`, with the exact field as the value of
+    recycled and outside nodes.  Returns the largest L2 error over all
+    steps, computed on the active elements.
     """
     n = round(1.0 / h)
     if abs(n * h - 1.0) > 1e-12:
         raise ValueError("grid size h must divide the unit square evenly")
     mesh = meshgen.make_strip_square(n, n_virt=n_virt)
     state = motion.init_motion(mesh, (0.0, -1.0))
-
-    def exact(xy: np.ndarray) -> np.ndarray:
-        return xy[:, 0]
-
-    coords0 = mesh.nodes
-    T = coords0[:, 0].copy()
+    exact = mesh.nodes[:, 0].copy()        # T = x; the band moves along y only
     left = np.unique(mesh.tagged_edges("left"))
     right = np.unique(mesh.tagged_edges("right"))
     dir_nodes = np.concatenate([left, right])
     dir_vals = np.concatenate([np.zeros(len(left)), np.ones(len(right))])
 
+    T = exact.copy()
+    act = motion.active_elements(mesh, state)
     max_err = 0.0
     for _ in range(n_steps):
-        coords_old = mesh.nodes.copy()
-        act_old = motion.active_elements(mesh, state)
-        res = motion.advance(mesh, state, velocity * dt)
-        act_new = motion.active_elements(mesh, state)
-        act = act_old & act_new
-        if res.wrapped_nodes.size:
-            touched = np.isin(mesh.triangles, res.wrapped_nodes).any(axis=1)
-            act &= ~touched
-        prob = SlabProblem(coords_old, mesh.nodes, mesh.triangles[act], dt=dt,
-                           alpha=1.0, t_prev=T, dirichlet_nodes=dir_nodes,
-                           dirichlet_values=dir_vals)
-        sol = solve_slab(prob)
-        T = sol.t_top.copy()
-        # nodes outside the new active domain carry the undisturbed field
-        outside = np.setdiff1d(np.arange(len(T)), np.unique(mesh.triangles[act_new]))
-        T[outside] = mesh.nodes[outside, 0]
-        err = l2_error(mesh.nodes, mesh.triangles[act_new], T, exact)
+        _, _, T, act = driver.slab_step(
+            mesh, state, T, act, velocity * dt, dt=dt, alpha=1.0,
+            dirichlet_nodes=dir_nodes, dirichlet_values=dir_vals, background=exact)
+        err = l2_error(mesh.nodes, mesh.triangles[act], T, lambda xy: xy[:, 0])
         max_err = max(max_err, err)
     return max_err
 

@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from ccmsim import meshgen
+from ccmsim import meshgen, verify
 from ccmsim.cli import main
 from ccmsim.mesh import save_mesh
 
@@ -99,6 +99,30 @@ def test_verify_meshupdate(tmp_path):
     lines = (tmp_path / "meshupdate_errors.csv").read_text().strip().splitlines()
     assert lines[0] == "h,dt,error,runtime"
     assert len(lines) == 2
+
+
+def test_verify_meshupdate_honours_dt_and_steps(tmp_path):
+    assert main(["verify", "meshupdate", "--h", "0.2", "--dt", "7", "--steps", "2",
+                 "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "meshupdate_errors.csv").read_text().strip().splitlines()
+    h, dt, err, _ = (float(c) for c in lines[1].split(","))
+    assert (h, dt) == (0.2, 7.0)
+    assert err == verify.run_meshupdate_case(0.2, dt=7.0, n_steps=2)
+
+
+def test_run_missing_mesh_exits_2(tmp_path, capsys):
+    cfg = make_config(tmp_path)
+    os.remove(tmp_path / "m.mesh")
+    assert main(["run", "--config", cfg]) == 2
+    assert "[mesh] path" in capsys.readouterr().err
+
+
+def test_run_corrupt_mesh_exits_2(tmp_path, capsys):
+    cfg = make_config(tmp_path)
+    (tmp_path / "m.mesh").write_text("CCMMESH 9\n")
+    assert main(["run", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "[mesh] path" in err and "CCMMESH 1" in err
 
 
 def test_sweep_temperature(tmp_path, capsys):

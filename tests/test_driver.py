@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from ccmsim import meshgen
+from ccmsim import driver, meshgen, motion
 from ccmsim.driver import RunConfig, load_config, run
 from ccmsim.errors import ConfigError
 from ccmsim.mesh import save_mesh
@@ -127,6 +127,14 @@ CONFIG_ERRORS = [
     ("non-numeric", _set("material.solid", "rho", "thick"), "not a number"),
     ("unphysical-viscosity", _set("material.liquid", "mu", -1.0), "mu_l"),
     ("zero-tip-area", _set("source", "tip_area", 0.0), "tip_area"),
+    ("nan-kappa", _set("material.solid", "kappa", "nan"), r"\[material.solid\] kappa: not finite"),
+    ("infinite-dt", _set("time", "dt", "inf"), r"\[time\] dt: not finite"),
+    ("negative-kappa", _set("material.solid", "kappa", -2.0),
+     r"\[material.solid\] kappa: must be positive"),
+    ("source-below-melting", _set("source", "T_w", 0.5), r"\[source\] T_w"),
+    ("negative-power",
+     lambda s: s["source"].update(mode="power", q_h=-5.0) or s["source"].pop("T_w"),
+     r"\[source\] q_h"),
 ]
 
 
@@ -239,6 +247,30 @@ def test_toy_run_deterministic(tmp_path):
         run(cfg)
         outputs.append(open(os.path.join(cfg.out_dir, "run.csv"), "rb").read())
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("coupling", ["equilibrium", "transient"])
+def test_each_step_builds_one_slab_and_one_mask(tmp_path, monkeypatch, coupling):
+    # the active mask is carried from step to step: set-up computes the
+    # first one, then each step computes one after the band moves (even a
+    # zero move from rest) and builds one slab; sensors and snapshots reuse it
+    events = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            events.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(driver, "SlabProblem", counted("slab", driver.SlabProblem))
+    monkeypatch.setattr(motion, "active_elements",
+                        counted("mask", motion.active_elements))
+    cfg = load_config(write_config(tmp_path, _set("source", "coupling", coupling)))
+    cfg.n_steps = 4
+    cfg.vtk_every = 2
+    cfg.sensors = ((0.85, 0.43),)
+    run(cfg)
+    assert events == ["mask"] + ["mask", "slab"] * 4
 
 
 def test_run_on_static_mesh(tmp_path):

@@ -3,11 +3,11 @@ import numpy.testing as npt
 import pytest
 
 from ccmsim import meshgen
+from ccmsim.driver import sample_sensors
 from ccmsim.mesh import (
     Mesh,
     MeshFormatError,
     load_mesh,
-    locate_point,
     save_mesh,
     tri_areas,
     validate_mesh,
@@ -131,33 +131,45 @@ def test_validate_rejects_uneven_strip_rows():
         validate_mesh(m)
 
 
-def test_copy_is_deep():
-    m = meshgen.make_strip_square(8)
-    c = m.copy()
-    c.nodes[0, 0] += 1.0
-    c.triangles[0, 0] = 0
-    c.strip.rows[0][0] = 999999
-    assert m.nodes[0, 0] != c.nodes[0, 0]
-    assert m.strip.rows[0][0] != 999999
-
-
 def test_point_location_and_interpolation():
     m = meshgen.make_unit_square(4)
     T = 2.0 * m.nodes[:, 0] - 3.0 * m.nodes[:, 1] + 0.5
-    hit = locate_point(m, (0.33, 0.61))
-    assert hit is not None
-    tri_id, bary = hit
-    value = float(np.dot(T[m.triangles[tri_id]], bary))
+    everywhere = np.ones(m.n_triangles, dtype=bool)
+    pts = [(0.33, 0.61), (0.0, 0.0), (0.25, 0.5), (0.999, 0.123)]
+    values = sample_sensors(m, everywhere, T, pts)
     # linear fields interpolate exactly
-    assert value == pytest.approx(2.0 * 0.33 - 3.0 * 0.61 + 0.5, abs=1e-13)
-    assert locate_point(m, (1.7, 0.5)) is None          # outside
-    assert locate_point(m, (0.5, -0.2)) is None
+    npt.assert_allclose(values, [2.0 * x - 3.0 * y + 0.5 for x, y in pts],
+                        rtol=0, atol=1e-13)
+    outside = sample_sensors(m, everywhere, T, [(1.7, 0.5), (0.5, -0.2)])
+    assert np.all(np.isnan(outside))
 
 
 def test_point_location_respects_active_mask():
     m = meshgen.make_unit_square(4)
-    active = np.zeros(m.n_triangles, dtype=bool)        # nothing active
-    assert locate_point(m, (0.5, 0.5), active=active) is None
+    T = np.ones(m.n_nodes)
+    assert np.isnan(sample_sensors(m, np.zeros(m.n_triangles, dtype=bool), T,
+                                   [(0.5, 0.5)])[0])
+    # only the right half is active: a point on the left is a gap
+    right = m.nodes[m.triangles].mean(axis=1)[:, 0] > 0.5
+    left_pt, right_pt = sample_sensors(m, right, T, [(0.2, 0.3), (0.8, 0.3)])
+    assert np.isnan(left_pt) and right_pt == pytest.approx(1.0, abs=1e-14)
+
+
+def test_point_on_shared_edge_same_from_either_side():
+    m = meshgen.make_unit_square(4)
+    T = np.sin(3.0 * m.nodes[:, 0]) * np.exp(m.nodes[:, 1])    # not linear
+    edges = {}
+    for t, tri in enumerate(m.triangles):
+        for a, b in ((0, 1), (1, 2), (2, 0)):
+            edges.setdefault(tuple(sorted((tri[a], tri[b]))), []).append(t)
+    (a, b), (t0, t1) = next((e, ts) for e, ts in edges.items() if len(ts) == 2)
+    pt = [tuple(0.3 * m.nodes[a] + 0.7 * m.nodes[b])]
+    values = []
+    for tris in ([t0], [t1], [t0, t1]):
+        active = np.zeros(m.n_triangles, dtype=bool)
+        active[tris] = True
+        values.append(sample_sensors(m, active, T, pt)[0])
+    npt.assert_allclose(values, 0.3 * T[a] + 0.7 * T[b], rtol=0, atol=1e-14)
 
 
 def test_fixture_meshes_validate(fixture_dir):

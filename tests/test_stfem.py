@@ -101,20 +101,6 @@ def test_single_mode_amplification_matches_rational_function():
     assert abs(prism_amplification(1e8)) < 1e-7              # R -> 0
 
 
-def test_neumann_reproduces_linear_steady_state():
-    # T = x is steady under: left edge clamped to 0, prescribed flux
-    # alpha * dT/dn = alpha on the right edge, insulated top/bottom
-    alpha = 0.7
-    mesh, prob = square_problem(n=6, dt=0.5, alpha=alpha)
-    left = np.unique(mesh.tagged_edges("left"))
-    prob.t_prev = mesh.nodes[:, 0].copy()
-    prob.dirichlet_nodes = left
-    prob.dirichlet_values = np.zeros(left.size)
-    prob.neumann = [(mesh.tagged_edges("right"), alpha)]
-    sol = solve_slab(prob)
-    npt.assert_allclose(sol.t_top, mesh.nodes[:, 0], atol=1e-11)
-
-
 def test_boundary_residual_equals_weak_flux():
     # for the steady field T = x with full Dirichlet data, the summed
     # time-averaged residual over one edge equals the outgoing weak flux
