@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import verify
-from .driver import load_config, run
+from .driver import check_values, load_config, run
 from .errors import ConfigError, NumericalError
 
 __all__ = ["main"]
@@ -125,6 +125,7 @@ def _cmd_sweep(args) -> int:
         else:
             raise ConfigError(f"--key: unsupported sweep key {args.key!r} "
                               "(supported: source.q_h, source.T_w)")
+        check_values(cfg)
         cfg.out_dir = os.path.join(args.out, f"point_{k}")
         report = run(cfg)
         s = report.summary

@@ -37,6 +37,7 @@ __all__ = [
     "RunConfig",
     "RunReport",
     "StepRecord",
+    "check_values",
     "load_config",
     "run",
     "sample_sensors",
@@ -311,6 +312,14 @@ def load_config(path) -> RunConfig:
         csv_name=cp.get("output", "csv", fallback="run.csv"),
         sensors=sensors,
     )
+    check_values(cfg)
+    for name, value in vars(cfg).items():
+        log.info("config %s = %r", name, value)
+    return cfg
+
+
+def check_values(cfg: RunConfig) -> None:
+    """Check the physical values of a built config; ConfigError names the key."""
     if cfg.tip_area is not None and not cfg.tip_area > 0.0:
         raise ConfigError("[source] tip_area: must be positive")
     if not cfg.kappa_s > 0.0:
@@ -323,9 +332,6 @@ def load_config(path) -> RunConfig:
         cfg.ccm_params  # triggers physical-parameter validation
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    for name, value in vars(cfg).items():
-        log.info("config %s = %r", name, value)
-    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -478,6 +484,10 @@ def run(config: RunConfig) -> RunReport:
     rho_cp = cfg.rho_s * cfg.cp_s
     U_eq = _equilibrium_velocity(cfg)
     log.info("equilibrium velocity U_eq = %.6e m/s", U_eq)
+    if state is not None and U_eq * cfg.dt >= state.circumference / 2:
+        raise ConfigError(f"[time] dt: U_eq*dt = {U_eq * cfg.dt:.6g} m per step reaches half "
+                          f"the band's ring circumference ({state.circumference / 2:.6g} m); "
+                          f"use dt < {state.circumference / (2 * U_eq):.6g} s")
 
     tip_edges = mesh.tagged_edges(cfg.tip_tags)
     if tip_edges.shape[0] == 0:

@@ -85,10 +85,7 @@ class Mesh:
 
     def tri_role(self) -> np.ndarray:
         """Role name per triangle (array of str)."""
-        lut = {}
-        for rid, role in self.region_roles.items():
-            lut[rid] = role
-        return np.array([lut[int(r)] for r in self.tri_region])
+        return np.array([self.region_roles[int(r)] for r in self.tri_region])
 
     def tagged_edges(self, tags) -> np.ndarray:
         """Node pairs (E, 2) of the boundary edges whose tag is in ``tags``."""
@@ -165,67 +162,72 @@ def load_mesh(path) -> Mesh:
         pos += 1
         return int(parts[1])
 
-    n = header("NODES")
-    nodes = np.empty((n, 2))
-    for i in range(n):
-        parts = lines[pos].split()
-        _expect(len(parts) == 3 and int(parts[0]) == i,
-                "nodes must be consecutive starting at 0 (line %d)" % (pos + 1))
-        nodes[i] = (float(parts[1]), float(parts[2]))
-        pos += 1
-
-    m = header("TRIANGLES")
-    tris = np.empty((m, 3), dtype=np.int64)
-    region = np.empty(m, dtype=np.int64)
-    for i in range(m):
-        parts = lines[pos].split()
-        _expect(len(parts) == 5 and int(parts[0]) == i,
-                "triangles must be consecutive starting at 0 (line %d)" % (pos + 1))
-        tris[i] = (int(parts[1]), int(parts[2]), int(parts[3]))
-        region[i] = int(parts[4])
-        pos += 1
-
-    b = header("BOUNDARY")
-    edges = np.empty((b, 2), dtype=np.int64)
-    tags = []
-    for i in range(b):
-        parts = lines[pos].split()
-        _expect(len(parts) == 3, "bad BOUNDARY line %d" % (pos + 1))
-        edges[i] = (int(parts[0]), int(parts[1]))
-        tags.append(parts[2])
-        pos += 1
-
-    r = header("REGION_ROLE")
-    roles = {}
-    for i in range(r):
-        parts = lines[pos].split()
-        _expect(len(parts) == 2, "bad REGION_ROLE line %d" % (pos + 1))
-        _expect(parts[1] in ROLES, "unknown role %r" % parts[1])
-        roles[int(parts[0])] = parts[1]
-        pos += 1
-
-    strip = None
-    if pos < len(lines):
-        parts = lines[pos].split()
-        _expect(parts[0] == "STRIP", "expected STRIP section at line %d" % (pos + 1))
-        kv = dict(p.split("=", 1) for p in parts[1:])
-        _expect(set(kv) == {"h_row", "rows"}, "STRIP header needs h_row= and rows=")
-        h_row = float(kv["h_row"])
-        n_rows = int(kv["rows"])
-        pos += 1
-        rows = []
-        virt = np.zeros(n_rows, dtype=bool)
-        for k in range(n_rows):
+    try:
+        n = header("NODES")
+        nodes = np.empty((n, 2))
+        for i in range(n):
             parts = lines[pos].split()
-            _expect(int(parts[0]) == k, "rows must be consecutive (line %d)" % (pos + 1))
-            rest = parts[1:]
-            if rest and rest[0] == "V":
-                virt[k] = True
-                rest = rest[1:]
-            rows.append(np.array([int(p) for p in rest], dtype=np.int64))
+            _expect(len(parts) == 3 and int(parts[0]) == i,
+                    "nodes must be consecutive starting at 0 (line %d)" % (pos + 1))
+            nodes[i] = (float(parts[1]), float(parts[2]))
             pos += 1
-        strip = StripLayout(h_row, rows, virt)
-    _expect(pos == len(lines), "trailing content after line %d" % pos)
+
+        m = header("TRIANGLES")
+        tris = np.empty((m, 3), dtype=np.int64)
+        region = np.empty(m, dtype=np.int64)
+        for i in range(m):
+            parts = lines[pos].split()
+            _expect(len(parts) == 5 and int(parts[0]) == i,
+                    "triangles must be consecutive starting at 0 (line %d)" % (pos + 1))
+            tris[i] = (int(parts[1]), int(parts[2]), int(parts[3]))
+            region[i] = int(parts[4])
+            pos += 1
+
+        b = header("BOUNDARY")
+        edges = np.empty((b, 2), dtype=np.int64)
+        tags = []
+        for i in range(b):
+            parts = lines[pos].split()
+            _expect(len(parts) == 3, "bad BOUNDARY line %d" % (pos + 1))
+            edges[i] = (int(parts[0]), int(parts[1]))
+            tags.append(parts[2])
+            pos += 1
+
+        r = header("REGION_ROLE")
+        roles = {}
+        for i in range(r):
+            parts = lines[pos].split()
+            _expect(len(parts) == 2, "bad REGION_ROLE line %d" % (pos + 1))
+            _expect(parts[1] in ROLES, "unknown role %r" % parts[1])
+            roles[int(parts[0])] = parts[1]
+            pos += 1
+
+        strip = None
+        if pos < len(lines):
+            parts = lines[pos].split()
+            _expect(parts[0] == "STRIP", "expected STRIP section at line %d" % (pos + 1))
+            kv = dict(p.split("=", 1) for p in parts[1:])
+            _expect(set(kv) == {"h_row", "rows"}, "STRIP header needs h_row= and rows=")
+            h_row = float(kv["h_row"])
+            n_rows = int(kv["rows"])
+            pos += 1
+            rows = []
+            virt = np.zeros(n_rows, dtype=bool)
+            for k in range(n_rows):
+                parts = lines[pos].split()
+                _expect(int(parts[0]) == k, "rows must be consecutive (line %d)" % (pos + 1))
+                rest = parts[1:]
+                if rest and rest[0] == "V":
+                    virt[k] = True
+                    rest = rest[1:]
+                rows.append(np.array([int(p) for p in rest], dtype=np.int64))
+                pos += 1
+            strip = StripLayout(h_row, rows, virt)
+        _expect(pos == len(lines), "trailing content after line %d" % pos)
+    except (IndexError, ValueError) as exc:
+        if pos >= len(lines):
+            raise MeshFormatError("file ends early after line %d" % len(lines)) from exc
+        raise MeshFormatError("bad line %d: %r (%s)" % (pos + 1, lines[pos], exc)) from exc
 
     mesh = Mesh(nodes, tris, region, edges, tags, roles, strip)
     validate_mesh(mesh)

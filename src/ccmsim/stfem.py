@@ -15,6 +15,10 @@ flux functionals are alpha * dT/dn in temperature units.  Mesh motion
 needs no extra transport term: the time derivative of a basis function
 tied to a moving node automatically carries -grad(phi) . x_dot through the
 prism Jacobian.
+
+P1 gradients are constant in space at every time level, so the spatial
+integrals are exact.  Time is integrated by 2-point Gauss: on a shearing
+triangle the inverse Jacobian makes the integrand rational in time.
 """
 
 from __future__ import annotations
@@ -26,10 +30,10 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import NumericalError
+from .mesh import tri_areas
 
-# reference triangle quadrature, degree 2 (weights sum to the area 1/2)
-_TRI_PTS = np.array([[1 / 6, 1 / 6], [2 / 3, 1 / 6], [1 / 6, 2 / 3]])
-_TRI_W = np.array([1 / 6, 1 / 6, 1 / 6])
+# integral of N_a N_b over the reference triangle (whose area is 1/2)
+_M = (np.ones((3, 3)) + np.eye(3)) / 24.0
 # two-point Gauss in the time direction on [0, 1]
 _TH_PTS = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
 _TH_W = np.array([0.5, 0.5])
@@ -53,7 +57,6 @@ class SlabProblem:
 class SlabSolution:
     t_bot: np.ndarray                 # (n,) trace at t_n   (jump-relaxed)
     t_top: np.ndarray                 # (n,) trace at t_n + dt
-    active_nodes: np.ndarray
     residual_norm: float
 
 
@@ -75,121 +78,79 @@ class SlabOperator:
         self._n_act = n_act
         self.index = -np.ones(p.coords_old.shape[0], dtype=np.int64)
         self.index[self.active_nodes] = np.arange(n_act)
-        data, rows, cols, rhs = self._assemble()
+        data, rows, cols, self._rhs_raw = self._assemble()
         self._raw = sp.coo_matrix((data, (rows, cols)),
                                   shape=(2 * n_act, 2 * n_act)).tocsr()
-        self._rhs_raw = rhs
-        self._constrained = None
-        self._rhs_con = None
+        # Dirichlet rows become identity rows; inactive Dirichlet nodes are dropped
+        li = self.index[p.dirichlet_nodes]
+        keep = li >= 0
+        fixed_dofs = np.concatenate([li[keep], li[keep] + n_act])
+        fixed = np.zeros(2 * n_act)
+        fixed[fixed_dofs] = 1.0
+        self._lhs = (sp.diags(1.0 - fixed) @ self._raw + sp.diags(fixed)).tocsc()
+        self._rhs = self._rhs_raw.copy()
+        self._rhs[fixed_dofs] = np.tile(np.asarray(p.dirichlet_values)[keep], 2)
 
     # -- assembly -----------------------------------------------------------
 
     def _assemble(self):
         p = self.problem
         conn = p.conn
-        ne = len(conn)
-        lconn = self.index[conn]                      # compact node ids
         xo = p.coords_old[conn]                       # (ne, 3, 2)
         xn = p.coords_new[conn]
-        dt = p.dt
+        mdx = np.einsum("ab,ebi->eai", _M, xn - xo)   # integrals of N_a * (xn - xo)
 
-        ke = np.zeros((ne, 6, 6))
-        fe = np.zeros((ne, 6))
+        ke = np.zeros((len(conn), 6, 6))
+        for th, wth in zip(_TH_PTS, _TH_W):
+            lsh = np.array([1.0 - th, th])
+            a2 = np.einsum("eai,aj->eij", (1.0 - th) * xo + th * xn, _DN)
+            det2 = a2[:, 0, 0] * a2[:, 1, 1] - a2[:, 0, 1] * a2[:, 1, 0]
+            if np.any(det2 <= 0):
+                raise NumericalError("inverted prism cross-section")
+            invt = np.moveaxis(np.array([[a2[:, 1, 1], -a2[:, 1, 0]],
+                                         [-a2[:, 0, 1], a2[:, 0, 0]]]), 2, 0)
+            invt /= det2[:, None, None]                        # inv(a2)^T
+            # gradients of the 6 basis functions [bot x 3, top x 3]
+            g = np.einsum("eij,aj->eia", invt, _DN)            # (ne, 2, 3)
+            gx = np.concatenate([g * lsh[0], g * lsh[1]], axis=2)
+            adv = np.einsum("eai,eic->eac", mdx, gx)           # (ne, 3, 6)
+            # time derivative (its 1/dt cancels the dt of the measure), mesh velocity, diffusion
+            ke += (wth * det2)[:, None, None] * (
+                np.kron(np.outer(lsh, [-1.0, 1.0]), _M)
+                - np.concatenate([lsh[0] * adv, lsh[1] * adv], axis=1)
+                + 0.5 * p.dt * p.alpha * np.einsum("eib,eic->ebc", gx, gx))
 
-        for (xi, eta), wxi in zip(_TRI_PTS, _TRI_W):
-            nsh = np.array([1.0 - xi - eta, xi, eta])          # (3,)
-            for th, wth in zip(_TH_PTS, _TH_W):
-                lsh = np.array([1.0 - th, th])                 # (2,)
-                dlsh = np.array([-1.0, 1.0])
-                xq = (1.0 - th) * xo + th * xn                 # (ne, 3, 2)
-                a2 = np.einsum("eai,aj->eij", xq, _DN)         # (ne, 2, 2)
-                det2 = a2[:, 0, 0] * a2[:, 1, 1] - a2[:, 0, 1] * a2[:, 1, 0]
-                if np.any(det2 <= 0):
-                    raise NumericalError("inverted prism cross-section")
-                invt = np.empty_like(a2)                       # inv(a2)^T
-                invt[:, 0, 0] = a2[:, 1, 1]
-                invt[:, 0, 1] = -a2[:, 1, 0]
-                invt[:, 1, 0] = -a2[:, 0, 1]
-                invt[:, 1, 1] = a2[:, 0, 0]
-                invt /= det2[:, None, None]
-                # 6 basis functions: [bot x 3, top x 3]
-                dn6 = np.concatenate([_DN.T * lsh[0], _DN.T * lsh[1]], axis=1)
-                phi6 = np.concatenate([nsh * lsh[0], nsh * lsh[1]])
-                reft = np.concatenate([nsh * dlsh[0], nsh * dlsh[1]])
-                gx = np.einsum("eij,jb->eib", invt, dn6)       # (ne, 2, 6)
-                xth = np.einsum("a,eai->ei", nsh, xn - xo)     # (ne, 2)
-                dphidt = (reft[None, :] - np.einsum("eib,ei->eb", gx, xth)) / dt
-                w = wxi * wth * dt * det2                      # (ne,)
-                ke += w[:, None, None] * (
-                    phi6[None, :, None] * dphidt[:, None, :]
-                    + p.alpha * np.einsum("eib,eic->ebc", gx, gx))
-
-        # jump coupling to the previous trace: bottom-face consistent mass
-        # on the old coordinates
-        area = 0.5 * ((xo[:, 1, 0] - xo[:, 0, 0]) * (xo[:, 2, 1] - xo[:, 0, 1])
-                      - (xo[:, 2, 0] - xo[:, 0, 0]) * (xo[:, 1, 1] - xo[:, 0, 1]))
-        m0 = (np.ones((3, 3)) + np.eye(3))[None, :, :] * area[:, None, None] / 12.0
+        # jump coupling to the previous trace: bottom-face mass on the old coordinates
+        m0 = 2.0 * tri_areas(p.coords_old, conn)[:, None, None] * _M
         ke[:, :3, :3] += m0
-        fe[:, :3] += np.einsum("eab,eb->ea", m0, p.t_prev[conn])
+        fe = np.einsum("eab,eb->ea", m0, p.t_prev[conn])
 
         # scatter
+        lconn = self.index[conn]                      # compact node ids
         dof = np.concatenate([lconn, lconn + self._n_act], axis=1)   # (ne, 6)
         rows = np.repeat(dof, 6, axis=1).ravel()
         cols = np.tile(dof, (1, 6)).ravel()
-        data = ke.ravel()
-        rhs = np.zeros(2 * self._n_act)
-        np.add.at(rhs, dof.ravel(), fe.ravel())
-        return data, rows, cols, rhs
+        rhs = np.bincount(lconn.ravel(), fe.ravel(), minlength=2 * self._n_act)
+        return ke.ravel(), rows, cols, rhs
 
-    # -- constraints and solve ---------------------------------------------
-
-    def _constrain(self):
-        p = self.problem
-        n2 = 2 * self._n_act
-        fixed = np.zeros(n2, dtype=bool)
-        vals = np.zeros(n2)
-        li = self.index[p.dirichlet_nodes]
-        if np.any(li < 0):
-            # Dirichlet nodes outside the active set are simply dropped
-            keep = li >= 0
-            li = li[keep]
-            dv = np.asarray(p.dirichlet_values)[keep]
-        else:
-            dv = np.asarray(p.dirichlet_values)
-        for shift in (0, self._n_act):
-            fixed[li + shift] = True
-            vals[li + shift] = dv
-        coo = self._raw.tocoo()
-        keep = ~fixed[coo.row]
-        data = np.concatenate([coo.data[keep], np.ones(fixed.sum())])
-        rows = np.concatenate([coo.row[keep], np.where(fixed)[0]])
-        cols = np.concatenate([coo.col[keep], np.where(fixed)[0]])
-        a = sp.coo_matrix((data, (rows, cols)), shape=(n2, n2)).tocsc()
-        b = self._rhs_raw.copy()
-        b[fixed] = vals[fixed]
-        self._constrained = a
-        self._rhs_con = b
+    # -- solve ---------------------------------------------------------------
 
     def solve(self) -> SlabSolution:
-        if self._constrained is None:
-            self._constrain()
-        a, b = self._constrained, self._rhs_con
         try:
-            lu = spla.splu(a)
-            x = lu.solve(b)
+            lu = spla.splu(self._lhs)
+            x = lu.solve(self._rhs)
         except RuntimeError as exc:
             raise NumericalError("sparse factorization failed: %s" % exc)
-        res = np.linalg.norm(a @ x - b)
-        scale = max(np.linalg.norm(b), 1e-300)
+        res = np.linalg.norm(self._lhs @ x - self._rhs)
+        scale = max(np.linalg.norm(self._rhs), 1e-300)
         if res / scale > self.solver_tol:
             raise NumericalError("slab solve residual %.3e exceeds %.1e"
                                  % (res / scale, self.solver_tol))
-        p = self.problem
-        t_bot = p.t_prev.copy()
-        t_top = p.t_prev.copy()
+        t_bot = self.problem.t_prev.copy()
+        t_top = self.problem.t_prev.copy()
         t_bot[self.active_nodes] = x[:self._n_act]
         t_top[self.active_nodes] = x[self._n_act:]
-        return SlabSolution(t_bot, t_top, self.active_nodes, res / scale)
+        return SlabSolution(t_bot, t_top, res / scale)
 
     # -- residual functionals ----------------------------------------------
 
@@ -221,7 +182,4 @@ def solve_slab(problem: SlabProblem, solver_tol: float = 1e-10) -> SlabSolution:
 
 def integrate_nodal(coords, conn, values) -> float:
     """Integral of a piecewise-linear nodal field (exact for P1)."""
-    x = coords[conn]
-    area = 0.5 * ((x[:, 1, 0] - x[:, 0, 0]) * (x[:, 2, 1] - x[:, 0, 1])
-                  - (x[:, 2, 0] - x[:, 0, 0]) * (x[:, 1, 1] - x[:, 0, 1]))
-    return float(np.sum(area * values[conn].mean(axis=1)))
+    return float(np.sum(tri_areas(coords, conn) * values[conn].mean(axis=1)))

@@ -22,6 +22,7 @@ import numpy as np
 from . import driver, meshgen, motion, stfem
 from .cbf import recover_flux, series_flux_reference
 from .errors import NumericalError
+from .mesh import tri_areas
 from .stfem import SlabProblem
 
 __all__ = [
@@ -109,9 +110,7 @@ def l2_error(coords: np.ndarray, conn: np.ndarray, field_values: np.ndarray,
     if conn.size == 0:
         return 0.0
     p = coords[conn]                                   # (ne, 3, 2)
-    area = 0.5 * np.abs(
-        (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-        - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
+    area = np.abs(tri_areas(coords, conn))
     fv = field_values[conn]                            # (ne, 3)
     acc = 0.0
     ref = 0.0

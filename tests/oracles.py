@@ -107,3 +107,49 @@ def prism_amplification(z: float) -> float:
                   [-0.5 + z / 6.0, 0.5 + z / 3.0]])
     b = np.array([1.0, 0.0])
     return float(np.linalg.solve(a, b)[1])
+
+
+def slab_residual(coords_old, coords_new, conn, dt, alpha, t_prev, t_bot, t_top):
+    """Weak residual of one P1 prism slab, straight from the weak form.
+
+    Test function v_b is a nodal hat times (1 - theta) (bottom rows) or
+    theta (top rows).  Row b holds
+
+        int_slab (v_b dT/dt + alpha grad v_b . grad T) dx dt
+        + int_{Omega(t_n)} v_b(t_n) (T(t_n) - t_prev) dx
+
+    for T interpolating ``t_bot``/``t_top``.  Physical space-time
+    derivatives come from inverting the full 3x3 Jacobian of
+    (xi, eta, theta) -> (x, y, t); space uses the degree-5 rule above and
+    time 2-point Gauss.  Returns the rows [bottom nodes, top nodes].
+    """
+    n = len(coords_old)
+    conn = np.asarray(conn, dtype=np.int64)
+    xo, xn = coords_old[conn], coords_new[conn]               # (ne, 3, 2)
+    tv = np.concatenate([t_bot[conn], t_top[conn]], axis=1)   # (ne, 6)
+    dof = np.concatenate([conn, conn + n], axis=1)
+    dn = np.array([[-1.0, 1.0, 0.0], [-1.0, 0.0, 1.0]])      # dN_a/d(xi, eta)
+    res = np.zeros(2 * n)
+    for bary, wq in zip(_Q5_PTS, _Q5_W):
+        for th in (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)):
+            lt = np.array([1.0 - th, th])
+            phi = np.kron(lt, bary)                           # (6,)
+            dref = np.vstack([np.kron(lt, dn[0]), np.kron(lt, dn[1]),
+                              np.kron([-1.0, 1.0], bary)])    # (3, 6)
+            xq = (1.0 - th) * xo + th * xn
+            jac = np.zeros((len(conn), 3, 3))
+            jac[:, :2, :2] = np.einsum("eai,ja->eij", xq, dn)
+            jac[:, :2, 2] = np.einsum("eai,a->ei", xn - xo, bary)
+            jac[:, 2, 2] = dt
+            grad = np.linalg.solve(np.swapaxes(jac, 1, 2),
+                                   np.broadcast_to(dref, (len(conn), 3, 6)))
+            gt = np.einsum("ekb,eb->ek", grad, tv)            # (ne, 3): T_x, T_y, T_t
+            integrand = (phi[None, :] * gt[:, 2:3]
+                         + alpha * np.einsum("ekb,ek->eb", grad[:, :2], gt[:, :2]))
+            w = 0.5 * wq * 0.5 * np.abs(np.linalg.det(jac))   # reference prism volume 1/2
+            np.add.at(res, dof, w[:, None] * integrand)
+        # jump term on the old triangle
+        area = 0.5 * np.abs(np.linalg.det(np.einsum("eai,ja->eij", xo, dn)))
+        jump = (t_bot[conn] - t_prev[conn]) @ bary
+        np.add.at(res, conn, (wq * area * jump)[:, None] * bary[None, :])
+    return res

@@ -117,12 +117,17 @@ def test_run_missing_mesh_exits_2(tmp_path, capsys):
     assert "[mesh] path" in capsys.readouterr().err
 
 
-def test_run_corrupt_mesh_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("content, match", [
+    ("CCMMESH 9\n", "CCMMESH 1"),
+    ("CCMMESH 1\nNODES 3\n0 0 0\n", "ends early after line 3"),
+    ("CCMMESH 1\nNODES 3\n0 a b\n", "bad line 3"),
+], ids=["bad-header", "truncated", "non-numeric"])
+def test_run_corrupt_mesh_exits_2(tmp_path, capsys, content, match):
     cfg = make_config(tmp_path)
-    (tmp_path / "m.mesh").write_text("CCMMESH 9\n")
+    (tmp_path / "m.mesh").write_text(content)
     assert main(["run", "--config", cfg]) == 2
     err = capsys.readouterr().err
-    assert "[mesh] path" in err and "CCMMESH 1" in err
+    assert "[mesh] path" in err and match in err
 
 
 def test_sweep_temperature(tmp_path, capsys):
@@ -152,12 +157,22 @@ def test_sweep_power_key_needs_power_mode(tmp_path, capsys):
     assert "mode = power" in capsys.readouterr().err
 
 
-def test_sweep_rejects_bad_values(tmp_path):
+def test_sweep_rejects_bad_values(tmp_path, fixture_dir, capsys):
     cfg = make_config(tmp_path)
     assert main(["sweep", "--config", cfg, "--key", "source.T_w",
                  "--values", "1,apple", "--out", str(tmp_path / "sw")]) == 2
     assert main(["sweep", "--config", cfg, "--key", "source.T_w",
                  "--values", " , ", "--out", str(tmp_path / "sw")]) == 2
+    capsys.readouterr()
+    # swept values get the same checks as configured ones
+    probe = os.path.join(fixture_dir, "probe_temperature.ini")    # T_m = 273 K
+    assert main(["sweep", "--config", probe, "--key", "source.T_w",
+                 "--values", "250", "--out", str(tmp_path / "sw")]) == 2
+    assert "[source] T_w" in capsys.readouterr().err
+    power = os.path.join(fixture_dir, "power_3kw.ini")
+    assert main(["sweep", "--config", power, "--key", "source.q_h",
+                 "--values", "-1000", "--out", str(tmp_path / "sw")]) == 2
+    assert "[source] q_h" in capsys.readouterr().err
 
 
 def test_bogus_log_level_is_a_usage_error(tmp_path, monkeypatch, capsys):

@@ -326,3 +326,12 @@ def test_bundled_configs_parse(fixture_dir):
     assert one_kw.q_h == 1000.0 / 0.0211         # bulk watts over tip area
     assert one_kw.tip_area == 0.0211
     assert one_kw.flux_averaging == "length_weighted"
+
+
+def test_dt_beyond_the_ring_limit_fails_before_step_0(fixture_dir, tmp_path):
+    cfg = load_config(os.path.join(fixture_dir, "power_1kw.ini"))
+    cfg.dt = 5000.0
+    cfg.out_dir = str(tmp_path / "out")
+    with pytest.raises(ConfigError, match=r"\[time\] dt: .*use dt < "):
+        run(cfg)
+    assert not (tmp_path / "out").exists()

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -12,6 +14,8 @@ from ccmsim.mesh import (
     tri_areas,
     validate_mesh,
 )
+
+from conftest import _BUILDERS, FIXTURE_DIR
 
 
 def test_unit_square_counts_and_tags():
@@ -178,3 +182,10 @@ def test_fixture_meshes_validate(fixture_dir):
         m = load_mesh(os.path.join(fixture_dir, name))
         assert m.strip is not None
         assert "tip" in m.boundary_tags
+
+
+@pytest.mark.parametrize("name", sorted(_BUILDERS))
+def test_fixture_mesh_matches_its_builder(tmp_path, name):
+    # the committed fixture is exactly what its generator writes today
+    save_mesh(_BUILDERS[name](), tmp_path / name)
+    assert (tmp_path / name).read_bytes() == Path(FIXTURE_DIR, name).read_bytes()

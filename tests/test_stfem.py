@@ -1,17 +1,20 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccmsim import meshgen
 from ccmsim.errors import NumericalError
 from ccmsim.stfem import (
     SlabOperator,
     SlabProblem,
+    SlabSolution,
     integrate_nodal,
     solve_slab,
 )
 
-from oracles import prism_amplification
+from oracles import prism_amplification, slab_residual
 
 
 def square_problem(n=8, dt=0.1, alpha=1.0, t_prev=None, **kw):
@@ -23,6 +26,24 @@ def square_problem(n=8, dt=0.1, alpha=1.0, t_prev=None, **kw):
     return mesh, prob
 
 
+def moved_interior(mesh, n, frac, rng):
+    """Node coordinates with each interior node moved by less than frac * h."""
+    coords = mesh.nodes.copy()
+    bnodes = np.unique(mesh.tagged_edges(("left", "right", "bottom", "top")))
+    interior = np.setdiff1d(np.arange(mesh.n_nodes), bnodes)
+    r = frac / n * rng.uniform(0.0, 1.0, interior.size)
+    phi = rng.uniform(0.0, 2.0 * np.pi, interior.size)
+    coords[interior] += np.column_stack([r * np.cos(phi), r * np.sin(phi)])
+    return coords, bnodes
+
+
+# a moved interior node stays inside the disc of radius 0.3 h round its
+# grid position at every time level, so no prism cross-section inverts
+slab_draws = dict(n=st.integers(2, 8), frac=st.floats(0.0, 0.3, exclude_max=True),
+                  dt=st.floats(1e-3, 10.0), alpha=st.floats(0.1, 10.0),
+                  seed=st.integers(0, 2**32 - 1))
+
+
 def test_integrate_nodal_linear_exact():
     mesh = meshgen.make_unit_square(6)
     v = 2.0 + 3.0 * mesh.nodes[:, 0] - 1.0 * mesh.nodes[:, 1]
@@ -30,15 +51,21 @@ def test_integrate_nodal_linear_exact():
     assert integrate_nodal(mesh.nodes, mesh.triangles, v) == pytest.approx(3.0, abs=1e-13)
 
 
-def test_conservation_insulated():
+@settings(max_examples=20, deadline=None)
+@given(**slab_draws)
+def test_conservation_insulated(n, frac, dt, alpha, seed):
     # no Dirichlet rows, natural (insulated) boundary everywhere: the total
-    # heat content of the new trace equals that of the previous trace
-    rng = np.random.default_rng(42)
-    mesh, prob = square_problem(n=8, dt=0.3)
-    prob.t_prev = rng.uniform(0.0, 2.0, mesh.n_nodes)
-    sol = solve_slab(prob)
-    before = integrate_nodal(mesh.nodes, mesh.triangles, prob.t_prev)
-    after = integrate_nodal(mesh.nodes, mesh.triangles, sol.t_top)
+    # heat content of the new trace equals that of the previous trace, also
+    # while interior nodes move
+    rng = np.random.default_rng(seed)
+    mesh = meshgen.make_unit_square(n)
+    coords_old, _ = moved_interior(mesh, n, frac, rng)
+    coords_new, _ = moved_interior(mesh, n, frac, rng)
+    t_prev = rng.uniform(0.0, 2.0, mesh.n_nodes)
+    sol = solve_slab(SlabProblem(coords_old, coords_new, mesh.triangles, dt=dt,
+                                 alpha=alpha, t_prev=t_prev))
+    before = integrate_nodal(coords_old, mesh.triangles, t_prev)
+    after = integrate_nodal(coords_new, mesh.triangles, sol.t_top)
     assert abs(after - before) / abs(before) < 1e-10
 
 
@@ -54,27 +81,41 @@ def test_linear_exactness_static():
     npt.assert_allclose(sol.t_bot, exact, atol=5e-13)       # zero jump
 
 
-def test_linear_exactness_moving_mesh():
+@settings(max_examples=20, deadline=None)
+@given(**slab_draws)
+def test_linear_exactness_moving_mesh(n, frac, dt, alpha, seed):
     # a steady linear field stays exact when interior nodes move between the
     # slab's bottom and top coordinate sets
-    mesh = meshgen.make_unit_square(6)
-    rng = np.random.default_rng(3)
-    coords_old = mesh.nodes
-    coords_new = mesh.nodes.copy()
-    bnodes = np.unique(mesh.tagged_edges(("left", "right", "bottom", "top")))
-    interior = np.setdiff1d(np.arange(mesh.n_nodes), bnodes)
-    coords_new[interior] += rng.uniform(-0.03, 0.03, (interior.size, 2))
+    rng = np.random.default_rng(seed)
+    mesh = meshgen.make_unit_square(n)
+    coords_old, bnodes = moved_interior(mesh, n, frac, rng)
+    coords_new, _ = moved_interior(mesh, n, frac, rng)
 
     def field(c):
         return 0.4 - 1.3 * c[:, 0] + 0.8 * c[:, 1]
 
-    prob = SlabProblem(coords_old, coords_new, mesh.triangles, dt=0.2,
-                       alpha=1.3, t_prev=field(coords_old),
+    prob = SlabProblem(coords_old, coords_new, mesh.triangles, dt=dt,
+                       alpha=alpha, t_prev=field(coords_old),
                        dirichlet_nodes=bnodes,
                        dirichlet_values=field(coords_new[bnodes]))
     sol = solve_slab(prob)
     # the top trace is the linear field sampled at the NEW positions
     npt.assert_allclose(sol.t_top, field(coords_new), atol=5e-12)
+
+
+def test_residual_matches_weak_form_oracle():
+    rng = np.random.default_rng(11)
+    n = 6
+    mesh = meshgen.make_unit_square(n)
+    coords_old, _ = moved_interior(mesh, n, 0.29, rng)
+    coords_new, _ = moved_interior(mesh, n, 0.29, rng)
+    t_prev, t_bot, t_top = rng.uniform(-1.0, 2.0, (3, mesh.n_nodes))
+    op = SlabOperator(SlabProblem(coords_old, coords_new, mesh.triangles, dt=0.37,
+                                  alpha=1.7, t_prev=t_prev))
+    r = op.unconstrained_residual(SlabSolution(t_bot, t_top, 0.0))
+    ref = slab_residual(coords_old, coords_new, mesh.triangles, 0.37, 1.7,
+                        t_prev, t_bot, t_top)
+    assert np.max(np.abs(r - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_strong_damping_of_stiff_slabs():
