@@ -9,7 +9,7 @@ analytical lubrication closures that turn the recovered solid-side heat
 flux into the source's approach velocity.
 """
 
-from . import cbf, cli, driver, mesh, meshgen, motion, stfem, velocity, verify
+from . import cbf, driver, mesh, meshgen, motion, stfem, velocity, verify
 from .errors import ConfigError, NumericalError
 
 __version__ = "0.1.0"
@@ -18,7 +18,6 @@ __all__ = [
     "ConfigError",
     "NumericalError",
     "cbf",
-    "cli",
     "driver",
     "mesh",
     "meshgen",

@@ -29,7 +29,7 @@ import numpy as np
 from . import motion
 from . import velocity as vel
 from .cbf import recover_flux
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError
 from .mesh import Mesh, MeshFormatError, load_mesh
 from .stfem import SlabOperator, SlabProblem
 
@@ -484,10 +484,16 @@ def run(config: RunConfig) -> RunReport:
     rho_cp = cfg.rho_s * cfg.cp_s
     U_eq = _equilibrium_velocity(cfg)
     log.info("equilibrium velocity U_eq = %.6e m/s", U_eq)
+    warnings: list[str] = []
     if state is not None and U_eq * cfg.dt >= state.circumference / 2:
         raise ConfigError(f"[time] dt: U_eq*dt = {U_eq * cfg.dt:.6g} m per step reaches half "
                           f"the band's ring circumference ({state.circumference / 2:.6g} m); "
                           f"use dt < {state.circumference / (2 * U_eq):.6g} s")
+    if state is not None and U_eq * cfg.dt > state.h_row:
+        msg = (f"U_eq*dt = {U_eq * cfg.dt:.6g} m per step exceeds the band's row height "
+               f"({state.h_row:.6g} m): a step can slip more than one row")
+        log.warning(msg)
+        warnings.append(msg)
 
     tip_edges = mesh.tagged_edges(cfg.tip_tags)
     if tip_edges.shape[0] == 0:
@@ -518,7 +524,7 @@ def run(config: RunConfig) -> RunReport:
     records: list[StepRecord] = []
     sensor_rows = []
     sensor_times = []
-    warnings: list[str] = []
+    far_warned = False
 
     step = -1
     try:
@@ -559,12 +565,13 @@ def run(config: RunConfig) -> RunReport:
             else:
                 U_next = U_eq
 
-            if far_nodes.size and np.any(np.abs(T[far_nodes] - cfg.T_s) > 0.1):
+            if (not far_warned and far_nodes.size
+                    and np.any(np.abs(T[far_nodes] - cfg.T_s) > 0.1)):
                 msg = (f"step {step}: far-field boundary temperature strayed more "
                        f"than 0.1 K from T_s = {cfg.T_s} K")
-                if not warnings:
-                    log.warning(msg)
-                    warnings.append(msg)
+                log.warning(msg)
+                warnings.append(msg)
+                far_warned = True
 
             records.append(StepRecord(t=t_n, U=U, displacement=displacement,
                                       q_s_avg=q_s, slip_count=slips_total,
@@ -582,7 +589,7 @@ def run(config: RunConfig) -> RunReport:
                           mesh.nodes, mesh.triangles, T, act)
 
             U = U_next
-    except (NumericalError, ConfigError):
+    except Exception:
         log.error("run aborted at step %d; writing state dump", step)
         try:
             # the band may have moved since ``act`` was computed

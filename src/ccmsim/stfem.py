@@ -137,7 +137,10 @@ class SlabOperator:
 
     def solve(self) -> SlabSolution:
         try:
-            lu = spla.splu(self._lhs)
+            # The slab pattern is nearly symmetric (6x6 prism blocks; only the
+            # Dirichlet identity rows break it), so a minimum-degree ordering
+            # of A^T + A keeps far less LU fill than the default COLAMD.
+            lu = spla.splu(self._lhs, permc_spec="MMD_AT_PLUS_A")
             x = lu.solve(self._rhs)
         except RuntimeError as exc:
             raise NumericalError("sparse factorization failed: %s" % exc)

@@ -1,10 +1,14 @@
 import os
+import subprocess
+import sys
 
 import pytest
 
 from ccmsim import meshgen, verify
 from ccmsim.cli import main
 from ccmsim.mesh import save_mesh
+
+from conftest import REPO_ROOT
 
 CONFIG = """
 [material.solid]
@@ -184,3 +188,14 @@ def test_bogus_log_level_is_a_usage_error(tmp_path, monkeypatch, capsys):
 def test_debug_log_level_accepted(tmp_path, monkeypatch):
     monkeypatch.setenv("CCMSIM_LOG", "DEBUG")
     assert main(["run", "--config", make_config(tmp_path)]) == 0
+
+
+def test_module_entry_point_runs_without_warning():
+    # the package must not import its own CLI, or `python -m ccmsim.cli`
+    # warns that the module was already in sys.modules
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
+    proc = subprocess.run([sys.executable, "-m", "ccmsim.cli", "--help"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0
+    assert "usage" in proc.stdout.lower()
+    assert "RuntimeWarning" not in proc.stderr

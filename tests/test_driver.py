@@ -7,7 +7,7 @@ import pytest
 from ccmsim import driver, meshgen, motion
 from ccmsim.driver import RunConfig, load_config, run
 from ccmsim.errors import ConfigError
-from ccmsim.mesh import save_mesh
+from ccmsim.mesh import load_mesh, save_mesh
 
 from conftest import FIXTURE_DIR
 
@@ -318,6 +318,10 @@ def test_bundled_configs_parse(fixture_dir):
         cfg = load_config(os.path.join(FIXTURE_DIR, f"{name}.ini"))
         seen.add((cfg.mode, cfg.coupling))
         assert os.path.isabs(cfg.mesh_path) and os.path.exists(cfg.mesh_path)
+        # no bundled run slips more than one row per step (largest: probe, 0.40)
+        state = motion.init_motion(load_mesh(cfg.mesh_path), cfg.direction)
+        h_row = cfg.h_row_override or state.h_row
+        assert driver._equilibrium_velocity(cfg) * cfg.dt <= h_row, name
     assert ("temperature", "transient") in seen
     assert ("temperature", "equilibrium") in seen
     assert ("power", "transient") in seen
@@ -335,3 +339,31 @@ def test_dt_beyond_the_ring_limit_fails_before_step_0(fixture_dir, tmp_path):
     with pytest.raises(ConfigError, match=r"\[time\] dt: .*use dt < "):
         run(cfg)
     assert not (tmp_path / "out").exists()
+
+
+def test_abort_dump_written_for_any_failure(tmp_path, monkeypatch):
+    # an unexpected error (not NumericalError/ConfigError) still leaves the
+    # state dump behind and propagates unchanged
+    def broken(*args, **kwargs):
+        raise RuntimeError("flux recovery broke")
+
+    monkeypatch.setattr(driver, "recover_flux", broken)
+    cfg = load_config(write_config(tmp_path, _set("source", "coupling", "transient")))
+    with pytest.raises(RuntimeError, match="flux recovery broke"):
+        run(cfg)
+    assert os.path.exists(os.path.join(cfg.out_dir, "abort_state.vtk"))
+
+
+def test_step_longer_than_a_row_warns(tmp_path):
+    # dt = 0.1 moves the band U_eq*dt = 0.147 m per step: more than one
+    # 0.125 m row, less than half the 1.25 m ring.  A solid that conducts
+    # heat to the far field by the end makes the far-field check fire too;
+    # the slip warning must not suppress it.
+    def fix(s):
+        s["time"]["dt"] = 0.1
+        s["material.solid"]["kappa"] = 1.0
+
+    report = run(load_config(write_config(tmp_path, fix)))
+    assert len(report.warnings) == 2
+    assert "slip more than one row" in report.warnings[0]
+    assert "far-field" in report.warnings[1]

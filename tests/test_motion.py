@@ -1,9 +1,19 @@
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccmsim import meshgen, motion
 from ccmsim.mesh import tri_areas
+
+H_ROW = 0.1         # row height of make_strip_square(10)
+
+# random advance sequences: 1-30 steps, each between 0 and 1.5 rows, so a
+# step may slip none, one or two rows
+advances = st.lists(st.floats(0.0, 1.5 * H_ROW), min_size=1, max_size=30)
 
 
 def make_state(n=10, n_virt=2):
@@ -83,13 +93,16 @@ def test_static_nodes_never_move():
     npt.assert_array_equal(mesh.nodes[~in_strip], before)   # bit-identical
 
 
-def test_zipper_areas_preserved_through_slips():
+@settings(max_examples=30, deadline=None)
+@given(steps=advances)
+def test_zipper_areas_preserved_through_slips(steps):
     mesh, state = make_state(n=10)
+    assert state.h_row == pytest.approx(H_ROW)
     upd = mesh.tri_role() == "update"
     ref = tri_areas(mesh.nodes, mesh.triangles[upd])
     assert np.all(ref > 0)
-    for _ in range(9):
-        motion.advance(mesh, state, 0.08)                   # several slips
+    for d in steps:
+        motion.advance(mesh, state, d)
         areas = tri_areas(mesh.nodes, mesh.triangles[upd])
         npt.assert_allclose(np.sort(areas), np.sort(ref), atol=1e-12)
 
@@ -123,14 +136,21 @@ def test_full_cycle_restores_geometry():
     npt.assert_array_equal(act, mesh.tri_role() != "virtual")
 
 
-def test_no_incremental_drift():
+@settings(max_examples=30, deadline=None)
+@given(steps=advances)
+def test_no_incremental_drift(steps):
     # the same total displacement reached in different step sequences gives
-    # the same coordinates (positions are recomputed from ring ordinates)
+    # the same coordinates (positions are recomputed from ring ordinates):
+    # the drawn steps against their total in as few equal steps as the
+    # half-ring limit allows (one, for a total below 0.5)
     mesh_a, state_a = make_state(n=10)
     mesh_b, state_b = make_state(n=10)
-    for _ in range(37):
-        motion.advance(mesh_a, state_a, 0.31 / 37)
-    motion.advance(mesh_b, state_b, 0.31)
+    for d in steps:
+        motion.advance(mesh_a, state_a, d)
+    total = math.fsum(steps)
+    n_b = max(1, math.ceil(total / 0.5))
+    for _ in range(n_b):
+        motion.advance(mesh_b, state_b, total / n_b)
     npt.assert_allclose(mesh_a.nodes, mesh_b.nodes, atol=1e-12)
     npt.assert_array_equal(mesh_a.triangles, mesh_b.triangles)
 
@@ -150,11 +170,12 @@ def test_wrapped_nodes_reappear_at_entry():
     assert len(np.unique(allw)) == allw.size
 
 
-def test_active_triangles_keep_positive_area():
+@settings(max_examples=30, deadline=None)
+@given(steps=advances)
+def test_active_triangles_keep_positive_area(steps):
     mesh, state = make_state(n=10, n_virt=2)
-    rng = np.random.default_rng(7)
-    for _ in range(25):
-        motion.advance(mesh, state, float(rng.uniform(0.01, 0.12)))
+    for d in steps:
+        motion.advance(mesh, state, d)
         act = motion.active_elements(mesh, state)
         areas = tri_areas(mesh.nodes, mesh.triangles[act])
         assert np.all(areas > 1e-12)
