@@ -38,14 +38,12 @@ class FluxResult:
 
     nodes       -- global node ids on the boundary chain (sorted, unique)
     nodal_flux  -- outgoing conductive flux per node, ``-rho_cp * g``
-    q_s_avg     -- scalar average of ``nodal_flux`` over the chain
-    timestamp   -- physical time the recovery refers to (slab midpoint)
+    q_s_avg     -- mean of ``nodal_flux`` over the chain length
     """
 
     nodes: np.ndarray
     nodal_flux: np.ndarray
     q_s_avg: float
-    timestamp: float
 
 
 def _edge_mass(coords: np.ndarray, edges: np.ndarray, nodes: np.ndarray) -> sp.csc_matrix:
@@ -63,22 +61,13 @@ def _edge_mass(coords: np.ndarray, edges: np.ndarray, nodes: np.ndarray) -> sp.c
     return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsc()
 
 
-def recover_flux(
-    op: SlabOperator,
-    sol: SlabSolution,
-    edges: np.ndarray,
-    rho_cp: float,
-    timestamp: float,
-    averaging: str = "node_mean",
-) -> FluxResult:
+def recover_flux(op: SlabOperator, sol: SlabSolution, edges: np.ndarray,
+                 rho_cp: float) -> FluxResult:
     """Recover the outgoing boundary flux on a chain of boundary edges.
 
     ``edges`` is an (E, 2) array of node pairs; they must all lie on the
     boundary of the active domain of ``op``.  ``rho_cp`` converts the
     temperature-scaled recovery into heat-flux units (W/m^2).
-    ``averaging`` selects how ``q_s_avg`` condenses the nodal values:
-    ``node_mean`` is the arithmetic mean, ``length_weighted`` weights each
-    node with half the length of its adjacent chain edges.
     """
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     if edges.size == 0:
@@ -89,22 +78,11 @@ def recover_flux(
     g = spla.spsolve(mass, r)
     if not np.all(np.isfinite(g)):
         raise NumericalError("non-finite values in recovered boundary flux")
-    nodal_flux = -float(rho_cp) * g
-
-    if averaging == "node_mean":
-        q_s_avg = float(np.mean(nodal_flux))
-    elif averaging == "length_weighted":
-        loc = np.searchsorted(nodes, edges)
-        d = op.problem.coords_new[edges[:, 1]] - op.problem.coords_new[edges[:, 0]]
-        ell = np.hypot(d[:, 0], d[:, 1])
-        w = np.zeros(nodes.size)
-        np.add.at(w, loc[:, 0], 0.5 * ell)
-        np.add.at(w, loc[:, 1], 0.5 * ell)
-        q_s_avg = float(np.dot(w, nodal_flux) / np.sum(w))
-    else:
-        raise ValueError(f"unknown flux averaging {averaging!r}")
-
-    return FluxResult(nodes=nodes, nodal_flux=nodal_flux, q_s_avg=q_s_avg, timestamp=float(timestamp))
+    # The row sums of M are each node's half-edge lengths and its entries
+    # sum to the chain length, so with M g = r this is the length-weighted
+    # mean of g: the integral of the flux over the chain, over its length.
+    q_s_avg = -float(rho_cp) * float(r.sum() / mass.sum())
+    return FluxResult(nodes=nodes, nodal_flux=-float(rho_cp) * g, q_s_avg=q_s_avg)
 
 
 def series_flux_reference(t: float, truncation: float = 1e-14, min_terms: int = 3) -> float:

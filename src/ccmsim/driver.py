@@ -11,7 +11,7 @@ U = 0 and an equilibrium run applies the closed-form velocity from the
 first step on.
 
 Configuration is a flat INI file; every section and key is validated
-against the schema documented in the README (unknown keys are errors).
+against ``_SCHEMA`` below (unknown sections and keys are errors).
 Outputs: a per-step CSV, an optional sensor-trace CSV, and periodic VTK
 snapshots of the deformed mesh with an element activity mask.
 """
@@ -54,8 +54,7 @@ _SCHEMA = {
     "source": {"mode", "coupling", "T_w", "q_h", "F_ex", "mass", "gravity",
                "R", "tip_tags", "side_tags", "tip_area"},
     "time": {"dt", "n_steps"},
-    "mesh": {"path", "direction", "h_row", "farfield_tags"},
-    "numerics": {"solver_tol", "secant_tol", "flux_averaging"},
+    "mesh": {"path", "direction", "farfield_tags"},
     "output": {"directory", "vtk_every", "csv", "sensors"},
 }
 _REQUIRED_SECTIONS = ["material.solid", "material.liquid", "melting", "source",
@@ -95,12 +94,7 @@ class RunConfig:
     # mesh
     mesh_path: str
     direction: tuple | None
-    h_row_override: float | None
     farfield_tags: tuple | None  # None = every tag not in tip/side
-    # numerics
-    solver_tol: float = 1e-10
-    secant_tol: float = 1e-12
-    flux_averaging: str = "node_mean"
     # output
     out_dir: str = "out"
     vtk_every: int = 10
@@ -275,9 +269,6 @@ def load_config(path) -> RunConfig:
             raise ConfigError("[mesh] direction: not numeric") from exc
     farfield = _cfg_tags(cp, "mesh", "farfield_tags", default=None)
 
-    averaging = cp.get("numerics", "flux_averaging", fallback="node_mean")
-    if averaging not in ("node_mean", "length_weighted"):
-        raise ConfigError("[numerics] flux_averaging: must be 'node_mean' or 'length_weighted'")
     vtk_every = _cfg_int(cp, "output", "vtk_every", default=10)
     if vtk_every < 0:
         raise ConfigError("[output] vtk_every: must be >= 0 (0 disables snapshots)")
@@ -302,12 +293,7 @@ def load_config(path) -> RunConfig:
         tip_tags=tip_tags, side_tags=side_tags,
         tip_area=_cfg_float(cp, "source", "tip_area"),
         dt=dt, n_steps=n_steps,
-        mesh_path=mesh_path, direction=direction,
-        h_row_override=_cfg_float(cp, "mesh", "h_row"),
-        farfield_tags=farfield,
-        solver_tol=_cfg_float(cp, "numerics", "solver_tol", default=1e-10),
-        secant_tol=_cfg_float(cp, "numerics", "secant_tol", default=1e-12),
-        flux_averaging=averaging,
+        mesh_path=mesh_path, direction=direction, farfield_tags=farfield,
         out_dir=out_dir, vtk_every=vtk_every,
         csv_name=cp.get("output", "csv", fallback="run.csv"),
         sensors=sensors,
@@ -426,7 +412,7 @@ class _CsvWriter:
 
 def slab_step(mesh: Mesh, state, T: np.ndarray, active: np.ndarray, distance: float,
               *, dt: float, alpha: float, dirichlet_nodes, dirichlet_values,
-              background: np.ndarray, solver_tol: float = 1e-10):
+              background: np.ndarray):
     """One time step of the sliding-band method: move the band, solve a slab.
 
     Shifts the band by ``distance`` (``state`` is None for a mesh without
@@ -447,7 +433,7 @@ def slab_step(mesh: Mesh, state, T: np.ndarray, active: np.ndarray, distance: fl
     prob = SlabProblem(coords_old, mesh.nodes, mesh.triangles[act], dt=dt, alpha=alpha,
                        t_prev=T, dirichlet_nodes=dirichlet_nodes,
                        dirichlet_values=dirichlet_values)
-    op = SlabOperator(prob, solver_tol=solver_tol)
+    op = SlabOperator(prob)
     sol = op.solve()
     inside = np.zeros(len(T), dtype=bool)
     inside[mesh.triangles[active]] = True
@@ -458,7 +444,7 @@ def _equilibrium_velocity(cfg: RunConfig) -> float:
     p = cfg.ccm_params
     if cfg.mode == "temperature":
         return vel.u_eq_temperature(p, cfg.T_w)
-    return vel.u_eq_power(p, cfg.q_h, tol=cfg.secant_tol)
+    return vel.u_eq_power(p, cfg.q_h)
 
 
 def run(config: RunConfig) -> RunReport:
@@ -468,16 +454,16 @@ def run(config: RunConfig) -> RunReport:
         mesh = load_mesh(cfg.mesh_path)
     except (OSError, MeshFormatError) as exc:
         raise ConfigError(f"[mesh] path: cannot load {cfg.mesh_path}: {exc}") from exc
-    if cfg.h_row_override is not None:
-        if mesh.strip is None:
-            raise ConfigError("[mesh] h_row: mesh has no sliding band to override")
-        mesh.strip.h_row = cfg.h_row_override
     state = None
     act = np.ones(len(mesh.triangles), dtype=bool)
     if mesh.strip is not None:
         if cfg.direction is None:
             raise ConfigError("[mesh] direction: required for a mesh with a sliding band")
-        state = motion.init_motion(mesh, cfg.direction)
+        try:
+            state = motion.init_motion(mesh, cfg.direction)
+        except ValueError as exc:
+            raise ConfigError(f"[mesh] direction: cannot move the band of {cfg.mesh_path} "
+                              f"along {cfg.direction}: {exc}") from exc
         act = motion.active_elements(mesh, state)
 
     p = cfg.ccm_params
@@ -533,7 +519,7 @@ def run(config: RunConfig) -> RunReport:
             op, sol, T, act = slab_step(
                 mesh, state, T, act, U * cfg.dt, dt=cfg.dt, alpha=cfg.alpha_s,
                 dirichlet_nodes=dir_nodes, dirichlet_values=dir_vals,
-                background=virgin, solver_tol=cfg.solver_tol)
+                background=virgin)
             if state is not None:
                 displacement = state.displacement
                 slips_total = state.n_slips
@@ -547,9 +533,7 @@ def run(config: RunConfig) -> RunReport:
             clamped = False
             stalled = False
             if cfg.coupling == "transient":
-                fr = recover_flux(op, sol, tip_edges, rho_cp,
-                                  timestamp=t_n + 0.5 * cfg.dt,
-                                  averaging=cfg.flux_averaging)
+                fr = recover_flux(op, sol, tip_edges, rho_cp)
                 q_raw = -fr.q_s_avg       # positive when heat enters the solid
                 into_solid = -fr.nodal_flux
                 q_min = float(into_solid.min())
@@ -557,11 +541,9 @@ def run(config: RunConfig) -> RunReport:
                 clamped = q_raw < 0.0
                 q_s = max(q_raw, 0.0)
                 if cfg.mode == "temperature":
-                    U_next = vel.u_transient_temperature(p, cfg.T_w, q_s,
-                                                         tol=cfg.secant_tol)
+                    U_next = vel.u_transient_temperature(p, cfg.T_w, q_s)
                 else:
-                    U_next, stalled = vel.u_transient_power(p, cfg.q_h, q_s,
-                                                            tol=cfg.secant_tol)
+                    U_next, stalled = vel.u_transient_power(p, cfg.q_h, q_s)
             else:
                 U_next = U_eq
 

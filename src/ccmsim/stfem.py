@@ -40,6 +40,9 @@ _TH_W = np.array([0.5, 0.5])
 
 _DN = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])  # d(shape)/d(xi, eta)
 
+# largest relative residual |A x - b| / |b| a slab solve may leave
+SOLVER_TOL = 1e-10
+
 
 @dataclass
 class SlabProblem:
@@ -69,9 +72,8 @@ class SlabOperator:
     recovery.
     """
 
-    def __init__(self, problem: SlabProblem, solver_tol: float = 1e-10):
+    def __init__(self, problem: SlabProblem):
         self.problem = problem
-        self.solver_tol = solver_tol
         p = problem
         self.active_nodes = np.unique(p.conn)
         n_act = len(self.active_nodes)
@@ -146,9 +148,9 @@ class SlabOperator:
             raise NumericalError("sparse factorization failed: %s" % exc)
         res = np.linalg.norm(self._lhs @ x - self._rhs)
         scale = max(np.linalg.norm(self._rhs), 1e-300)
-        if res / scale > self.solver_tol:
+        if res / scale > SOLVER_TOL:
             raise NumericalError("slab solve residual %.3e exceeds %.1e"
-                                 % (res / scale, self.solver_tol))
+                                 % (res / scale, SOLVER_TOL))
         t_bot = self.problem.t_prev.copy()
         t_top = self.problem.t_prev.copy()
         t_bot[self.active_nodes] = x[:self._n_act]
@@ -178,9 +180,9 @@ class SlabOperator:
         return (r[li] + r[li + self._n_act]) / self.problem.dt
 
 
-def solve_slab(problem: SlabProblem, solver_tol: float = 1e-10) -> SlabSolution:
+def solve_slab(problem: SlabProblem) -> SlabSolution:
     """Assemble and solve one slab (convenience wrapper)."""
-    return SlabOperator(problem, solver_tol).solve()
+    return SlabOperator(problem).solve()
 
 
 def integrate_nodal(coords, conn, values) -> float:

@@ -16,7 +16,6 @@ melt front into the solid (W/m^2, positive into the solid).
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -35,7 +34,9 @@ __all__ = [
     "u_transient_temperature",
 ]
 
-log = logging.getLogger(__name__)
+# iteration limits of solve_scalar
+_MAX_ITER = 100
+_MAX_EXPAND = 60
 
 
 def external_force(mass: float, gravity: float) -> float:
@@ -120,14 +121,12 @@ def solve_scalar(
     lo: float,
     hi: float,
     tol: float = 1e-12,
-    max_iter: int = 100,
-    max_expand: int = 60,
 ) -> float:
     """Find a root of ``f`` with a secant iteration safeguarded by bisection.
 
     ``[lo, hi]`` is the initial search interval; if it does not bracket a
     sign change it is widened (doubling, keeping ``lo``) up to
-    ``max_expand`` times.  Secant proposals falling outside the current
+    ``_MAX_EXPAND`` times.  Secant proposals falling outside the current
     bracket, or failing to shrink it, are replaced by bisection steps.
     Success means ``|f(root)| < tol``; otherwise NumericalError is raised.
     """
@@ -141,7 +140,7 @@ def solve_scalar(
             return lo
         if abs(fhi) < tol:
             return hi
-        if expand >= max_expand:
+        if expand >= _MAX_EXPAND:
             raise NumericalError("root bracket expansion failed: no sign change found")
         hi += hi - lo
         fhi = f(hi)
@@ -155,7 +154,7 @@ def solve_scalar(
         x, fx, x_prev, f_prev = b, fb, a, fa
     since_bisect = 0
     width_ref = b - a
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         if abs(fx) < tol:
             return x
         denom = fx - f_prev
@@ -180,14 +179,7 @@ def solve_scalar(
             a, fa = cand, fc
     if abs(fx) < tol:
         return x
-    raise NumericalError(f"scalar root solve did not reach |f| < {tol:g} in {max_iter} iterations")
-
-
-def _clamp_flux(q_s: float) -> float:
-    if q_s < 0.0:
-        log.warning("negative solid-side flux %.6g clamped to 0 in melt closure", q_s)
-        return 0.0
-    return q_s
+    raise NumericalError(f"scalar root solve did not reach |f| < {tol:g} in {_MAX_ITER} iterations")
 
 
 def u_eq_temperature(p: CcmParams, T_w: float) -> float:
@@ -203,7 +195,7 @@ def u_eq_temperature(p: CcmParams, T_w: float) -> float:
     return (num / den) ** 0.25
 
 
-def u_eq_power(p: CcmParams, q_h: float, tol: float = 1e-12) -> float:
+def u_eq_power(p: CcmParams, q_h: float) -> float:
     """Equilibrium melting velocity for a source supplying flux q_h (W/m^2).
 
     Root of
@@ -219,13 +211,13 @@ def u_eq_power(p: CcmParams, q_h: float, tol: float = 1e-12) -> float:
         conv = shape_F(p, U) / (20.0 * p.alpha_l)
         return (p.rho_s * U * p.h_m_star / q_h) * (7.0 * conv + 1.0) + 3.0 * conv - 1.0
 
-    return solve_scalar(f, 0.0, 10.0 * q_h / (p.rho_s * p.h_m), tol=tol)
+    return solve_scalar(f, 0.0, 10.0 * q_h / (p.rho_s * p.h_m))
 
 
-def u_transient_temperature(p: CcmParams, T_w: float, q_s: float, tol: float = 1e-12) -> float:
+def u_transient_temperature(p: CcmParams, T_w: float, q_s: float) -> float:
     """Transient melting velocity, temperature-controlled source.
 
-    Given the instantaneous flux q_s conducted into the solid, U is the
+    Given the instantaneous flux q_s >= 0 conducted into the solid, U is the
     non-negative root of
 
         F_ex - 8 mu_l U (rho_s U h_m + q_s)^3 R^3 / ((T_w - T_m) kappa_l)^3 = 0
@@ -235,18 +227,15 @@ def u_transient_temperature(p: CcmParams, T_w: float, q_s: float, tol: float = 1
     """
     if T_w <= p.T_m:
         raise ValueError("temperature-controlled melting needs T_w above the melting point")
-    q_s = _clamp_flux(q_s)
     cube = ((T_w - p.T_m) * p.kappa_l) ** 3
 
     def f(U: float) -> float:
         return 1.0 - 8.0 * p.mu_l * U * (p.rho_s * U * p.h_m + q_s) ** 3 * p.R**3 / (cube * p.F_ex)
 
-    return solve_scalar(f, 0.0, 10.0 * u_eq_temperature(p, T_w), tol=tol)
+    return solve_scalar(f, 0.0, 10.0 * u_eq_temperature(p, T_w))
 
 
-def u_transient_power(
-    p: CcmParams, q_h: float, q_s: float, tol: float = 1e-12
-) -> tuple[float, bool]:
+def u_transient_power(p: CcmParams, q_h: float, q_s: float) -> tuple[float, bool]:
     """Transient melting velocity, power-controlled source.
 
     Root of
@@ -257,7 +246,6 @@ def u_transient_power(
     """
     if q_h <= 0.0:
         raise ValueError("power-controlled melting needs q_h > 0")
-    q_s = _clamp_flux(q_s)
     if q_s >= q_h:
         return 0.0, True
 
@@ -265,4 +253,4 @@ def u_transient_power(
         conv = shape_F(p, U) / (20.0 * p.alpha_l)
         return ((p.rho_s * p.h_m * U + q_s) / q_h) * (7.0 * conv + 1.0) + 3.0 * conv - 1.0
 
-    return solve_scalar(f, 0.0, 10.0 * q_h / (p.rho_s * p.h_m), tol=tol), False
+    return solve_scalar(f, 0.0, 10.0 * q_h / (p.rho_s * p.h_m)), False

@@ -126,8 +126,7 @@ def l2_error(coords: np.ndarray, conn: np.ndarray, field_values: np.ndarray,
     return math.sqrt(acc)
 
 
-def run_cbf_case(h: float = 0.02, dt: float = 0.05, n_steps: int = 20,
-                 averaging: str = "node_mean") -> ErrorTable:
+def run_cbf_case(h: float = 0.02, dt: float = 0.05, n_steps: int = 20) -> ErrorTable:
     """Flux-recovery benchmark on the unit square.
 
     Initial temperature 1 everywhere; the right edge is clamped to 0 and
@@ -157,8 +156,7 @@ def run_cbf_case(h: float = 0.02, dt: float = 0.05, n_steps: int = 20,
         op = stfem.SlabOperator(prob)
         sol = op.solve()
         t_mid = (i + 0.5) * dt
-        fr = recover_flux(op, sol, edges, rho_cp=1.0, timestamp=t_mid,
-                          averaging=averaging)
+        fr = recover_flux(op, sol, edges, rho_cp=1.0)
         q_ref = series_flux_reference(t_mid)
         err = abs(fr.q_s_avg - q_ref) / q_ref
         table.add_row(h, dt, err, time.perf_counter() - tic)

@@ -27,24 +27,14 @@ def test_uniform_flux_recovered_exactly():
     # edge is -k dT/dn = -1.75 (heat enters the solid there)
     mesh, op, sol = steady_linear_setup()
     edges = mesh.tagged_edges("right")
-    fr = recover_flux(op, sol, edges, rho_cp=2.5, timestamp=1.25)
+    fr = recover_flux(op, sol, edges, rho_cp=2.5)
     npt.assert_allclose(fr.nodal_flux, -1.75, atol=1e-10)
     assert fr.q_s_avg == pytest.approx(-1.75, abs=1e-10)
-    assert fr.timestamp == 1.25
     npt.assert_array_equal(fr.nodes, np.unique(edges))
 
     # through the left edge the same field carries heat OUT of the solid
-    fr_left = recover_flux(op, sol, mesh.tagged_edges("left"), rho_cp=2.5,
-                           timestamp=1.25)
+    fr_left = recover_flux(op, sol, mesh.tagged_edges("left"), rho_cp=2.5)
     npt.assert_allclose(fr_left.nodal_flux, +1.75, atol=1e-10)
-
-
-def test_averaging_modes_agree_on_uniform_chain():
-    mesh, op, sol = steady_linear_setup()
-    edges = mesh.tagged_edges("right")
-    a = recover_flux(op, sol, edges, 2.5, 0.0, averaging="node_mean")
-    b = recover_flux(op, sol, edges, 2.5, 0.0, averaging="length_weighted")
-    assert a.q_s_avg == pytest.approx(b.q_s_avg, rel=1e-12)
 
 
 def test_open_chain_end_artifact():
@@ -57,7 +47,7 @@ def test_open_chain_end_artifact():
     edges = mesh.tagged_edges("right")
     mid_y = 0.5 * (mesh.nodes[edges[:, 0], 1] + mesh.nodes[edges[:, 1], 1])
     lower = edges[mid_y < 0.5]
-    fr = recover_flux(op, sol, lower, rho_cp=2.5, timestamp=0.0)
+    fr = recover_flux(op, sol, lower, rho_cp=2.5)
     ratio = fr.nodal_flux / -1.75
     ys = mesh.nodes[fr.nodes, 1]
     cut = np.argmax(ys)                      # node at the y = 0.5 cut
@@ -69,17 +59,27 @@ def test_open_chain_end_artifact():
     npt.assert_allclose(far, 1.0, atol=0.05)
 
 
+def test_chain_mean_weights_each_node_by_half_its_edges():
+    # on the open sub-chain the nodal values are far from uniform, so the
+    # chain mean must be the length-weighted one, not the plain node mean
+    mesh, op, sol = steady_linear_setup(n=12)
+    edges = mesh.tagged_edges("right")
+    mid_y = 0.5 * (mesh.nodes[edges[:, 0], 1] + mesh.nodes[edges[:, 1], 1])
+    lower = edges[mid_y < 0.5]
+    fr = recover_flux(op, sol, lower, rho_cp=2.5)
+    ell = np.linalg.norm(mesh.nodes[lower[:, 1]] - mesh.nodes[lower[:, 0]], axis=1)
+    w = np.zeros(fr.nodes.size)
+    for (a, b), e in zip(np.searchsorted(fr.nodes, lower), ell):
+        w[a] += 0.5 * e
+        w[b] += 0.5 * e
+    assert fr.q_s_avg == pytest.approx(np.dot(w, fr.nodal_flux) / w.sum(), rel=1e-12)
+    assert fr.q_s_avg != pytest.approx(np.mean(fr.nodal_flux), rel=1e-3)
+
+
 def test_empty_edge_set_rejected():
     mesh, op, sol = steady_linear_setup(n=4)
     with pytest.raises(ValueError, match="at least one"):
-        recover_flux(op, sol, np.empty((0, 2), dtype=np.int64), 1.0, 0.0)
-
-
-def test_unknown_averaging_rejected():
-    mesh, op, sol = steady_linear_setup(n=4)
-    with pytest.raises(ValueError, match="averaging"):
-        recover_flux(op, sol, mesh.tagged_edges("right"), 1.0, 0.0,
-                     averaging="median")
+        recover_flux(op, sol, np.empty((0, 2), dtype=np.int64), 1.0)
 
 
 def test_series_flux_reference_values():

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from ccmsim import meshgen, verify
+from ccmsim import meshgen, stfem, verify
 from ccmsim.cli import main
 from ccmsim.mesh import save_mesh
 
@@ -79,12 +79,24 @@ def test_run_missing_config(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_run_numerical_failure_exits_3(tmp_path, capsys):
-    cfg = make_config(tmp_path, "\n[numerics]\nsolver_tol = 1e-30\n")
+def test_run_numerical_failure_exits_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(stfem, "SOLVER_TOL", 1e-30)
+    cfg = make_config(tmp_path)
     assert main(["run", "--config", cfg]) == 3
     assert "numerical failure" in capsys.readouterr().err
     # the aborted state is dumped for post-mortem inspection
     assert (tmp_path / "out" / "abort_state.vtk").exists()
+
+
+def test_run_direction_off_the_band_exits_2(tmp_path, capsys):
+    # 1,1 is not an axis-aligned unit vector
+    cfg = make_config(tmp_path)
+    save_mesh(meshgen.make_strip_square(8, n_virt=2), tmp_path / "m.mesh")
+    ini = tmp_path / "case.ini"
+    ini.write_text(ini.read_text().replace("path = m.mesh", "path = m.mesh\ndirection = 1,1"))
+    assert main(["run", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "[mesh] direction" in err and "m.mesh" in err
 
 
 def test_verify_cbf(tmp_path, capsys):

@@ -1,10 +1,12 @@
 import copy
+import logging
 import os
 
 import numpy as np
 import pytest
 
 from ccmsim import driver, meshgen, motion
+from ccmsim.cbf import FluxResult, recover_flux
 from ccmsim.driver import RunConfig, load_config, run
 from ccmsim.errors import ConfigError
 from ccmsim.mesh import load_mesh, save_mesh
@@ -24,7 +26,6 @@ BASE = {
                "F_ex": 1.0, "R": 1.0, "tip_tags": "left"},
     "time": {"dt": 0.02, "n_steps": 10},
     "mesh": {"path": "band.mesh", "direction": "0,-1", "farfield_tags": "right"},
-    "numerics": {},
     "output": {"directory": "out"},
 }
 
@@ -70,10 +71,6 @@ def test_load_config_golden_path_and_defaults(tmp_path):
     # resolved defaults
     assert cfg.vtk_every == 10
     assert cfg.csv_name == "run.csv"
-    assert cfg.flux_averaging == "node_mean"
-    assert cfg.solver_tol == 1e-10
-    assert cfg.secant_tol == 1e-12
-    assert cfg.h_row_override is None
     assert cfg.side_tags == ()
     assert cfg.tip_area is None
 
@@ -119,8 +116,9 @@ CONFIG_ERRORS = [
     ("fractional-steps", _set("time", "n_steps", 2.5), "not an integer"),
     ("no-mesh-path", _del("mesh", "path"), "path"),
     ("short-direction", _set("mesh", "direction", "0"), "two components"),
-    ("bad-averaging", _set("numerics", "flux_averaging", "harmonic"),
-     "flux_averaging"),
+    ("removed-numerics-section", _set("numerics", "solver_tol", 1e-8),
+     r"\[numerics\]: unknown section"),
+    ("removed-h-row", _set("mesh", "h_row", 0.125), r"\[mesh\] h_row: unknown key"),
     ("negative-vtk-every", _set("output", "vtk_every", -1), "vtk_every"),
     ("no-out-dir", _del("output", "directory"), "directory"),
     ("bad-sensors", _set("output", "sensors", "1,2,3"), "sensors"),
@@ -294,14 +292,12 @@ def test_band_mesh_requires_direction(tmp_path):
         run(cfg)
 
 
-def test_h_row_override_needs_a_band(tmp_path):
-    save_mesh(meshgen.make_unit_square(6), tmp_path / "static.mesh")
-
-    def fix(s):
-        s["mesh"] = {"path": "static.mesh", "h_row": 0.25}
-
-    cfg = load_config(write_config(tmp_path, fix))
-    with pytest.raises(ConfigError, match="h_row"):
+@pytest.mark.parametrize("direction", ["1,1", "1,0"])
+def test_direction_that_does_not_fit_the_band_is_a_config_error(tmp_path, direction):
+    # 1,1 is not axis-aligned; 1,0 is, but the toy band slides vertically
+    path = write_config(tmp_path, _set("mesh", "direction", direction))
+    cfg = load_config(path)
+    with pytest.raises(ConfigError, match=r"\[mesh\] direction: .*band\.mesh"):
         run(cfg)
 
 
@@ -320,8 +316,7 @@ def test_bundled_configs_parse(fixture_dir):
         assert os.path.isabs(cfg.mesh_path) and os.path.exists(cfg.mesh_path)
         # no bundled run slips more than one row per step (largest: probe, 0.40)
         state = motion.init_motion(load_mesh(cfg.mesh_path), cfg.direction)
-        h_row = cfg.h_row_override or state.h_row
-        assert driver._equilibrium_velocity(cfg) * cfg.dt <= h_row, name
+        assert driver._equilibrium_velocity(cfg) * cfg.dt <= state.h_row, name
     assert ("temperature", "transient") in seen
     assert ("temperature", "equilibrium") in seen
     assert ("power", "transient") in seen
@@ -329,7 +324,6 @@ def test_bundled_configs_parse(fixture_dir):
     one_kw = load_config(os.path.join(FIXTURE_DIR, "power_1kw.ini"))
     assert one_kw.q_h == 1000.0 / 0.0211         # bulk watts over tip area
     assert one_kw.tip_area == 0.0211
-    assert one_kw.flux_averaging == "length_weighted"
 
 
 def test_dt_beyond_the_ring_limit_fails_before_step_0(fixture_dir, tmp_path):
@@ -367,3 +361,20 @@ def test_step_longer_than_a_row_warns(tmp_path):
     assert len(report.warnings) == 2
     assert "slip more than one row" in report.warnings[0]
     assert "far-field" in report.warnings[1]
+
+
+def test_negative_solid_flux_is_clamped_once_by_the_driver(tmp_path, monkeypatch, caplog):
+    # a recovered flux leaving the solid through the tip is clamped to zero
+    # before the closure sees it; the closure itself neither clamps nor warns
+    def leaving(op, sol, edges, rho_cp):
+        fr = recover_flux(op, sol, edges, rho_cp)
+        return FluxResult(fr.nodes, np.full_like(fr.nodal_flux, 7.0), 7.0)
+
+    monkeypatch.setattr(driver, "recover_flux", leaving)
+    cfg = load_config(write_config(tmp_path, _set("source", "coupling", "transient")))
+    cfg.n_steps = 3
+    with caplog.at_level(logging.DEBUG):
+        report = run(cfg)
+    for rec in report.records:
+        assert rec.clamped and rec.q_s_avg == 0.0
+    assert not [r for r in caplog.records if r.name == "ccmsim.velocity"]

@@ -107,31 +107,39 @@ def test_zipper_areas_preserved_through_slips(steps):
         npt.assert_allclose(np.sort(areas), np.sort(ref), atol=1e-12)
 
 
-def test_full_cycle_restores_geometry():
-    # one full ring circumference returns every node to its previous ring
-    # position and the zipper to its previous connectivity (positions are
-    # compared between cycle 1 and cycle 2: the very first advance also
-    # normalizes the as-generated virtual row into the canonical interval)
+@settings(max_examples=30, deadline=None)
+@given(steps=advances)
+def test_full_cycle_restores_geometry(steps):
+    # one full ring circumference, in any steps, returns every node to its
+    # previous ring position and the zipper to its previous connectivity.
+    # Positions are compared between a warm-up cycle and the drawn one: the
+    # very first advance also normalizes the as-generated virtual row into
+    # the canonical interval.  The drawn steps are cut off at one
+    # circumference and topped up to it in steps of at most 1.5 rows.
     mesh, state = make_state(n=10, n_virt=2)
     c = state.circumference                                 # 1.2
-    n_adv = 12
-
-    def cycle():
-        for _ in range(n_adv):
-            motion.advance(mesh, state, c / n_adv)
-        return mesh.nodes.copy(), mesh.triangles.copy()
-
-    nodes1, tris1 = cycle()
+    for _ in range(12):
+        motion.advance(mesh, state, c / 12)
     assert state.n_slips == state.n_lines
-    nodes2, tris2 = cycle()
+    nodes1, tris1 = mesh.nodes.copy(), mesh.triangles.copy()
+
+    done = 0.0
+    for step in steps:
+        step = min(step, c - done)
+        motion.advance(mesh, state, step)
+        done += step
+    n_top = math.ceil((c - done) / (1.5 * H_ROW))
+    for _ in range(n_top):
+        motion.advance(mesh, state, (c - done) / n_top)
+    assert state.n_slips == 2 * state.n_lines
     # transverse coordinates never change; along the axis, positions agree
-    # up to ring equivalence (the row landing exactly on the wrap point may
+    # up to ring equivalence (a row landing exactly on the wrap point may
     # re-enter on either side of the grace interval, one circumference apart)
-    npt.assert_array_equal(nodes2[:, 0], nodes1[:, 0])
-    d = np.abs(nodes2[:, 1] - nodes1[:, 1])
-    ring_dist = np.minimum(d, state.circumference - d)
+    npt.assert_array_equal(mesh.nodes[:, 0], nodes1[:, 0])
+    d = np.abs(mesh.nodes[:, 1] - nodes1[:, 1])
+    ring_dist = np.minimum(d, c - d)
     assert ring_dist.max() < 1e-9
-    npt.assert_array_equal(tris2, tris1)                    # zipper back home
+    npt.assert_array_equal(mesh.triangles, tris1)           # zipper back home
     act = motion.active_elements(mesh, state)
     npt.assert_array_equal(act, mesh.tri_role() != "virtual")
 

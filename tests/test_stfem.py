@@ -5,7 +5,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccmsim import meshgen, verify
+from ccmsim import meshgen, stfem, verify
 from ccmsim.errors import NumericalError
 from ccmsim.stfem import (
     SlabOperator,
@@ -188,11 +188,12 @@ def test_inverted_prism_raises():
         SlabOperator(prob)
 
 
-def test_unreachable_solver_tolerance_raises():
+def test_unreachable_solver_tolerance_raises(monkeypatch):
     mesh, prob = square_problem(n=6, dt=0.1)
     prob.t_prev = np.linspace(0.0, 1.0, mesh.n_nodes)
+    monkeypatch.setattr(stfem, "SOLVER_TOL", 1e-30)
     with pytest.raises(NumericalError, match="residual"):
-        solve_slab(prob, solver_tol=1e-30)
+        solve_slab(prob)
 
 
 def test_slab_factorization_keeps_fill_low(monkeypatch):
