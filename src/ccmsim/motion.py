@@ -123,6 +123,12 @@ def init_motion(mesh: Mesh, direction) -> MotionState:
 
     s = mesh.strip
     h = s.h_row
+    if not _rows_are_lines(mesh, axis):
+        if not _rows_are_lines(mesh, 1 - axis):
+            raise ValueError("strip rows are not lines of constant x or y")
+        raise ValueError("the band slides along {0} (its rows are lines of constant {0}); "
+                         "direction {1} is along {2}"
+                         .format("xy"[1 - axis], tuple(d.tolist()), "xy"[axis]))
     row_pos = np.array([mesh.nodes[r, axis][0] for r in s.rows])
     phys = ~s.virtual_rows
     w_lo = row_pos[phys].min()
@@ -147,6 +153,15 @@ def init_motion(mesh: Mesh, direction) -> MotionState:
     state.seams = _discover_seams(mesh, state)
     _rebuild_zippers(mesh, state)   # normalize to the canonical pattern
     return state
+
+
+def _rows_are_lines(mesh: Mesh, axis: int) -> bool:
+    """True if every strip row has one ordinate along ``axis``."""
+    rows = mesh.strip.rows
+    sizes = [len(r) for r in rows]
+    c = mesh.nodes[np.concatenate(rows), axis]
+    first = np.repeat(c[np.cumsum([0] + sizes[:-1])], sizes)
+    return bool(np.all(np.abs(c - first) <= 1e-9 * mesh.strip.h_row))
 
 
 def _discover_seams(mesh: Mesh, state: MotionState) -> list[Seam]:

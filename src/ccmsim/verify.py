@@ -21,7 +21,6 @@ import numpy as np
 
 from . import driver, meshgen, motion, stfem
 from .cbf import recover_flux, series_flux_reference
-from .errors import NumericalError
 from .mesh import tri_areas
 from .stfem import SlabProblem
 
@@ -32,7 +31,6 @@ __all__ = [
     "meshupdate_convergence",
     "run_cbf_case",
     "run_meshupdate_case",
-    "series_temperature",
 ]
 
 # degree-2 triangle quadrature (exact for quadratics)
@@ -70,32 +68,6 @@ class ErrorTable:
             f.write("h,dt,error,runtime\n")
             for h, dt, e, r in zip(self.h, self.dt, self.error, self.runtime):
                 f.write(f"{h:.17g},{dt:.17g},{e:.17g},{r:.17g}\n")
-
-
-def series_temperature(x: float, t: float, truncation: float = 1e-14, min_terms: int = 3) -> float:
-    """Exact temperature of the unit-slab cooling problem.
-
-    T_hat(x, t) = 2 sum_n (-1)^(n-1) cos(lam_n x) / lam_n * exp(-lam_n^2 t)
-    with lam_n = (2n-1) pi / 2: initial value 1, insulated left end,
-    right end clamped to 0, unit diffusivity.  Terms are added until one
-    drops below ``truncation`` in magnitude (floor of ``min_terms``).
-    """
-    if t <= 0.0:
-        raise ValueError("series temperature requires t > 0")
-    if not (0.0 <= x <= 1.0):
-        raise ValueError("series temperature requires 0 <= x <= 1")
-    total = 0.0
-    n = 1
-    while True:
-        lam = (2 * n - 1) * math.pi / 2.0
-        amp = math.exp(-lam * lam * t) / lam
-        total += (1.0 if n % 2 == 1 else -1.0) * math.cos(lam * x) * amp
-        if n >= min_terms and amp < truncation:
-            break
-        if n > 200000:  # pragma: no cover
-            raise NumericalError("temperature series failed to converge")
-        n += 1
-    return 2.0 * total
 
 
 def l2_error(coords: np.ndarray, conn: np.ndarray, field_values: np.ndarray,

@@ -292,12 +292,16 @@ def test_band_mesh_requires_direction(tmp_path):
         run(cfg)
 
 
-@pytest.mark.parametrize("direction", ["1,1", "1,0"])
-def test_direction_that_does_not_fit_the_band_is_a_config_error(tmp_path, direction):
+@pytest.mark.parametrize("direction, reason", [
+    ("1,1", "axis-aligned unit vector"),
+    ("1,0", r"the band slides along y \(its rows are lines of constant y\); "
+            r"direction \(1\.0, 0\.0\) is along x"),
+], ids=["1,1", "1,0"])
+def test_direction_that_does_not_fit_the_band_is_a_config_error(tmp_path, direction, reason):
     # 1,1 is not axis-aligned; 1,0 is, but the toy band slides vertically
     path = write_config(tmp_path, _set("mesh", "direction", direction))
     cfg = load_config(path)
-    with pytest.raises(ConfigError, match=r"\[mesh\] direction: .*band\.mesh"):
+    with pytest.raises(ConfigError, match=r"\[mesh\] direction: .*band\.mesh.*" + reason):
         run(cfg)
 
 

@@ -5,8 +5,9 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccmsim import meshgen, stfem, verify
+from ccmsim import meshgen, motion, stfem, verify
 from ccmsim.errors import NumericalError
+from ccmsim.mesh import tri_areas
 from ccmsim.stfem import (
     SlabOperator,
     SlabProblem,
@@ -117,6 +118,82 @@ def test_residual_matches_weak_form_oracle():
     ref = slab_residual(coords_old, coords_new, mesh.triangles, 0.37, 1.7,
                         t_prev, t_bot, t_top)
     assert np.max(np.abs(r - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+unit = st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(x0=st.tuples(unit, unit), r1=st.floats(0.1, 1.0), r2=st.floats(0.1, 1.0),
+       phi=st.floats(0.0, 2.0 * np.pi), beta=st.floats(0.2, np.pi - 0.2),
+       d=st.one_of(st.just((0.0, 0.0)), st.tuples(unit, unit)),
+       dt=st.floats(1e-3, 10.0), alpha=st.floats(0.1, 10.0))
+def test_rigid_block_closed_form_matches_time_quadrature(x0, r1, r2, phi, beta, d, dt,
+                                                         alpha):
+    # a triangle that translates by d keeps its shape, so its space-time block
+    # is exactly P (x) M_e + D (x) N_e; the 2-point rule in time integrates it
+    # exactly too
+    e1 = r1 * np.array([np.cos(phi), np.sin(phi)])
+    e2 = r2 * np.array([np.cos(phi + beta), np.sin(phi + beta)])
+    xo = np.array(x0) + np.array([[0.0, 0.0], e1, e2])
+    m_e, n_e = stfem._rigid_blocks(e1[None], e2[None], np.array([d]), dt, alpha)
+    closed = np.kron(stfem._P, m_e[0]) + np.kron(stfem._D, n_e[0])
+    theta = stfem._theta_blocks(xo[None], (xo + np.array(d))[None], dt, alpha)[0]
+    theta[:3, :3] += 2.0 * tri_areas(xo, np.array([[0, 1, 2]]))[0] * stfem._M   # jump
+    assert np.max(np.abs(closed - theta)) <= 1e-12 * np.max(np.abs(theta))
+
+
+def band_slab(distance, n=8):
+    """A strip-square slab whose band slides down by ``distance``.
+
+    Returns the problem and, per slab element, whether it is a zipper
+    triangle.  The slab mixes static flanks, translating strip elements
+    and (for distance > 0) shearing zipper triangles.
+    """
+    rng = np.random.default_rng(5)
+    mesh = meshgen.make_strip_square(n)
+    state = motion.init_motion(mesh, (0.0, -1.0))
+    coords_old = mesh.nodes.copy()
+    act = motion.active_elements(mesh, state)
+    wrapped = motion.advance(mesh, state, distance).wrapped_nodes
+    act &= motion.active_elements(mesh, state) & ~np.isin(mesh.triangles, wrapped).any(axis=1)
+    prob = SlabProblem(coords_old, mesh.nodes.copy(), mesh.triangles[act], dt=0.37,
+                       alpha=1.7, t_prev=rng.uniform(-1.0, 2.0, mesh.n_nodes))
+    return prob, state.tri_code[act] == motion.ROLE_CODE["update"]
+
+
+def assert_residual_matches_oracle(prob):
+    rng = np.random.default_rng(6)
+    t_bot, t_top = rng.uniform(-1.0, 2.0, (2, len(prob.coords_old)))
+    op = SlabOperator(prob)
+    r = op.unconstrained_residual(SlabSolution(t_bot, t_top, 0.0))
+    ref = slab_residual(prob.coords_old, prob.coords_new, prob.conn, prob.dt, prob.alpha,
+                        prob.t_prev, t_bot, t_top)
+    ref = np.concatenate([ref[op.active_nodes], ref[len(prob.coords_old) + op.active_nodes]])
+    assert np.max(np.abs(r - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_sliding_band_residual_matches_weak_form_oracle():
+    prob, _ = band_slab(0.4 / 8)          # 0.4 of a row: no slip
+    assert_residual_matches_oracle(prob)
+
+
+@pytest.mark.parametrize("distance", [0.4 / 8, 0.0])
+def test_only_zipper_triangles_use_the_time_quadrature(monkeypatch, distance):
+    prob, zipper = band_slab(distance)
+    seen = []
+    theta_blocks = stfem._theta_blocks
+
+    def traced(xo, xn, dt, alpha):
+        seen.append(xo)
+        return theta_blocks(xo, xn, dt, alpha)
+
+    monkeypatch.setattr(stfem, "_theta_blocks", traced)
+    assert_residual_matches_oracle(prob)
+    quadrature = np.concatenate(seen) if seen else np.empty((0, 3, 2))
+    expected = prob.coords_old[prob.conn[zipper]] if distance > 0 else np.empty((0, 3, 2))
+    assert zipper.sum() == 2 * 2 * 8       # two seams of two triangles per row
+    npt.assert_array_equal(quadrature, expected)
 
 
 def test_strong_damping_of_stiff_slabs():

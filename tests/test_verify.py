@@ -8,37 +8,9 @@ from ccmsim.verify import (
     l2_error,
     run_cbf_case,
     run_meshupdate_case,
-    series_temperature,
 )
 
-from oracles import cn_cooling, l2_error_quad5
-
-
-def test_series_temperature_frozen_values():
-    # 40-digit evaluations of the cooling-slab series
-    assert series_temperature(0.0, 0.25) == pytest.approx(0.68544576689035199, rel=1e-12)
-    assert series_temperature(0.3, 0.25) == pytest.approx(0.61194652919778915, rel=1e-12)
-    assert series_temperature(0.7, 0.25) == pytest.approx(0.31356056060484404, rel=1e-12)
-    assert series_temperature(0.5, 0.05) == pytest.approx(0.8861516005573886, rel=1e-12)
-    # the clamped end is pinned at zero
-    assert series_temperature(1.0, 0.17) == pytest.approx(0.0, abs=1e-14)
-
-
-def test_series_temperature_matches_finite_difference_oracle():
-    x, T, _q = cn_cooling(t_end=0.25)
-    for xi in (0.0, 0.3, 0.5, 0.7):
-        i = int(round(xi / (x[1] - x[0])))
-        assert x[i] == pytest.approx(xi, abs=1e-12)
-        assert T[i] == pytest.approx(series_temperature(xi, 0.25), abs=1e-5)
-
-
-def test_series_temperature_domain_errors():
-    with pytest.raises(ValueError, match="t > 0"):
-        series_temperature(0.5, 0.0)
-    with pytest.raises(ValueError, match="0 <= x <= 1"):
-        series_temperature(1.2, 0.5)
-    with pytest.raises(ValueError, match="0 <= x <= 1"):
-        series_temperature(-0.1, 0.5)
+from oracles import l2_error_quad5
 
 
 def test_l2_error_exact_for_quadratic_integrand():
