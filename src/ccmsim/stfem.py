@@ -23,11 +23,28 @@ integrals are exact.  Elements are assembled by class:
   shape over the slab, and its block is integrated exactly in closed form
   as ``P (x) M_e + D (x) N_e``: the time matrices P (time derivative plus
   jump) and D (P1 mass in time) are the same for every element, ``M_e`` is
-  the P1 mass and ``N_e`` diffusion minus the mesh-velocity term.  M and N
-  are scattered once on the node pattern, and the four blocks of the slab
-  matrix are formed from them by index arithmetic;
+  the P1 mass and ``N_e`` diffusion minus the mesh-velocity term;
 * only shearing elements (the zipper triangles) use 2-point Gauss in time:
-  there the inverse Jacobian makes the integrand rational in time.
+  there the inverse Jacobian makes the integrand rational in time.  Each
+  such 6 x 6 block Z_e is split into its least-squares fit
+  ``P (x) X_e + D (x) Y_e`` (a fixed 2 x 4 pseudo-inverse applied to its
+  four 3 x 3 time blocks) and a remainder.
+
+The fits join the rigid blocks in ``M' = M + X`` and ``N' = N + Y``, both
+scattered once on the n x n node pattern, and the zipper remainders form a
+small 2n x 2n COO matrix.  The exact slab operator ``P (x) M' + D (x) N'``
+plus that remainder is never assembled; it is applied matrix-free, for the
+solve and for the weak residual that flux recovery reads.
+
+Solve.  Multiplying each node's two rows by D^-1 turns ``P (x) M' + D (x) N'``
+into ``D^-1 P (x) M' + I (x) N'``.  D^-1 P = [[3, 1], [-3, 1]] has the
+eigenvalues 2 +- i sqrt(2), the negated poles of the amplification factor
+above, so in its eigenvectors the slab splits into ``(lambda M' + N') y = c``
+with lambda = 2 + i sqrt(2) and its complex conjugate: one complex n x n LU
+solves it, and the real solution is 2 Re(v y) for the eigenvector v.
+Dirichlet nodes stay identity rows.  The LU is exact on rigid slabs; the
+zipper remainder is closed by iterative refinement against the exact
+operator, ``x += K^-1 (b - A x)``.
 """
 
 from __future__ import annotations
@@ -60,8 +77,27 @@ _D = np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
 # triangles by at least 0.1, so the two classes are far apart.
 RIGID_TOL = 1e-12
 
-# largest relative residual |A x - b| / |b| a slab solve may leave
+# largest relative residual a slab solve may leave: |b - A x| over the free
+# (non-Dirichlet) rows, the ones solved for, relative to their right-hand
+# side once the Dirichlet values are moved there
 SOLVER_TOL = 1e-10
+# Refinement stops once the residual is below REFINE_TOL, after
+# MAX_REFINEMENTS passes, or below SOLVER_TOL when two passes no longer halve
+# it: the rounding floor, which on stiff slabs (large dt * alpha / h^2) lies
+# above REFINE_TOL.  (Single passes may alternate between strong and weak
+# contraction.)  The solve then fails unless it meets SOLVER_TOL.
+REFINE_TOL = 1e-13
+MAX_REFINEMENTS = 50
+
+# eigenvalue _LAM of D^-1 P and its eigenvector _V; _W is the first row of
+# [V, conj(V)]^-1, so that 2 Re(V_i W_j) = delta_ij, and _WD = W D^-1
+_LAM = 2.0 + 1j * np.sqrt(2.0)
+_V = np.array([1.0, -1.0 + 1j * np.sqrt(2.0)])
+_W = np.array([0.5 - 0.25j * np.sqrt(2.0), -0.25j * np.sqrt(2.0)])
+_WD = np.array([2.0 - 0.5j * np.sqrt(2.0), -1.0 - 0.5j * np.sqrt(2.0)])
+# least-squares fit of the four time blocks (K_00, K_01, K_10, K_11) of an
+# element by P (x) X + D (x) Y: (X, Y) = _PROJ @ (K_00, K_01, K_10, K_11)
+_PROJ = np.linalg.pinv(np.column_stack([_P.ravel(), _D.ravel()]))
 
 
 def _rigid_blocks(e1, e2, d, dt, alpha):
@@ -132,16 +168,18 @@ class SlabProblem:
 class SlabSolution:
     t_bot: np.ndarray                 # (n,) trace at t_n   (jump-relaxed)
     t_top: np.ndarray                 # (n,) trace at t_n + dt
-    residual_norm: float
+    residual_norm: float              # relative free-row residual, see SOLVER_TOL
+    refinements: int = 0              # refinement passes after the first solve
 
 
 class SlabOperator:
-    """Assembled slab system: raw (unconstrained) and constrained forms.
+    """One slab: its exact operator, applied matrix-free, and the complex
+    n x n system that solves it.
 
-    The raw operator is kept because the weak residual of the *solved*
-    state, tested with the unconstrained functions of boundary nodes, is
-    exactly the consistent boundary flux functional used for flux
-    recovery.
+    The weak residual of the *solved* state, tested with the unconstrained
+    functions of boundary nodes, is exactly the consistent boundary flux
+    functional used for flux recovery, so the exact operator is kept for
+    the residual methods as well as for the refinement.
     """
 
     def __init__(self, problem: SlabProblem):
@@ -151,7 +189,6 @@ class SlabOperator:
         self.active_nodes = np.flatnonzero(np.bincount(conn.ravel(),
                                                        minlength=p.coords_old.shape[0]))
         n = len(self.active_nodes)
-        self._n_act = n
         self.index = -np.ones(p.coords_old.shape[0], dtype=np.int64)
         self.index[self.active_nodes] = np.arange(n)
         lconn = self.index[conn]                      # compact node ids
@@ -169,81 +206,125 @@ class SlabOperator:
                  <= RIGID_TOL ** 2 * np.maximum(np.maximum(sq(e1), sq(e2)), sq(e2 - e1)))
         shear = ~rigid
 
-        # rigid elements: M and N scattered once on the n x n node pattern
-        # (one complex matrix, real part M, imaginary part N)
+        # rigid elements: M_e and N_e in closed form
         dr = disp[rigid]
         m_e, n_e = _rigid_blocks(e1[rigid], e2[rigid], (dr[:, 0] + dr[:, 1] + dr[:, 2]) / 3.0,
                                  p.dt, p.alpha)
-        rc = lconn[rigid]
-        mn = sp.coo_matrix(((m_e + 1j * n_e).ravel(),
-                            (np.repeat(rc, 3, axis=1).ravel(), np.tile(rc, (1, 3)).ravel())),
-                           shape=(n, n)).tocsr()
-        # the four blocks P_ij M + D_ij N of the 2n x 2n matrix share that
-        # pattern: row i holds M's columns of row i, then the same columns + n
-        k = mn.nnz
-        cnt = np.diff(mn.indptr)
-        left = np.arange(k) + np.repeat(mn.indptr[:-1], cnt)
-        right = left + np.repeat(cnt, cnt)
-        indices = np.empty(4 * k, dtype=mn.indices.dtype)
-        data = np.empty(4 * k)
-        for i in range(2):
-            for j, pos in enumerate((left, right)):
-                indices[2 * k * i + pos] = mn.indices + j * n
-                data[2 * k * i + pos] = _P[i, j] * mn.data.real + _D[i, j] * mn.data.imag
-        indptr = np.concatenate([2 * mn.indptr, 2 * k + 2 * mn.indptr[1:]])
-        self._raw = sp.csr_matrix((data, indices, indptr), shape=(2 * n, 2 * n))
-
+        blocks = [m_e + 1j * n_e]
         # shearing elements: full 6 x 6 blocks from the time quadrature, plus
-        # the jump coupling (bottom-face mass on the old coordinates)
+        # the jump coupling (bottom-face mass on the old coordinates).  Their
+        # least-squares projection P (x) X_e + D (x) Y_e joins M and N; the
+        # remainder is kept as a 2n x 2n COO
+        self._rest = None
         if shear.any():
             ke = _theta_blocks(xo[shear], xo[shear] + disp[shear], p.dt, p.alpha)
             ke[:, :3, :3] += det2[shear, None, None] * _M
+            quad = ke.reshape(-1, 2, 3, 2, 3).transpose(0, 2, 4, 1, 3).reshape(-1, 3, 3, 4)
+            x_e, y_e = np.moveaxis(quad @ _PROJ.T, 3, 0)
+            blocks.append(x_e + 1j * y_e)
+            rest = ke - np.kron(_P, x_e) - np.kron(_D, y_e)
             dof = np.concatenate([lconn[shear], lconn[shear] + n], axis=1)   # (ns, 6)
-            self._raw = self._raw + sp.coo_matrix(
-                (ke.ravel(), (np.repeat(dof, 6, axis=1).ravel(), np.tile(dof, (1, 6)).ravel())),
+            self._rest = sp.coo_matrix(
+                (rest.ravel(), (np.repeat(dof, 6, axis=1).ravel(), np.tile(dof, (1, 6)).ravel())),
                 shape=(2 * n, 2 * n))
+        # M' + i N' scattered once on the n x n node pattern
+        cc = np.concatenate([lconn[rigid], lconn[shear]])
+        self._mn = sp.coo_matrix((np.concatenate(blocks).ravel(),
+                                  (np.repeat(cc, 3, axis=1).ravel(), np.tile(cc, (1, 3)).ravel())),
+                                 shape=(n, n)).tocsc()
         fe = np.einsum("eab,eb->ea", det2[:, None, None] * _M, p.t_prev[conn])
-        self._rhs_raw = np.bincount(lconn.ravel(), fe.ravel(), minlength=2 * n)
+        self._rhs_raw = np.bincount(lconn.ravel(), fe.ravel(), minlength=2 * n).reshape(2, n)
 
-        # Dirichlet rows become identity rows; inactive Dirichlet nodes are dropped
+        # Dirichlet nodes fix both time levels; inactive ones are dropped
         li = self.index[p.dirichlet_nodes]
         keep = li >= 0
-        fixed_dofs = np.concatenate([li[keep], li[keep] + n])
-        fixed = np.zeros(2 * n)
-        fixed[fixed_dofs] = 1.0
-        self._lhs = (sp.diags(1.0 - fixed) @ self._raw + sp.diags(fixed)).tocsc()
+        self._fixed = np.zeros(n, dtype=bool)
+        self._fixed[li[keep]] = True
         self._rhs = self._rhs_raw.copy()
-        self._rhs[fixed_dofs] = np.tile(np.asarray(p.dirichlet_values)[keep], 2)
+        self._rhs[:, li[keep]] = np.asarray(p.dirichlet_values)[keep]
+
+        # lambda M' + N' with identity rows at the Dirichlet nodes: those rows
+        # are zeroed on the data array (it holds the row ids of a CSC matrix)
+        # and dropped, which keeps them out of the LU's fill (the drop works
+        # in place, so the index arrays are copied off _mn's)
+        mn = self._mn
+        data = _LAM * mn.data.real + mn.data.imag
+        on = self._fixed[mn.indices]
+        data[on] = 0.0
+        data[on & (mn.indices == np.repeat(np.arange(n), np.diff(mn.indptr)))] = 1.0
+        self._lhs = sp.csc_matrix((data, mn.indices.copy(), mn.indptr.copy()), shape=(n, n))
+        self._lhs.eliminate_zeros()
+
+    # -- exact operator and its preconditioner --------------------------------
+
+    def _apply(self, x):
+        """Exact slab operator on ``x = [bottom; top]`` given as (2, n)."""
+        q = self._mn @ x.T                             # (n, 2): M' x_j + i N' x_j
+        ax = _P @ q.real.T + _D @ q.imag.T
+        if self._rest is not None:
+            ax += (self._rest @ x.ravel()).reshape(ax.shape)
+        return ax
+
+    def _precondition(self, lu, r):
+        """Solve ``P (x) M' + D (x) N'`` (Dirichlet rows identity) for ``r``
+        by the complex split of the module docstring."""
+        c = np.where(self._fixed, _W @ r, _WD @ r)
+        return 2.0 * (_V[:, None] * lu.solve(c)).real
+
+    def _residual(self, x):
+        """Set the Dirichlet values in ``x``; return ``b - A x`` on the free
+        rows (zero on the Dirichlet rows)."""
+        x[:, self._fixed] = self._rhs[:, self._fixed]
+        r = self._rhs - self._apply(x)
+        r[:, self._fixed] = 0.0
+        return r
 
     # -- solve ---------------------------------------------------------------
 
     def solve(self) -> SlabSolution:
         try:
-            # The slab pattern is nearly symmetric (6x6 prism blocks; only the
-            # Dirichlet identity rows break it), so a minimum-degree ordering
-            # of A^T + A keeps far less LU fill than the default COLAMD.
+            # The pattern is nearly symmetric (only the Dirichlet identity
+            # rows break it), so a minimum-degree ordering of A^T + A keeps
+            # far less LU fill than the default COLAMD.
             lu = spla.splu(self._lhs, permc_spec="MMD_AT_PLUS_A")
-            x = lu.solve(self._rhs)
         except RuntimeError as exc:
             raise NumericalError("sparse factorization failed: %s" % exc)
-        res = np.linalg.norm(self._lhs @ x - self._rhs)
-        scale = max(np.linalg.norm(self._rhs), 1e-300)
-        if res / scale > SOLVER_TOL:
-            raise NumericalError("slab solve residual %.3e exceeds %.1e"
-                                 % (res / scale, SOLVER_TOL))
+        # Start from the Dirichlet values: the free rows of b - A x are then
+        # the right-hand side of the equations solved for, and the scale of
+        # the residual check.  Iterative refinement against the exact slab
+        # closes the zipper remainder; a rigid slab is solved exactly by the
+        # first solve.
+        x = np.zeros_like(self._rhs)
+        r = self._residual(x)
+        scale = max(np.linalg.norm(r), 1e-300)
+        history = []             # relative residual after the first solve and each pass
+        while True:
+            x += self._precondition(lu, r)
+            r = self._residual(x)
+            res = np.linalg.norm(r) / scale
+            history.append(res)
+            # stop at the target, at the cap, or where two passes no longer
+            # halve the residual: the rounding floor
+            if (res <= REFINE_TOL or len(history) > MAX_REFINEMENTS
+                    or res <= SOLVER_TOL and len(history) > 2 and res > 0.5 * history[-3]):
+                break
+        passes = len(history) - 1
+        if not res <= SOLVER_TOL:
+            raise NumericalError("slab solve residual %.3e exceeds %.1e after %d refinement "
+                                 "passes" % (res, SOLVER_TOL, passes))
         t_bot = self.problem.t_prev.copy()
         t_top = self.problem.t_prev.copy()
-        t_bot[self.active_nodes] = x[:self._n_act]
-        t_top[self.active_nodes] = x[self._n_act:]
-        return SlabSolution(t_bot, t_top, res / scale)
+        t_bot[self.active_nodes] = x[0]
+        t_top[self.active_nodes] = x[1]
+        return SlabSolution(t_bot, t_top, res, passes)
 
     # -- residual functionals ----------------------------------------------
 
     def unconstrained_residual(self, solution: SlabSolution) -> np.ndarray:
         """Raw weak residual A0 x - b0 of the solved state (length 2n)."""
-        x = np.concatenate([solution.t_bot[self.active_nodes],
-                            solution.t_top[self.active_nodes]])
-        return self._raw @ x - self._rhs_raw
+        x = np.stack([solution.t_bot[self.active_nodes],
+                      solution.t_top[self.active_nodes]])
+        return (self._apply(x) - self._rhs_raw).ravel()
 
     def node_residual_time_avg(self, solution: SlabSolution, nodes) -> np.ndarray:
         """Slab-time-averaged weak residual per node.
@@ -257,7 +338,7 @@ class SlabOperator:
         li = self.index[np.asarray(nodes, dtype=np.int64)]
         if np.any(li < 0):
             raise ValueError("residual requested at inactive node")
-        return (r[li] + r[li + self._n_act]) / self.problem.dt
+        return (r[li] + r[li + len(self.active_nodes)]) / self.problem.dt
 
 
 def solve_slab(problem: SlabProblem) -> SlabSolution:

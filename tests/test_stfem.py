@@ -1,6 +1,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -143,7 +144,7 @@ def test_rigid_block_closed_form_matches_time_quadrature(x0, r1, r2, phi, beta, 
     assert np.max(np.abs(closed - theta)) <= 1e-12 * np.max(np.abs(theta))
 
 
-def band_slab(distance, n=8):
+def band_slab(distance, n=8, dt=0.37, alpha=1.7):
     """A strip-square slab whose band slides down by ``distance``.
 
     Returns the problem and, per slab element, whether it is a zipper
@@ -157,8 +158,8 @@ def band_slab(distance, n=8):
     act = motion.active_elements(mesh, state)
     wrapped = motion.advance(mesh, state, distance).wrapped_nodes
     act &= motion.active_elements(mesh, state) & ~np.isin(mesh.triangles, wrapped).any(axis=1)
-    prob = SlabProblem(coords_old, mesh.nodes.copy(), mesh.triangles[act], dt=0.37,
-                       alpha=1.7, t_prev=rng.uniform(-1.0, 2.0, mesh.n_nodes))
+    prob = SlabProblem(coords_old, mesh.nodes.copy(), mesh.triangles[act], dt=dt,
+                       alpha=alpha, t_prev=rng.uniform(-1.0, 2.0, mesh.n_nodes))
     return prob, state.tri_code[act] == motion.ROLE_CODE["update"]
 
 
@@ -194,6 +195,126 @@ def test_only_zipper_triangles_use_the_time_quadrature(monkeypatch, distance):
     expected = prob.coords_old[prob.conn[zipper]] if distance > 0 else np.empty((0, 3, 2))
     assert zipper.sum() == 2 * 2 * 8       # two seams of two triangles per row
     npt.assert_array_equal(quadrature, expected)
+
+
+def fix_flanks(prob, values):
+    """Dirichlet data ``values`` (one per node) on the static left and right
+    edges of a ``band_slab(n=8)`` problem."""
+    nodes = np.unique(meshgen.make_strip_square(8).tagged_edges(("left", "right")))
+    prob.dirichlet_nodes = nodes
+    prob.dirichlet_values = values[nodes]
+    return prob
+
+
+def free_row_residual(prob, sol):
+    """The weak-form oracle's |b - A x| over the free rows, relative to the
+    free rows' right-hand side once the Dirichlet values are moved there
+    (the residual of x_D: the Dirichlet values, zero elsewhere)."""
+    n = len(prob.coords_old)
+
+    def residual(t_bot, t_top):
+        return slab_residual(prob.coords_old, prob.coords_new, prob.conn, prob.dt,
+                             prob.alpha, prob.t_prev, t_bot, t_top)
+
+    free = np.zeros(n, dtype=bool)
+    free[prob.conn] = True
+    free[prob.dirichlet_nodes] = False
+    free = np.concatenate([free, free])
+    x_d = np.zeros(n)
+    x_d[prob.dirichlet_nodes] = prob.dirichlet_values
+    return (np.linalg.norm(residual(sol.t_bot, sol.t_top)[free])
+            / np.linalg.norm(residual(x_d, x_d)[free]))
+
+
+def test_residual_norm_measures_the_free_rows(monkeypatch):
+    # Dirichlet data near 1e3 would dominate |b| over all rows and hide the
+    # residual of the rows actually solved.  Stopping the refinement early
+    # leaves a residual far above rounding, which the oracle then recomputes.
+    rng = np.random.default_rng(8)
+    prob = fix_flanks(band_slab(0.4 / 8)[0], 1e3 + rng.uniform(-1.0, 1.0, 76))
+    sol = solve_slab(prob)
+    assert sol.residual_norm <= stfem.REFINE_TOL
+    assert free_row_residual(prob, sol) <= 1e-12
+    monkeypatch.setattr(stfem, "REFINE_TOL", 1e-6, raising=False)
+    monkeypatch.setattr(stfem, "SOLVER_TOL", 1e-6)
+    sol = solve_slab(prob)
+    assert sol.residual_norm == pytest.approx(free_row_residual(prob, sol), rel=1e-6, abs=0.0)
+    assert 1e-10 < sol.residual_norm <= 1e-6
+
+
+def test_refinement_cap_is_a_numerical_error(monkeypatch):
+    monkeypatch.setattr(stfem, "MAX_REFINEMENTS", 0)
+    with pytest.raises(NumericalError, match="after 0 refinement passes"):
+        solve_slab(band_slab(0.4 / 8)[0])
+
+
+def test_sheared_slab_is_refined():
+    sol = solve_slab(band_slab(0.4 / 8)[0])
+    assert 1 <= sol.refinements <= stfem.MAX_REFINEMENTS
+    assert sol.residual_norm <= stfem.REFINE_TOL
+
+
+def test_rigid_slab_is_solved_without_refinement():
+    # the cooling slab of verify.run_cbf_case(h=0.02, dt=0.01)
+    mesh, prob = square_problem(n=50, dt=0.01, t_prev=np.ones(51 * 51))
+    prob.dirichlet_nodes = np.unique(mesh.tagged_edges("right"))
+    prob.dirichlet_values = np.zeros(51)
+    sol = solve_slab(prob)
+    assert sol.refinements == 0
+    assert sol.residual_norm <= stfem.REFINE_TOL
+
+
+def test_time_matrices_split_through_the_amplification_poles():
+    # D^-1 P has the eigenvalues 2 +- i sqrt(2), the negated poles of the
+    # amplification factor (1 - z/3) / (1 + 2z/3 + z^2/6)
+    eig = np.sort_complex(np.linalg.eigvals(np.linalg.solve(stfem._D, stfem._P)))
+    npt.assert_allclose(eig, [2.0 - 1j * np.sqrt(2.0), 2.0 + 1j * np.sqrt(2.0)], atol=1e-14)
+    npt.assert_allclose(np.sort_complex(-np.roots([1.0 / 6.0, 2.0 / 3.0, 1.0])), eig,
+                        atol=1e-14)
+    assert stfem._LAM == pytest.approx(eig[1], abs=1e-15)
+
+
+def real_slab_solve(prob):
+    """The constrained real 2n x 2n slab, assembled element by element with
+    the time quadrature and solved by spsolve: (t_bot, t_top)."""
+    n = len(prob.coords_old)
+    conn = prob.conn
+    xo, xn = prob.coords_old[conn], prob.coords_new[conn]
+    jump = 2.0 * tri_areas(prob.coords_old, conn)[:, None, None] * stfem._M
+    ke = stfem._theta_blocks(xo, xn, prob.dt, prob.alpha)
+    ke[:, :3, :3] += jump
+    dof = np.concatenate([conn, conn + n], axis=1)
+    a = sp.coo_matrix((ke.ravel(), (np.repeat(dof, 6, axis=1).ravel(),
+                                    np.tile(dof, (1, 6)).ravel())), shape=(2 * n, 2 * n)).tolil()
+    b = np.zeros(2 * n)
+    b[:n] = np.bincount(conn.ravel(), np.einsum("eab,eb->ea", jump, prob.t_prev[conn]).ravel(),
+                        minlength=n)
+    # Dirichlet rows and the rows of inactive nodes become identity rows
+    fixed = np.concatenate([prob.dirichlet_nodes, prob.dirichlet_nodes + n])
+    idle = np.setdiff1d(np.arange(n), conn)
+    for i in np.concatenate([fixed, idle, idle + n]):
+        a.rows[i], a.data[i] = [i], [1.0]
+    b[fixed] = np.tile(prob.dirichlet_values, 2)
+    b[idle] = b[idle + n] = prob.t_prev[idle]
+    x = spla.spsolve(a.tocsc(), b)
+    return x[:n], x[n:]
+
+
+@settings(max_examples=20, deadline=None)
+@given(rows=st.floats(0.0, 1.5), dt=st.floats(1e-3, 10.0), alpha=st.floats(0.1, 10.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_complex_split_matches_the_real_slab_solve(rows, dt, alpha, seed):
+    # static flanks, a band moved by up to 1.5 rows (slips and shearing
+    # zipper triangles included) and random Dirichlet data on both flanks
+    rng = np.random.default_rng(seed)
+    prob = fix_flanks(band_slab(rows / 8, dt=dt, alpha=alpha)[0],
+                      rng.uniform(-1.0, 2.0, 76))
+    sol = solve_slab(prob)
+    t_bot, t_top = real_slab_solve(prob)
+    scale = max(np.max(np.abs(t_bot)), np.max(np.abs(t_top)))
+    assert np.max(np.abs(sol.t_bot - t_bot)) <= 1e-10 * scale
+    assert np.max(np.abs(sol.t_top - t_top)) <= 1e-10 * scale
+    assert free_row_residual(prob, sol) <= 1e-12
 
 
 def test_strong_damping_of_stiff_slabs():
@@ -274,8 +395,9 @@ def test_unreachable_solver_tolerance_raises(monkeypatch):
 
 
 def test_slab_factorization_keeps_fill_low(monkeypatch):
-    # the ordering is pinned by the LU fill it leaves on the cooling slab,
-    # not by timing: COLAMD gives 8.9x nnz(A), MMD on A^T + A about 6.1x
+    # the ordering is pinned by the LU fill it leaves on the cooling slab's
+    # complex n x n matrix, not by timing: MMD on A^T + A leaves about 6.2x
+    # nnz(A)
     fills = []
     splu = spla.splu
 
