@@ -26,9 +26,11 @@ integrals are exact.  Elements are assembled by class:
   the P1 mass and ``N_e`` diffusion minus the mesh-velocity term;
 * only shearing elements (the zipper triangles) use 2-point Gauss in time:
   there the inverse Jacobian makes the integrand rational in time.  Each
-  such 6 x 6 block Z_e is split into its least-squares fit
-  ``P (x) X_e + D (x) Y_e`` (a fixed 2 x 4 pseudo-inverse applied to its
-  four 3 x 3 time blocks) and a remainder.
+  such 6 x 6 block Z_e is split into a fit ``P (x) X_e + D (x) Y_e`` (a
+  fixed 2 x 4 matrix applied to its four 3 x 3 time blocks) and a
+  remainder.  The fit keeps the block's sums over its two test levels
+  exact, i.e. the element balance seen by a test function constant in
+  time.
 
 The fits join the rigid blocks in ``M' = M + X`` and ``N' = N + Y``, both
 scattered once on the n x n node pattern, and the zipper remainders form a
@@ -42,9 +44,13 @@ eigenvalues 2 +- i sqrt(2), the negated poles of the amplification factor
 above, so in its eigenvectors the slab splits into ``(lambda M' + N') y = c``
 with lambda = 2 + i sqrt(2) and its complex conjugate: one complex n x n LU
 solves it, and the real solution is 2 Re(v y) for the eigenvector v.
-Dirichlet nodes stay identity rows.  The LU is exact on rigid slabs; the
-zipper remainder is closed by iterative refinement against the exact
-operator, ``x += K^-1 (b - A x)``.
+Dirichlet nodes stay identity rows.  The LU is exact on rigid slabs.  On
+a slab with zipper triangles it preconditions GMRES on the exact operator:
+the first solve ``x = K^-1 b`` is corrected by right-preconditioned GMRES,
+started from a zero correction and not restarted, whose residual is the
+true slab residual.  (Plain iterative refinement ``x += K^-1 (b - A x)``
+contracts more slowly the further a step shears the zipper; GMRES does not
+depend on that contraction.)
 """
 
 from __future__ import annotations
@@ -81,23 +87,25 @@ RIGID_TOL = 1e-12
 # (non-Dirichlet) rows, the ones solved for, relative to their right-hand
 # side once the Dirichlet values are moved there
 SOLVER_TOL = 1e-10
-# Refinement stops once the residual is below REFINE_TOL, after
-# MAX_REFINEMENTS passes, or below SOLVER_TOL when two passes no longer halve
-# it: the rounding floor, which on stiff slabs (large dt * alpha / h^2) lies
-# above REFINE_TOL.  (Single passes may alternate between strong and weak
-# contraction.)  The solve then fails unless it meets SOLVER_TOL.
+# GMRES stops once its residual estimate is below REFINE_TOL or after
+# MAX_REFINEMENTS steps (each one solve with the LU and one product with the
+# exact operator); the solve then fails unless the true residual meets
+# SOLVER_TOL.  On stiff slabs (large dt * alpha / h^2) the true residual's
+# rounding floor may lie above REFINE_TOL while the estimate goes below it.
 REFINE_TOL = 1e-13
 MAX_REFINEMENTS = 50
 
-# eigenvalue _LAM of D^-1 P and its eigenvector _V; _W is the first row of
-# [V, conj(V)]^-1, so that 2 Re(V_i W_j) = delta_ij, and _WD = W D^-1
+# eigenvalue _LAM of D^-1 P and its eigenvector _V; _WD = W D^-1, where W is
+# the first row of [V, conj(V)]^-1, so that 2 Re(V_i W_j) = delta_ij
 _LAM = 2.0 + 1j * np.sqrt(2.0)
 _V = np.array([1.0, -1.0 + 1j * np.sqrt(2.0)])
-_W = np.array([0.5 - 0.25j * np.sqrt(2.0), -0.25j * np.sqrt(2.0)])
 _WD = np.array([2.0 - 0.5j * np.sqrt(2.0), -1.0 - 0.5j * np.sqrt(2.0)])
-# least-squares fit of the four time blocks (K_00, K_01, K_10, K_11) of an
-# element by P (x) X + D (x) Y: (X, Y) = _PROJ @ (K_00, K_01, K_10, K_11)
-_PROJ = np.linalg.pinv(np.column_stack([_P.ravel(), _D.ravel()]))
+# fit of the four time blocks (K_00, K_01, K_10, K_11) of an element by
+# P (x) X + D (x) Y, (X, Y) = _PROJ @ (K_00, K_01, K_10, K_11), that keeps the
+# sums over the test levels exact: K_00 + K_10 = Y / 2, K_01 + K_11 = X + Y / 2.
+# On probe slabs moved by several rows per step it needs half the GMRES steps
+# of the least-squares fit.
+_PROJ = np.array([[-1.0, 1.0, -1.0, 1.0], [2.0, 0.0, 2.0, 0.0]])
 
 
 def _rigid_blocks(e1, e2, d, dt, alpha):
@@ -169,7 +177,7 @@ class SlabSolution:
     t_bot: np.ndarray                 # (n,) trace at t_n   (jump-relaxed)
     t_top: np.ndarray                 # (n,) trace at t_n + dt
     residual_norm: float              # relative free-row residual, see SOLVER_TOL
-    refinements: int = 0              # refinement passes after the first solve
+    refinements: int = 0              # GMRES steps after the first solve
 
 
 class SlabOperator:
@@ -179,7 +187,7 @@ class SlabOperator:
     The weak residual of the *solved* state, tested with the unconstrained
     functions of boundary nodes, is exactly the consistent boundary flux
     functional used for flux recovery, so the exact operator is kept for
-    the residual methods as well as for the refinement.
+    the residual methods as well as for GMRES.
     """
 
     def __init__(self, problem: SlabProblem):
@@ -213,8 +221,8 @@ class SlabOperator:
         blocks = [m_e + 1j * n_e]
         # shearing elements: full 6 x 6 blocks from the time quadrature, plus
         # the jump coupling (bottom-face mass on the old coordinates).  Their
-        # least-squares projection P (x) X_e + D (x) Y_e joins M and N; the
-        # remainder is kept as a 2n x 2n COO
+        # fit P (x) X_e + D (x) Y_e joins M and N; the remainder is kept as a
+        # 2n x 2n COO
         self._rest = None
         if shear.any():
             ke = _theta_blocks(xo[shear], xo[shear] + disp[shear], p.dt, p.alpha)
@@ -266,10 +274,10 @@ class SlabOperator:
         return ax
 
     def _precondition(self, lu, r):
-        """Solve ``P (x) M' + D (x) N'`` (Dirichlet rows identity) for ``r``
-        by the complex split of the module docstring."""
-        c = np.where(self._fixed, _W @ r, _WD @ r)
-        return 2.0 * (_V[:, None] * lu.solve(c)).real
+        """Solve ``P (x) M' + D (x) N'`` (Dirichlet rows identity) for ``r``,
+        which is zero on the Dirichlet rows, by the complex split of the
+        module docstring."""
+        return 2.0 * (_V[:, None] * lu.solve(_WD @ r)).real
 
     def _residual(self, x):
         """Set the Dirichlet values in ``x``; return ``b - A x`` on the free
@@ -278,6 +286,44 @@ class SlabOperator:
         r = self._rhs - self._apply(x)
         r[:, self._fixed] = 0.0
         return r
+
+    def _gmres(self, lu, r, tol):
+        """Correction ``u`` with ``A u = r`` on the free rows by GMRES right-
+        preconditioned with the LU, from ``u = 0`` and without restarts.
+
+        Stops once the Arnoldi estimate of ``|r - A u|`` is at most ``tol`` or
+        after MAX_REFINEMENTS steps; returns ``u`` and the number of steps.
+        """
+        m = MAX_REFINEMENTS
+        h = np.zeros((m + 1, m))                  # Hessenberg matrix, rotated to R
+        g = np.zeros(m + 1)                       # |r| e_1, rotated alike
+        g[0] = np.linalg.norm(r)
+        cs, sn = np.zeros(m), np.zeros(m)         # Givens rotations
+        v, z = [r / g[0]], []                     # Krylov basis and K^-1 of it
+        k = 0
+        while k < m and abs(g[k]) > tol:
+            z.append(self._precondition(lu, v[k]))
+            w = self._apply(z[k])
+            w[:, self._fixed] = 0.0
+            for j in range(k + 1):                # modified Gram-Schmidt
+                h[j, k] = np.vdot(v[j], w)
+                w -= h[j, k] * v[j]
+            h[k + 1, k] = np.linalg.norm(w)
+            v.append(w / max(h[k + 1, k], 1e-300))
+            for j in range(k):
+                h[j, k], h[j + 1, k] = (cs[j] * h[j, k] + sn[j] * h[j + 1, k],
+                                        cs[j] * h[j + 1, k] - sn[j] * h[j, k])
+            rho = np.hypot(h[k, k], h[k + 1, k])
+            cs[k], sn[k] = h[k, k] / rho, h[k + 1, k] / rho
+            h[k, k], h[k + 1, k] = rho, 0.0
+            g[k + 1], g[k] = -sn[k] * g[k], cs[k] * g[k]
+            k += 1
+        u = np.zeros_like(r)
+        if k:
+            y = np.linalg.solve(h[:k, :k], g[:k])
+            for yj, zj in zip(y, z):
+                u += yj * zj
+        return u, k
 
     # -- solve ---------------------------------------------------------------
 
@@ -291,24 +337,19 @@ class SlabOperator:
             raise NumericalError("sparse factorization failed: %s" % exc)
         # Start from the Dirichlet values: the free rows of b - A x are then
         # the right-hand side of the equations solved for, and the scale of
-        # the residual check.  Iterative refinement against the exact slab
-        # closes the zipper remainder; a rigid slab is solved exactly by the
-        # first solve.
+        # the residual check.  The first solve is exact on a rigid slab;
+        # otherwise GMRES on the exact slab closes the zipper remainder.
         x = np.zeros_like(self._rhs)
         r = self._residual(x)
         scale = max(np.linalg.norm(r), 1e-300)
-        history = []             # relative residual after the first solve and each pass
-        while True:
-            x += self._precondition(lu, r)
+        x += self._precondition(lu, r)
+        r = self._residual(x)
+        passes = 0
+        if np.linalg.norm(r) > REFINE_TOL * scale:
+            u, passes = self._gmres(lu, r, REFINE_TOL * scale)
+            x += u
             r = self._residual(x)
-            res = np.linalg.norm(r) / scale
-            history.append(res)
-            # stop at the target, at the cap, or where two passes no longer
-            # halve the residual: the rounding floor
-            if (res <= REFINE_TOL or len(history) > MAX_REFINEMENTS
-                    or res <= SOLVER_TOL and len(history) > 2 and res > 0.5 * history[-3]):
-                break
-        passes = len(history) - 1
+        res = np.linalg.norm(r) / scale
         if not res <= SOLVER_TOL:
             raise NumericalError("slab solve residual %.3e exceeds %.1e after %d refinement "
                                  "passes" % (res, SOLVER_TOL, passes))

@@ -54,6 +54,15 @@ def test_integrate_nodal_linear_exact():
     assert integrate_nodal(mesh.nodes, mesh.triangles, v) == pytest.approx(3.0, abs=1e-13)
 
 
+def assert_matches_real_slab_solve(prob):
+    sol = solve_slab(prob)
+    t_bot, t_top = real_slab_solve(prob)
+    scale = max(np.max(np.abs(t_bot)), np.max(np.abs(t_top)))
+    assert np.max(np.abs(sol.t_bot - t_bot)) <= 1e-10 * scale
+    assert np.max(np.abs(sol.t_top - t_top)) <= 1e-10 * scale
+    assert free_row_residual(prob, sol) <= 1e-12
+
+
 @settings(max_examples=20, deadline=None)
 @given(**slab_draws)
 def test_conservation_insulated(n, frac, dt, alpha, seed):
@@ -82,6 +91,15 @@ def test_linear_exactness_static():
     sol = solve_slab(prob)
     npt.assert_allclose(sol.t_top, exact, atol=5e-13)
     npt.assert_allclose(sol.t_bot, exact, atol=5e-13)       # zero jump
+
+
+def assert_matches_real_slab_solve(prob):
+    sol = solve_slab(prob)
+    t_bot, t_top = real_slab_solve(prob)
+    scale = max(np.max(np.abs(t_bot)), np.max(np.abs(t_top)))
+    assert np.max(np.abs(sol.t_bot - t_bot)) <= 1e-10 * scale
+    assert np.max(np.abs(sol.t_top - t_top)) <= 1e-10 * scale
+    assert free_row_residual(prob, sol) <= 1e-12
 
 
 @settings(max_examples=20, deadline=None)
@@ -300,6 +318,15 @@ def real_slab_solve(prob):
     return x[:n], x[n:]
 
 
+def assert_matches_real_slab_solve(prob):
+    sol = solve_slab(prob)
+    t_bot, t_top = real_slab_solve(prob)
+    scale = max(np.max(np.abs(t_bot)), np.max(np.abs(t_top)))
+    assert np.max(np.abs(sol.t_bot - t_bot)) <= 1e-10 * scale
+    assert np.max(np.abs(sol.t_top - t_top)) <= 1e-10 * scale
+    assert free_row_residual(prob, sol) <= 1e-12
+
+
 @settings(max_examples=20, deadline=None)
 @given(rows=st.floats(0.0, 1.5), dt=st.floats(1e-3, 10.0), alpha=st.floats(0.1, 10.0),
        seed=st.integers(0, 2**32 - 1))
@@ -307,14 +334,18 @@ def test_complex_split_matches_the_real_slab_solve(rows, dt, alpha, seed):
     # static flanks, a band moved by up to 1.5 rows (slips and shearing
     # zipper triangles included) and random Dirichlet data on both flanks
     rng = np.random.default_rng(seed)
-    prob = fix_flanks(band_slab(rows / 8, dt=dt, alpha=alpha)[0],
-                      rng.uniform(-1.0, 2.0, 76))
-    sol = solve_slab(prob)
-    t_bot, t_top = real_slab_solve(prob)
-    scale = max(np.max(np.abs(t_bot)), np.max(np.abs(t_top)))
-    assert np.max(np.abs(sol.t_bot - t_bot)) <= 1e-10 * scale
-    assert np.max(np.abs(sol.t_top - t_top)) <= 1e-10 * scale
-    assert free_row_residual(prob, sol) <= 1e-12
+    assert_matches_real_slab_solve(fix_flanks(band_slab(rows / 8, dt=dt, alpha=alpha)[0],
+                                              rng.uniform(-1.0, 2.0, 76)))
+
+
+@pytest.mark.parametrize("rows, dt, alpha", [(4.0, 0.37, 1.7), (4.9, 10.0, 10.0),
+                                             (4.9, 1e-3, 0.1)])
+def test_band_moved_several_rows_matches_the_real_slab_solve(rows, dt, alpha):
+    # a step of several rows (up to just below half the band's ten-row ring)
+    # shears the zipper far more than the draws above
+    rng = np.random.default_rng(9)
+    assert_matches_real_slab_solve(fix_flanks(band_slab(rows / 8, dt=dt, alpha=alpha)[0],
+                                              rng.uniform(-1.0, 2.0, 76)))
 
 
 def test_strong_damping_of_stiff_slabs():
@@ -397,7 +428,7 @@ def test_unreachable_solver_tolerance_raises(monkeypatch):
 def test_slab_factorization_keeps_fill_low(monkeypatch):
     # the ordering is pinned by the LU fill it leaves on the cooling slab's
     # complex n x n matrix, not by timing: MMD on A^T + A leaves about 6.2x
-    # nnz(A)
+    # nnz(A), the default COLAMD 9.4x
     fills = []
     splu = spla.splu
 
