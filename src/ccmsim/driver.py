@@ -29,9 +29,9 @@ import numpy as np
 from . import motion
 from . import velocity as vel
 from .cbf import recover_flux
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 from .mesh import Mesh, MeshFormatError, load_mesh
-from .stfem import SlabOperator, SlabProblem
+from .stfem import SlabOperator, SlabPlan, SlabProblem
 
 __all__ = [
     "RunConfig",
@@ -41,6 +41,7 @@ __all__ = [
     "load_config",
     "run",
     "sample_sensors",
+    "slab_plan",
     "slab_step",
     "write_vtk",
 ]
@@ -410,17 +411,28 @@ class _CsvWriter:
 # main loop
 
 
+def slab_plan(mesh: Mesh, state) -> SlabPlan:
+    """The run's slab plan: every triangle in its active shape; the zipper
+    triangles (none without a band, ``state`` None) are the ones that shear."""
+    if state is None:
+        return SlabPlan(mesh.n_nodes, mesh.triangles, mesh.nodes[mesh.triangles],
+                        np.zeros(mesh.n_triangles, dtype=bool))
+    return SlabPlan(mesh.n_nodes, mesh.triangles, motion.element_shapes(mesh, state),
+                    state.tri_code == motion.ROLE_CODE["update"])
+
+
 def slab_step(mesh: Mesh, state, T: np.ndarray, active: np.ndarray, distance: float,
-              *, dt: float, alpha: float, dirichlet_nodes, dirichlet_values,
+              *, plan: SlabPlan, dt: float, alpha: float, dirichlet_nodes, dirichlet_values,
               background: np.ndarray):
     """One time step of the sliding-band method: move the band, solve a slab.
 
     Shifts the band by ``distance`` (``state`` is None for a mesh without
-    one: nothing moves).  The slab is assembled on the triangles active
-    both in the old position (``active``) and in the new one, less those
-    touching a node that wrapped round the ring.  Wrapped nodes are
-    reseeded in ``T`` from the nodal field ``background`` before the
-    solve; nodes outside the new active mask take ``background`` after it.
+    one: nothing moves).  The slab is assembled from ``plan`` (see
+    :func:`slab_plan`) on the triangles active both in the old position
+    (``active``) and in the new one, less those touching a node that
+    wrapped round the ring.  Wrapped nodes are reseeded in ``T`` from the
+    nodal field ``background`` before the solve; nodes outside the new
+    active mask take ``background`` after it.
     Returns ``(operator, solution, T_new, active_new)``.
     """
     coords_old = mesh.nodes.copy()
@@ -432,7 +444,7 @@ def slab_step(mesh: Mesh, state, T: np.ndarray, active: np.ndarray, distance: fl
         act = act & active & ~np.isin(mesh.triangles, wrapped).any(axis=1)
     prob = SlabProblem(coords_old, mesh.nodes, mesh.triangles[act], dt=dt, alpha=alpha,
                        t_prev=T, dirichlet_nodes=dirichlet_nodes,
-                       dirichlet_values=dirichlet_values)
+                       dirichlet_values=dirichlet_values, plan=plan, active=act)
     op = SlabOperator(prob)
     sol = op.solve()
     inside = np.zeros(len(T), dtype=bool)
@@ -465,6 +477,7 @@ def run(config: RunConfig) -> RunReport:
             raise ConfigError(f"[mesh] direction: cannot move the band of {cfg.mesh_path} "
                               f"along {cfg.direction}: {exc}") from exc
         act = motion.active_elements(mesh, state)
+    plan = slab_plan(mesh, state)
 
     p = cfg.ccm_params
     rho_cp = cfg.rho_s * cfg.cp_s
@@ -484,6 +497,7 @@ def run(config: RunConfig) -> RunReport:
     tip_edges = mesh.tagged_edges(cfg.tip_tags)
     if tip_edges.shape[0] == 0:
         raise ConfigError(f"[source] tip_tags: no boundary edges tagged {cfg.tip_tags!r}")
+    tip_nodes = np.unique(tip_edges)
     source_tags = set(cfg.tip_tags) | set(cfg.side_tags)
     dir_nodes = np.unique(mesh.tagged_edges(tuple(source_tags)))
     dir_vals = np.full(len(dir_nodes), cfg.T_m)
@@ -517,7 +531,7 @@ def run(config: RunConfig) -> RunReport:
         for step in range(cfg.n_steps):
             t_n = step * cfg.dt
             op, sol, T, act = slab_step(
-                mesh, state, T, act, U * cfg.dt, dt=cfg.dt, alpha=cfg.alpha_s,
+                mesh, state, T, act, U * cfg.dt, plan=plan, dt=cfg.dt, alpha=cfg.alpha_s,
                 dirichlet_nodes=dir_nodes, dirichlet_values=dir_vals,
                 background=virgin)
             if state is not None:
@@ -526,6 +540,13 @@ def run(config: RunConfig) -> RunReport:
             else:
                 displacement += U * cfg.dt
                 slips_total = 0
+            if not op.node_active[tip_nodes].all():
+                # the band has carried the tip out of the window, or into
+                # rows that wrapped this step
+                raise NumericalError(
+                    f"step {step}: the source tip left the active slab at displacement "
+                    f"{displacement:.6g} m ({slips_total} slips, {U * cfg.dt:.6g} m this "
+                    f"step)")
 
             q_s = 0.0
             q_min = 0.0

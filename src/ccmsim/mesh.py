@@ -85,7 +85,9 @@ class Mesh:
 
     def tri_role(self) -> np.ndarray:
         """Role name per triangle (array of str)."""
-        return np.array([self.region_roles[int(r)] for r in self.tri_region])
+        ids = np.array(sorted(self.region_roles), dtype=np.int64)
+        names = np.array([self.region_roles[int(r)] for r in ids])
+        return names[np.searchsorted(ids, self.tri_region)]
 
     def tagged_edges(self, tags) -> np.ndarray:
         """Node pairs (E, 2) of the boundary edges whose tag is in ``tags``."""
@@ -108,10 +110,6 @@ def tri_areas(coords: np.ndarray, conn: np.ndarray) -> np.ndarray:
     p2 = coords[conn[:, 2]]
     return 0.5 * ((p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1])
                   - (p2[:, 0] - p0[:, 0]) * (p1[:, 1] - p0[:, 1]))
-
-
-def edge_key(a: int, b: int) -> tuple[int, int]:
-    return (a, b) if a < b else (b, a)
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +243,7 @@ def validate_mesh(mesh: Mesh, tol: float = 1e-12) -> None:
     known region roles, and strip rows that partition the strip nodes with
     uniform ``h_row`` spacing along exactly one axis.
     """
-    n, m = mesh.n_nodes, mesh.n_triangles
+    n = mesh.n_nodes
     _expect(mesh.triangles.min(initial=0) >= 0 and mesh.triangles.max(initial=-1) < n,
             "triangle node index out of range")
     for rid in np.unique(mesh.tri_region):
@@ -258,16 +256,23 @@ def validate_mesh(mesh: Mesh, tol: float = 1e-12) -> None:
     _expect(bad.size == 0,
             "non-virtual triangle %s has non-positive area" % (bad[:5].tolist(),))
 
-    # each listed boundary edge must be an edge of exactly one non-virtual triangle
-    count: dict[tuple[int, int], int] = {}
-    for t in np.where(real)[0]:
-        a, b, c = mesh.triangles[t]
-        for e in (edge_key(a, b), edge_key(b, c), edge_key(c, a)):
-            count[e] = count.get(e, 0) + 1
-    for i, (a, b) in enumerate(mesh.boundary_edges):
-        k = count.get(edge_key(int(a), int(b)), 0)
-        _expect(k == 1, "boundary edge (%d,%d) tag %r belongs to %d non-virtual "
-                "triangles, expected 1" % (a, b, mesh.boundary_tags[i], k))
+    # each listed boundary edge must be an edge of exactly one non-virtual
+    # triangle: count the sorted node pairs of all their edges
+    tri = mesh.triangles[real]
+    edges = np.sort(np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]]), axis=1)
+    listed = np.sort(mesh.boundary_edges, axis=1)
+    base = max(n, int(listed.max(initial=-1)) + 1)
+    keys = listed[:, 0] * base + listed[:, 1]
+    pairs, count = np.unique(edges[:, 0] * base + edges[:, 1], return_counts=True)
+    pairs, count = np.append(pairs, base * base), np.append(count, 0)    # sentinel
+    at = np.searchsorted(pairs, keys)
+    k = np.where(pairs[at] == keys, count[at], 0)
+    wrong = np.flatnonzero(k != 1)
+    if wrong.size:
+        i = wrong[0]
+        a, b = mesh.boundary_edges[i]
+        raise MeshFormatError("boundary edge (%d,%d) tag %r belongs to %d non-virtual "
+                              "triangles, expected 1" % (a, b, mesh.boundary_tags[i], k[i]))
 
     if mesh.strip is not None:
         s = mesh.strip

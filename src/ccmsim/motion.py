@@ -247,6 +247,22 @@ def advance(mesh: Mesh, state: MotionState, distance: float) -> AdvanceResult:
     return AdvanceResult(slips, wrapped)
 
 
+def element_shapes(mesh: Mesh, state: MotionState) -> np.ndarray:
+    """Corner coordinates (m, 3, 2) of every triangle in the shape it has
+    while active.
+
+    A band triangle across the ring seam is torn in the current position;
+    its corners are unwrapped by the circumference along the motion axis,
+    to within half a ring of its first corner.
+    """
+    xe = mesh.nodes[mesh.triangles]
+    band = (state.tri_code == 1) | (state.tri_code == 3)
+    c = xe[band, :, state.axis]
+    c -= state.circumference * np.round((c - c[:, :1]) / state.circumference)
+    xe[band, :, state.axis] = c
+    return xe
+
+
 def active_elements(mesh: Mesh, state: MotionState) -> np.ndarray:
     """Boolean mask of triangles to assemble on, in the current position.
 

@@ -23,7 +23,8 @@ integrals are exact.  Elements are assembled by class:
   shape over the slab, and its block is integrated exactly in closed form
   as ``P (x) M_e + D (x) N_e``: the time matrices P (time derivative plus
   jump) and D (P1 mass in time) are the same for every element, ``M_e`` is
-  the P1 mass and ``N_e`` diffusion minus the mesh-velocity term;
+  the P1 mass and ``N_e = dt alpha K_e / 2 - (d_e . G_e) / 6`` diffusion
+  minus the mesh-velocity term of an element moved by ``d_e``;
 * only shearing elements (the zipper triangles) use 2-point Gauss in time:
   there the inverse Jacobian makes the integrand rational in time.  Each
   such 6 x 6 block Z_e is split into a fit ``P (x) X_e + D (x) Y_e`` (a
@@ -32,11 +33,17 @@ integrals are exact.  Elements are assembled by class:
   exact, i.e. the element balance seen by a test function constant in
   time.
 
-The fits join the rigid blocks in ``M' = M + X`` and ``N' = N + Y``, both
-scattered once on the n x n node pattern, and the zipper remainders form a
-small 2n x 2n COO matrix.  The exact slab operator ``P (x) M' + D (x) N'``
-plus that remainder is never assembled; it is applied matrix-free, for the
-solve and for the weak residual that flux recovery reads.
+A :class:`SlabPlan` holds what does not change from slab to slab: the
+shape data ``M_e``, ``K_e`` and the gradients ``G_e`` of every rigid
+element, one CSC pattern over all mesh nodes, and where each rigid element
+entry goes in it.  A run builds one plan before its first slab; a bare
+:class:`SlabProblem` gets a one-off plan of its own triangles.  Each slab
+then sums the rigid part of ``M' + i N'`` into the pattern, each element
+weighted by whether it is active (1 or 0), and adds the zipper fits
+``X_e + i Y_e`` as a small COO; the zipper remainders form a small
+2n x 2n COO matrix.  Nodes of no active element become identity rows.  The exact slab operator ``P (x) M' + D (x) N'`` plus that remainder
+is never assembled; it is applied matrix-free, for the solve and for the
+weak residual that flux recovery reads.
 
 Solve.  Multiplying each node's two rows by D^-1 turns ``P (x) M' + D (x) N'``
 into ``D^-1 P (x) M' + I (x) N'``.  D^-1 P = [[3, 1], [-3, 1]] has the
@@ -77,10 +84,11 @@ _DN = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])  # d(shape)/d(xi, eta)
 _P = np.array([[0.5, 0.5], [-0.5, 0.5]])
 _D = np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
 
-# An element is rigid (static or translating) when its node displacements
-# agree to this fraction of its longest edge.  On the bundled meshes strip
-# elements differ by rounding (at most 7e-15 of an edge) and zipper
-# triangles by at least 0.1, so the two classes are far apart.
+# The one-off plan of a bare SlabProblem treats an element as rigid (static
+# or translating) when its node displacements agree to this fraction of its
+# longest edge.  On the bundled meshes strip elements differ by rounding (at
+# most 7e-15 of an edge) and zipper triangles by at least 0.1, so the two
+# classes are far apart.
 RIGID_TOL = 1e-12
 
 # largest relative residual a slab solve may leave: |b - A x| over the free
@@ -95,6 +103,16 @@ SOLVER_TOL = 1e-10
 REFINE_TOL = 1e-13
 MAX_REFINEMENTS = 50
 
+# SuperLU's panel size and supernode relaxation.  Its defaults (10 and 20)
+# suit larger matrices than these slabs.  Measured on captured slabs (CPU
+# time per factorization, MMD on A^T + A): probe 59 -> 38 ms and LU nnz
+# 481k -> 370k, ramp 8.6 -> 4.5 ms and 146k -> 98k, with the same residual;
+# (1, 1) was the fastest of (1, 1), (2, 1), (2, 2) and (4, 4).  Keep RELAX at
+# most PANEL_SIZE: a sweep that set relax above the panel size ended in heap
+# corruption.
+PANEL_SIZE = 1
+RELAX = 1
+
 # eigenvalue _LAM of D^-1 P and its eigenvector _V; _WD = W D^-1, where W is
 # the first row of [V, conj(V)]^-1, so that 2 Re(V_i W_j) = delta_ij
 _LAM = 2.0 + 1j * np.sqrt(2.0)
@@ -106,28 +124,6 @@ _WD = np.array([2.0 - 0.5j * np.sqrt(2.0), -1.0 - 0.5j * np.sqrt(2.0)])
 # On probe slabs moved by several rows per step it needs half the GMRES steps
 # of the least-squares fit.
 _PROJ = np.array([[-1.0, 1.0, -1.0, 1.0], [2.0, 0.0, 2.0, 0.0]])
-
-
-def _rigid_blocks(e1, e2, d, dt, alpha):
-    """``(M_e, N_e)`` of elements with edge vectors ``e1 = x1 - x0``,
-    ``e2 = x2 - x0`` translating by ``d`` over the slab: (ne, 3, 3) each.
-
-    The cross-section does not change in time, so the space-time block is
-    exactly ``P (x) M_e + D (x) N_e`` with the P1 mass ``M_e`` and ``N_e``
-    diffusion minus the mesh-velocity term.
-    """
-    det2 = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]             # 2 * area
-    if np.any(det2 <= 0):
-        raise NumericalError("inverted prism cross-section")
-    # det2 * grad N_a = (gx_a, gy_a): node a's opposite edge turned by -90 degrees
-    gx = np.stack([e1[:, 1] - e2[:, 1], e2[:, 1], -e1[:, 1]], axis=1)    # (ne, 3)
-    gy = np.stack([e2[:, 0] - e1[:, 0], -e2[:, 0], e1[:, 0]], axis=1)
-    m_e = det2[:, None, None] * _M
-    # int N_a d.grad(N_b) = d.(gx_b, gy_b)/6 is the same in every row a
-    n_e = ((0.5 * dt * alpha / det2)[:, None, None]
-           * (gx[:, :, None] * gx[:, None, :] + gy[:, :, None] * gy[:, None, :])
-           - ((d[:, 0, None] * gx + d[:, 1, None] * gy) / 6.0)[:, None, :])
-    return m_e, n_e
 
 
 def _theta_blocks(xo, xn, dt, alpha):
@@ -160,6 +156,86 @@ def _theta_blocks(xo, xn, dt, alpha):
     return ke
 
 
+class SlabPlan:
+    """Run-constant element data on one fixed CSC pattern over ``n`` nodes.
+
+    ``conn`` (m, 3) and ``shapes`` (m, 3, 2) give every element the plan
+    covers and its corner coordinates in a position where it has its true
+    shape; ``zipper`` marks the elements that shear, whose blocks each slab
+    integrates anew.  The other, rigid, elements keep their connectivity and
+    shape in every slab, so their P1 mass ``M_e``, diffusion ``K_e`` and
+    gradients ``G_e`` (each times twice the area) are computed here once.
+
+    The pattern holds the node pairs of the rigid elements and the full
+    diagonal.  A slab's rigid part of ``M' + i N'`` is linear in each
+    element's weight ``w_e`` (1 if active, 0 if not) and displacement
+    ``d_e``: the sum of ``w_e M_e`` and that of
+    ``w_e (dt alpha K_e / 2 - (d_e . G_e) / 6)``.  So ``mass``,
+    ``diffusion``, ``grad_x`` and ``grad_y`` are sparse matrices from the
+    elements to the pattern's data, whose values are the entries of
+    ``M_e``, ``K_e`` and the two components of ``G_e``: each sum is one
+    product with a vector of per-element factors.  The four share one
+    index structure.
+    """
+
+    def __init__(self, n, conn, shapes, zipper):
+        self.n = n
+        self.zipper = np.asarray(zipper, dtype=bool)
+        self.rigid = np.flatnonzero(~self.zipper)
+        rconn = conn[self.rigid]
+        self.rconn = np.ascontiguousarray(rconn.T)                      # (3, r)
+        x = shapes[self.rigid]
+        e1 = x[:, 1] - x[:, 0]
+        e2 = x[:, 2] - x[:, 0]
+        det2 = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]              # 2 * area
+        if np.any(det2 <= 0):
+            raise NumericalError("inverted prism cross-section")
+        # det2 * grad N_a = (gx_a, gy_a): node a's opposite edge turned by -90 degrees
+        gx = np.stack([e1[:, 1] - e2[:, 1], e2[:, 1], -e1[:, 1]], axis=1)    # (r, 3)
+        gy = np.stack([e2[:, 0] - e1[:, 0], -e2[:, 0], e1[:, 0]], axis=1)
+        r = len(self.rigid)
+        # int N_a d.grad(N_b) = d.(gx_b, gy_b)/6 is the same in every row a
+        grads = [np.broadcast_to(g[:, None, :], (r, 3, 3)) for g in (gx, gy)]
+
+        # entry (a, b) of element e sits in row conn[e, a], column conn[e, b]
+        keys = np.concatenate([(np.tile(rconn, (1, 3)) * n + np.repeat(rconn, 3, axis=1)).ravel(),
+                               np.arange(n) * (n + 1)])
+        pairs, slot = np.unique(keys, return_inverse=True)
+        pattern = sp.csc_matrix((np.ones(len(pairs)), pairs % n,
+                                 np.searchsorted(pairs // n, np.arange(n + 1))), shape=(n, n))
+        self.indices, self.indptr = pattern.indices, pattern.indptr
+        self.diag = slot[-n:]
+        # the element entries in the order of their slots, as CSR from the
+        # elements to the pattern's data
+        order = np.argsort(slot[:-n], kind="stable")
+        elem = (order // 9).astype(self.indices.dtype)
+        start = np.searchsorted(slot[:-n][order], np.arange(len(pairs) + 1)).astype(elem.dtype)
+        self.mass, self.diffusion, self.grad_x, self.grad_y = (
+            sp.csr_matrix((np.ravel(v)[order], elem, start), shape=(len(pairs), r))
+            for v in (det2[:, None, None] * _M,
+                      (gx[:, :, None] * gx[:, None, :] + gy[:, :, None] * gy[:, None, :])
+                      / det2[:, None, None],
+                      *grads))
+
+    @classmethod
+    def of_problem(cls, problem):
+        """One-off plan of a bare problem's triangles.  An element is rigid
+        when its node displacements agree to RIGID_TOL of its longest edge;
+        its shape is taken from the old coordinates."""
+        p = problem
+        xo = p.coords_old[p.conn]
+        disp = p.coords_new[p.conn] - xo
+        e1 = xo[:, 1] - xo[:, 0]
+        e2 = xo[:, 2] - xo[:, 0]
+
+        def sq(v):
+            return np.einsum("ei,ei->e", v, v)
+
+        rigid = (np.maximum(sq(disp[:, 1] - disp[:, 0]), sq(disp[:, 2] - disp[:, 0]))
+                 <= RIGID_TOL ** 2 * np.maximum(np.maximum(sq(e1), sq(e2)), sq(e2 - e1)))
+        return cls(len(p.coords_old), p.conn, xo, ~rigid)
+
+
 @dataclass
 class SlabProblem:
     coords_old: np.ndarray            # (n, 2) node positions at t_n
@@ -170,6 +246,10 @@ class SlabProblem:
     t_prev: np.ndarray                # (n,) trace carried over from last slab
     dirichlet_nodes: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
     dirichlet_values: np.ndarray = field(default_factory=lambda: np.empty(0))
+    # the run's plan and the mask of its elements that ``conn`` lists, in
+    # order; without a plan the slab builds a one-off plan of ``conn``
+    plan: SlabPlan | None = None
+    active: np.ndarray | None = None
 
 
 @dataclass
@@ -187,81 +267,82 @@ class SlabOperator:
     The weak residual of the *solved* state, tested with the unconstrained
     functions of boundary nodes, is exactly the consistent boundary flux
     functional used for flux recovery, so the exact operator is kept for
-    the residual methods as well as for GMRES.
+    the residual methods as well as for GMRES.  ``node_active`` marks the
+    nodes of the slab's active elements, the rows that are solved for
+    unless they carry Dirichlet values.
     """
 
     def __init__(self, problem: SlabProblem):
-        self.problem = problem
-        p = problem
-        conn = p.conn
-        self.active_nodes = np.flatnonzero(np.bincount(conn.ravel(),
-                                                       minlength=p.coords_old.shape[0]))
-        n = len(self.active_nodes)
-        self.index = -np.ones(p.coords_old.shape[0], dtype=np.int64)
-        self.index[self.active_nodes] = np.arange(n)
-        lconn = self.index[conn]                      # compact node ids
+        self.problem = p = problem
+        if p.plan is None:
+            plan, active = SlabPlan.of_problem(p), np.ones(len(p.conn), dtype=bool)
+        else:
+            plan, active = p.plan, p.active
+        n = plan.n
+        self.node_active = np.zeros(n, dtype=bool)
+        self.node_active[p.conn] = True
 
-        xo = p.coords_old[conn]                       # (ne, 3, 2)
-        disp = p.coords_new[conn] - xo
-        e1 = xo[:, 1] - xo[:, 0]
-        e2 = xo[:, 2] - xo[:, 0]
-        det2 = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]             # 2 * old area
+        # rigid elements: M' + i N' summed into the plan's pattern, each
+        # element weighted by whether it is active in this slab
+        w = active[plan.rigid].astype(float)
+        rc = plan.rconn
+        dx, dy = ((c[rc[0]] + c[rc[1]] + c[rc[2]]) / 3.0
+                  for c in np.ascontiguousarray((p.coords_new - p.coords_old).T))
+        mass = plan.mass @ w
+        stiff = (plan.diffusion @ ((0.5 * p.dt * p.alpha) * w)
+                 - plan.grad_x @ (w * dx / 6.0) - plan.grad_y @ (w * dy / 6.0))
+        # the jump load: each element's bottom-face mass times t_prev
+        rhs = sp.csc_matrix((mass, plan.indices, plan.indptr), shape=(n, n)) @ p.t_prev
 
-        def sq(v):
-            return np.einsum("ei,ei->e", v, v)
+        # Dirichlet nodes fix both time levels; so do nodes of no active
+        # element, at their previous value
+        idle = ~self.node_active
+        self._fixed = idle.copy()
+        self._fixed[p.dirichlet_nodes] = True
 
-        rigid = (np.maximum(sq(disp[:, 1] - disp[:, 0]), sq(disp[:, 2] - disp[:, 0]))
-                 <= RIGID_TOL ** 2 * np.maximum(np.maximum(sq(e1), sq(e2)), sq(e2 - e1)))
-        shear = ~rigid
-
-        # rigid elements: M_e and N_e in closed form
-        dr = disp[rigid]
-        m_e, n_e = _rigid_blocks(e1[rigid], e2[rigid], (dr[:, 0] + dr[:, 1] + dr[:, 2]) / 3.0,
-                                 p.dt, p.alpha)
-        blocks = [m_e + 1j * n_e]
         # shearing elements: full 6 x 6 blocks from the time quadrature, plus
         # the jump coupling (bottom-face mass on the old coordinates).  Their
-        # fit P (x) X_e + D (x) Y_e joins M and N; the remainder is kept as a
-        # 2n x 2n COO
+        # fit P (x) X_e + D (x) Y_e joins M' and N' as a small COO; the
+        # remainder is kept as a 2n x 2n COO
+        zc = p.conn[plan.zipper[active]]
+        xo = p.coords_old[zc]
+        e1 = xo[:, 1] - xo[:, 0]
+        e2 = xo[:, 2] - xo[:, 0]
+        jump = (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])[:, None, None] * _M
+        ke = _theta_blocks(xo, p.coords_new[zc], p.dt, p.alpha)
+        ke[:, :3, :3] += jump
+        quad = ke.reshape(-1, 2, 3, 2, 3).transpose(0, 2, 4, 1, 3).reshape(-1, 3, 3, 4)
+        x_e, y_e = np.moveaxis(quad @ _PROJ.T, 3, 0)
+        rhs += np.bincount(zc.ravel(), np.einsum("eab,eb->ea", jump, p.t_prev[zc]).ravel(),
+                           minlength=n)
         self._rest = None
-        if shear.any():
-            ke = _theta_blocks(xo[shear], xo[shear] + disp[shear], p.dt, p.alpha)
-            ke[:, :3, :3] += det2[shear, None, None] * _M
-            quad = ke.reshape(-1, 2, 3, 2, 3).transpose(0, 2, 4, 1, 3).reshape(-1, 3, 3, 4)
-            x_e, y_e = np.moveaxis(quad @ _PROJ.T, 3, 0)
-            blocks.append(x_e + 1j * y_e)
+        if len(zc):
             rest = ke - np.kron(_P, x_e) - np.kron(_D, y_e)
-            dof = np.concatenate([lconn[shear], lconn[shear] + n], axis=1)   # (ns, 6)
+            dof = np.concatenate([zc, zc + n], axis=1)                        # (nz, 6)
             self._rest = sp.coo_matrix(
                 (rest.ravel(), (np.repeat(dof, 6, axis=1).ravel(), np.tile(dof, (1, 6)).ravel())),
                 shape=(2 * n, 2 * n))
-        # M' + i N' scattered once on the n x n node pattern
-        cc = np.concatenate([lconn[rigid], lconn[shear]])
-        self._mn = sp.coo_matrix((np.concatenate(blocks).ravel(),
-                                  (np.repeat(cc, 3, axis=1).ravel(), np.tile(cc, (1, 3)).ravel())),
-                                 shape=(n, n)).tocsc()
-        fe = np.einsum("eab,eb->ea", det2[:, None, None] * _M, p.t_prev[conn])
-        self._rhs_raw = np.bincount(lconn.ravel(), fe.ravel(), minlength=2 * n).reshape(2, n)
+        rows, cols = np.repeat(zc, 3, axis=1).ravel(), np.tile(zc, (1, 3)).ravel()
 
-        # Dirichlet nodes fix both time levels; inactive ones are dropped
-        li = self.index[p.dirichlet_nodes]
-        keep = li >= 0
-        self._fixed = np.zeros(n, dtype=bool)
-        self._fixed[li[keep]] = True
+        # Adding the zipper COO to the pattern drops the entries that sum to
+        # zero (those of inactive elements), so neither matrix keeps them
+        self._mn = (sp.csc_matrix((mass + 1j * stiff, plan.indices, plan.indptr), shape=(n, n))
+                    + sp.coo_matrix(((x_e + 1j * y_e).ravel(), (rows, cols)), shape=(n, n)))
+        # lambda M' + N' with identity rows at the fixed nodes, which keeps
+        # those rows out of the LU's fill
+        lhs = _LAM * mass + stiff
+        lhs[self._fixed[plan.indices]] = 0.0
+        lhs[plan.diag[self._fixed]] = 1.0
+        z = _LAM * x_e + y_e
+        z.reshape(-1)[self._fixed[rows]] = 0.0
+        self._lhs = (sp.csc_matrix((lhs, plan.indices, plan.indptr), shape=(n, n))
+                     + sp.coo_matrix((z.ravel(), (rows, cols)), shape=(n, n)))
+
+        self._rhs_raw = np.zeros((2, n))
+        self._rhs_raw[0] = rhs
         self._rhs = self._rhs_raw.copy()
-        self._rhs[:, li[keep]] = np.asarray(p.dirichlet_values)[keep]
-
-        # lambda M' + N' with identity rows at the Dirichlet nodes: those rows
-        # are zeroed on the data array (it holds the row ids of a CSC matrix)
-        # and dropped, which keeps them out of the LU's fill (the drop works
-        # in place, so the index arrays are copied off _mn's)
-        mn = self._mn
-        data = _LAM * mn.data.real + mn.data.imag
-        on = self._fixed[mn.indices]
-        data[on] = 0.0
-        data[on & (mn.indices == np.repeat(np.arange(n), np.diff(mn.indptr)))] = 1.0
-        self._lhs = sp.csc_matrix((data, mn.indices.copy(), mn.indptr.copy()), shape=(n, n))
-        self._lhs.eliminate_zeros()
+        self._rhs[:, p.dirichlet_nodes] = p.dirichlet_values
+        self._rhs[:, idle] = p.t_prev[idle]
 
     # -- exact operator and its preconditioner --------------------------------
 
@@ -332,7 +413,8 @@ class SlabOperator:
             # The pattern is nearly symmetric (only the Dirichlet identity
             # rows break it), so a minimum-degree ordering of A^T + A keeps
             # far less LU fill than the default COLAMD.
-            lu = spla.splu(self._lhs, permc_spec="MMD_AT_PLUS_A")
+            lu = spla.splu(self._lhs, permc_spec="MMD_AT_PLUS_A", panel_size=PANEL_SIZE,
+                           relax=RELAX)
         except RuntimeError as exc:
             raise NumericalError("sparse factorization failed: %s" % exc)
         # Start from the Dirichlet values: the free rows of b - A x are then
@@ -353,18 +435,13 @@ class SlabOperator:
         if not res <= SOLVER_TOL:
             raise NumericalError("slab solve residual %.3e exceeds %.1e after %d refinement "
                                  "passes" % (res, SOLVER_TOL, passes))
-        t_bot = self.problem.t_prev.copy()
-        t_top = self.problem.t_prev.copy()
-        t_bot[self.active_nodes] = x[0]
-        t_top[self.active_nodes] = x[1]
-        return SlabSolution(t_bot, t_top, res, passes)
+        return SlabSolution(x[0], x[1], res, passes)
 
     # -- residual functionals ----------------------------------------------
 
     def unconstrained_residual(self, solution: SlabSolution) -> np.ndarray:
         """Raw weak residual A0 x - b0 of the solved state (length 2n)."""
-        x = np.stack([solution.t_bot[self.active_nodes],
-                      solution.t_top[self.active_nodes]])
+        x = np.stack([solution.t_bot, solution.t_top])
         return (self._apply(x) - self._rhs_raw).ravel()
 
     def node_residual_time_avg(self, solution: SlabSolution, nodes) -> np.ndarray:
@@ -375,11 +452,11 @@ class SlabOperator:
         For nodes on a constrained boundary this equals the weak (variationally
         consistent) boundary flux functional of alpha * dT/dn.
         """
-        r = self.unconstrained_residual(solution)
-        li = self.index[np.asarray(nodes, dtype=np.int64)]
-        if np.any(li < 0):
+        nodes = np.asarray(nodes, dtype=np.int64)
+        if not self.node_active[nodes].all():
             raise ValueError("residual requested at inactive node")
-        return (r[li] + r[li + len(self.active_nodes)]) / self.problem.dt
+        r = self.unconstrained_residual(solution)
+        return (r[nodes] + r[nodes + len(self.node_active)]) / self.problem.dt
 
 
 def solve_slab(problem: SlabProblem) -> SlabSolution:

@@ -118,13 +118,15 @@ def run_cbf_case(h: float = 0.02, dt: float = 0.05, n_steps: int = 20) -> ErrorT
     dir_vals = np.zeros(len(dir_nodes))
     edges = mesh.tagged_edges("right")
     t_prev = np.ones(len(coords))
+    plan = driver.slab_plan(mesh, None)
+    everywhere = np.ones(mesh.n_triangles, dtype=bool)
 
     table = ErrorTable(norm_kind="relative_scalar")
     for i in range(n_steps):
         tic = time.perf_counter()
         prob = SlabProblem(coords, coords, mesh.triangles, dt=dt, alpha=1.0,
                            t_prev=t_prev, dirichlet_nodes=dir_nodes,
-                           dirichlet_values=dir_vals)
+                           dirichlet_values=dir_vals, plan=plan, active=everywhere)
         op = stfem.SlabOperator(prob)
         sol = op.solve()
         t_mid = (i + 0.5) * dt
@@ -161,10 +163,11 @@ def run_meshupdate_case(h: float, velocity: float = 0.005, dt: float = 1.0,
 
     T = exact.copy()
     act = motion.active_elements(mesh, state)
+    plan = driver.slab_plan(mesh, state)
     max_err = 0.0
     for _ in range(n_steps):
         _, _, T, act = driver.slab_step(
-            mesh, state, T, act, velocity * dt, dt=dt, alpha=1.0,
+            mesh, state, T, act, velocity * dt, plan=plan, dt=dt, alpha=1.0,
             dirichlet_nodes=dir_nodes, dirichlet_values=dir_vals, background=exact)
         err = l2_error(mesh.nodes, mesh.triangles[act], T, lambda xy: xy[:, 0])
         max_err = max(max_err, err)

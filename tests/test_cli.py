@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from ccmsim import meshgen, stfem, verify
@@ -85,6 +86,26 @@ def test_run_numerical_failure_exits_3(tmp_path, capsys, monkeypatch):
     assert main(["run", "--config", cfg]) == 3
     assert "numerical failure" in capsys.readouterr().err
     # the aborted state is dumped for post-mortem inspection
+    assert (tmp_path / "out" / "abort_state.vtk").exists()
+
+
+def test_source_leaving_the_active_slab_exits_3(tmp_path, capsys):
+    # the tip is the band's first row, which slides down out of the window
+    # after about one row (five steps): a numerical failure, not a traceback
+    cfg = make_config(tmp_path)
+    mesh = meshgen.make_strip_square(8, n_virt=2)
+    row = mesh.strip.rows[0][np.argsort(mesh.nodes[mesh.strip.rows[0], 0])]
+    mesh.boundary_edges = np.vstack([mesh.boundary_edges, np.column_stack([row[:-1], row[1:]])])
+    mesh.boundary_tags += ["tip"] * (len(row) - 1)
+    save_mesh(mesh, tmp_path / "m.mesh")
+    ini = tmp_path / "case.ini"
+    ini.write_text(ini.read_text().replace("tip_tags = left", "tip_tags = tip")
+                   .replace("path = m.mesh", "path = m.mesh\ndirection = 0,-1")
+                   .replace("n_steps = 3", "n_steps = 10"))
+    assert main(["run", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure: step 4: the source tip left the active slab" in err
+    assert "at displacement 0.146685 m" in err
     assert (tmp_path / "out" / "abort_state.vtk").exists()
 
 

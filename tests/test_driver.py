@@ -1,11 +1,13 @@
 import copy
+import dataclasses
 import logging
 import os
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from ccmsim import driver, meshgen, motion
+from ccmsim import driver, meshgen, motion, stfem
 from ccmsim.cbf import FluxResult, recover_flux
 from ccmsim.driver import RunConfig, load_config, run
 from ccmsim.errors import ConfigError
@@ -250,8 +252,9 @@ def test_toy_run_deterministic(tmp_path):
 @pytest.mark.parametrize("coupling", ["equilibrium", "transient"])
 def test_each_step_builds_one_slab_and_one_mask(tmp_path, monkeypatch, coupling):
     # the active mask is carried from step to step: set-up computes the
-    # first one, then each step computes one after the band moves (even a
-    # zero move from rest) and builds one slab; sensors and snapshots reuse it
+    # first one and the run's one slab plan, then each step computes one
+    # mask after the band moves (even a zero move from rest) and builds one
+    # slab; sensors and snapshots reuse the mask
     events = []
 
     def counted(name, fn):
@@ -261,6 +264,7 @@ def test_each_step_builds_one_slab_and_one_mask(tmp_path, monkeypatch, coupling)
         return wrapper
 
     monkeypatch.setattr(driver, "SlabProblem", counted("slab", driver.SlabProblem))
+    monkeypatch.setattr(stfem.SlabPlan, "__init__", counted("plan", stfem.SlabPlan.__init__))
     monkeypatch.setattr(motion, "active_elements",
                         counted("mask", motion.active_elements))
     cfg = load_config(write_config(tmp_path, _set("source", "coupling", coupling)))
@@ -268,7 +272,69 @@ def test_each_step_builds_one_slab_and_one_mask(tmp_path, monkeypatch, coupling)
     cfg.vtk_every = 2
     cfg.sensors = ((0.85, 0.43),)
     run(cfg)
-    assert events == ["mask"] + ["mask", "slab"] * 4
+    assert events == ["mask", "plan"] + ["mask", "slab"] * 4
+
+
+def seam_band(mesh, state):
+    """Band triangles torn across the ring seam in the current position."""
+    c = mesh.nodes[mesh.triangles, state.axis]
+    band = (state.tri_code == motion.ROLE_CODE["strip"]) | (state.tri_code == motion.ROLE_CODE["virtual"])
+    return band & (np.ptp(c, axis=1) > state.circumference / 2)
+
+
+def assert_same_slab(op, ref):
+    """The plan-built slab ``op`` equals the one-off assembly ``ref`` to 1e-13."""
+    n = op._mn.shape[0]
+    scale = abs(ref._mn).max()
+    assert abs(op._mn - ref._mn).max() <= 1e-13 * scale
+    none = sp.csr_matrix((2 * n, 2 * n))
+    rest = [o._rest if o._rest is not None else none for o in (op, ref)]
+    assert abs(rest[0] - rest[1]).max() <= 1e-13 * scale
+    for a, b in ((op._rhs_raw, ref._rhs_raw), (op._rhs, ref._rhs)):
+        assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("case", ["strip_square", "ramp"])
+def test_run_plan_matches_the_one_off_assembly(tmp_path, monkeypatch, case):
+    # every slab of a run with slips, wrapped rows and active elements of the
+    # band that were torn across the ring seam when the run's plan was built:
+    # assembled from that plan, it equals the slab assembled from its own
+    # geometry (the one-off plan of a bare SlabProblem)
+    if case == "ramp":
+        cfg = dataclasses.replace(load_config(os.path.join(FIXTURE_DIR, "power_3kw.ini")),
+                                  n_steps=30, vtk_every=0, out_dir=str(tmp_path / "out"))
+    else:
+        cfg = load_config(write_config(tmp_path))
+        cfg.n_steps = 20
+    seen = {"slabs": 0, "wrapped": 0, "seam": 0}
+    seams = []
+
+    def init_motion(mesh, direction):
+        state = motion_init(mesh, direction)
+        seams.append(seam_band(mesh, state))
+        return state
+
+    def advance(mesh, state, distance):
+        result = motion_advance(mesh, state, distance)
+        seen["wrapped"] += result.wrapped_nodes.size
+        return result
+
+    def checked(problem):
+        op = stfem.SlabOperator(problem)
+        assert_same_slab(op, stfem.SlabOperator(
+            dataclasses.replace(problem, plan=None, active=None)))
+        seen["slabs"] += 1
+        seen["seam"] += int(problem.active[seams[0]].sum())
+        return op
+
+    motion_init, motion_advance = motion.init_motion, motion.advance
+    monkeypatch.setattr(motion, "init_motion", init_motion)
+    monkeypatch.setattr(motion, "advance", advance)
+    monkeypatch.setattr(driver, "SlabOperator", checked)
+    report = run(cfg)
+    assert seen["slabs"] == cfg.n_steps
+    assert report.records[-1].slip_count >= 3
+    assert seen["wrapped"] > 0 and seen["seam"] > 0
 
 
 def test_run_on_static_mesh(tmp_path):

@@ -1,3 +1,4 @@
+import copy
 from pathlib import Path
 
 import numpy as np
@@ -126,6 +127,28 @@ def test_validate_rejects_interior_edge_tagged():
     m.boundary_tags.append("oops")
     with pytest.raises(MeshFormatError, match="oops"):
         validate_mesh(m)
+
+
+def test_validate_counts_boundary_edges_like_a_loop():
+    # roles and boundary-edge counts against a plain loop over the triangles:
+    # an interior edge (2), an edge only virtual triangles share (0) and a
+    # node pair that is no edge (0); the first wrong edge is the one named
+    m = meshgen.make_strip_square(8)
+    role = [m.region_roles[int(r)] for r in m.tri_region]
+    assert m.tri_role().tolist() == role
+    count = {}
+    for tri, r in zip(m.triangles.tolist(), role):
+        for e in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
+            count[tuple(sorted(e))] = count.get(tuple(sorted(e)), 0) + (r != "virtual")
+    interior = next(e for e, k in count.items() if k == 2)
+    virtual = next(e for e, k in count.items() if k == 0)
+    for pair, k in ((interior, 2), (virtual[::-1], 0), ((0, m.n_nodes - 1), 0)):
+        bad = copy.deepcopy(m)
+        bad.boundary_edges = np.vstack([bad.boundary_edges, pair, interior])
+        bad.boundary_tags += ["first", "second"]
+        with pytest.raises(MeshFormatError, match=r"^boundary edge \(%d,%d\) tag 'first' belongs "
+                           r"to %d non-virtual triangles, expected 1$" % (*pair, k)):
+            validate_mesh(bad)
 
 
 def test_validate_rejects_uneven_strip_rows():

@@ -150,13 +150,16 @@ unit = st.floats(-1.0, 1.0)
 def test_rigid_block_closed_form_matches_time_quadrature(x0, r1, r2, phi, beta, d, dt,
                                                          alpha):
     # a triangle that translates by d keeps its shape, so its space-time block
-    # is exactly P (x) M_e + D (x) N_e; the 2-point rule in time integrates it
-    # exactly too
+    # is exactly P (x) M_e + D (x) N_e, assembled in closed form from its
+    # plan; the 2-point rule in time integrates it exactly too
     e1 = r1 * np.array([np.cos(phi), np.sin(phi)])
     e2 = r2 * np.array([np.cos(phi + beta), np.sin(phi + beta)])
     xo = np.array(x0) + np.array([[0.0, 0.0], e1, e2])
-    m_e, n_e = stfem._rigid_blocks(e1[None], e2[None], np.array([d]), dt, alpha)
-    closed = np.kron(stfem._P, m_e[0]) + np.kron(stfem._D, n_e[0])
+    op = SlabOperator(SlabProblem(xo, xo + np.array(d), np.array([[0, 1, 2]]), dt=dt,
+                                  alpha=alpha, t_prev=np.zeros(3)))
+    assert op._rest is None                              # classified rigid
+    mn = op._mn.toarray()
+    closed = np.kron(stfem._P, mn.real) + np.kron(stfem._D, mn.imag)
     theta = stfem._theta_blocks(xo[None], (xo + np.array(d))[None], dt, alpha)[0]
     theta[:3, :3] += 2.0 * tri_areas(xo, np.array([[0, 1, 2]]))[0] * stfem._M   # jump
     assert np.max(np.abs(closed - theta)) <= 1e-12 * np.max(np.abs(theta))
@@ -188,7 +191,6 @@ def assert_residual_matches_oracle(prob):
     r = op.unconstrained_residual(SlabSolution(t_bot, t_top, 0.0))
     ref = slab_residual(prob.coords_old, prob.coords_new, prob.conn, prob.dt, prob.alpha,
                         prob.t_prev, t_bot, t_top)
-    ref = np.concatenate([ref[op.active_nodes], ref[len(prob.coords_old) + op.active_nodes]])
     assert np.max(np.abs(r - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -258,6 +260,23 @@ def test_residual_norm_measures_the_free_rows(monkeypatch):
     sol = solve_slab(prob)
     assert sol.residual_norm == pytest.approx(free_row_residual(prob, sol), rel=1e-6, abs=0.0)
     assert 1e-10 < sol.residual_norm <= 1e-6
+
+
+def test_residual_norm_ignores_inactive_rows(monkeypatch):
+    # nodes of no active element are fixed rows at their previous value, like
+    # Dirichlet rows: a large value there enters neither the residual nor its
+    # scale, so the reported residual is still the free rows' one
+    rng = np.random.default_rng(10)
+    prob = fix_flanks(band_slab(0.4 / 8)[0], rng.uniform(-1.0, 2.0, 76))
+    idle = np.setdiff1d(np.arange(len(prob.coords_old)), prob.conn)
+    assert idle.size > 0
+    prob.t_prev[idle] = 1e6
+    monkeypatch.setattr(stfem, "REFINE_TOL", 1e-6)
+    monkeypatch.setattr(stfem, "SOLVER_TOL", 1e-6)
+    sol = solve_slab(prob)
+    assert sol.residual_norm == pytest.approx(free_row_residual(prob, sol), rel=1e-6, abs=0.0)
+    assert 1e-10 < sol.residual_norm <= 1e-6
+    npt.assert_array_equal(sol.t_top[idle], 1e6)
 
 
 def test_refinement_cap_is_a_numerical_error(monkeypatch):
@@ -427,8 +446,8 @@ def test_unreachable_solver_tolerance_raises(monkeypatch):
 
 def test_slab_factorization_keeps_fill_low(monkeypatch):
     # the ordering is pinned by the LU fill it leaves on the cooling slab's
-    # complex n x n matrix, not by timing: MMD on A^T + A leaves about 6.2x
-    # nnz(A), the default COLAMD 9.4x
+    # complex n x n matrix, not by timing: with PANEL_SIZE = RELAX = 1, MMD on
+    # A^T + A leaves about 6.2x nnz(A), the default COLAMD 8.8x
     fills = []
     splu = spla.splu
 
