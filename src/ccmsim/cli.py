@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
 
-from . import verify
+from . import meshgen, verify
 from .driver import check_values, load_config, run
 from .errors import ConfigError, NumericalError
 
@@ -72,10 +73,24 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _verify_options(args) -> dict:
+    """The given ``--dt``/``--steps`` as case keywords, after checking them
+    and ``--h``; unset options keep each case's own defaults."""
+    least = meshgen.STRIP_MIN_ROWS if args.case == "meshupdate" else 1
+    try:
+        verify.grid_cells(args.h, least)
+    except ValueError as exc:
+        raise ConfigError(f"--h: {exc}") from exc
+    if args.dt is not None and not (math.isfinite(args.dt) and args.dt > 0.0):
+        raise ConfigError(f"--dt: must be a positive number, got {args.dt:g}")
+    if args.steps is not None and args.steps < 1:
+        raise ConfigError(f"--steps: must be at least 1, got {args.steps}")
+    return {k: v for k, v in (("dt", args.dt), ("n_steps", args.steps)) if v is not None}
+
+
 def _cmd_verify(args) -> int:
+    given = _verify_options(args)
     os.makedirs(args.out, exist_ok=True)
-    # unset options keep each case's own defaults
-    given = {k: v for k, v in (("dt", args.dt), ("n_steps", args.steps)) if v is not None}
     if args.case == "cbf":
         table = verify.run_cbf_case(h=args.h, **given)
         path = os.path.join(args.out, "cbf_errors.csv")

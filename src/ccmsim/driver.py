@@ -30,7 +30,7 @@ from . import motion
 from . import velocity as vel
 from .cbf import recover_flux
 from .errors import ConfigError, NumericalError
-from .mesh import Mesh, MeshFormatError, load_mesh
+from .mesh import Mesh, MeshFormatError, format_rows, load_mesh
 from .stfem import SlabOperator, SlabPlan, SlabProblem
 
 __all__ = [
@@ -336,22 +336,17 @@ def write_vtk(path, coords, conn, temperature, active_mask) -> None:
         f.write("ASCII\n")
         f.write("DATASET UNSTRUCTURED_GRID\n")
         f.write(f"POINTS {n} double\n")
-        for x, y in coords:
-            f.write(f"{x:.17g} {y:.17g} 0\n")
+        f.write(format_rows("%.17g %.17g 0\n", coords))
         f.write(f"CELLS {m} {4 * m}\n")
-        for a, b, c in conn:
-            f.write(f"3 {a} {b} {c}\n")
+        f.write(format_rows("3 %d %d %d\n", conn))
         f.write(f"CELL_TYPES {m}\n")
-        for _ in range(m):
-            f.write("5\n")
+        f.write("5\n" * m)
         f.write(f"POINT_DATA {n}\n")
         f.write("SCALARS temperature double\nLOOKUP_TABLE default\n")
-        for v in temperature:
-            f.write(f"{v:.17g}\n")
+        f.write(format_rows("%.17g\n", temperature))
         f.write(f"CELL_DATA {m}\n")
         f.write("SCALARS active int\nLOOKUP_TABLE default\n")
-        for a in active_mask:
-            f.write(f"{int(a)}\n")
+        f.write(format_rows("%d\n", active_mask))
 
 
 def sample_sensors(mesh: Mesh, active, T: np.ndarray, sensors) -> np.ndarray:

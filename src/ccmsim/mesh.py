@@ -32,7 +32,6 @@ boundaries appear in BOUNDARY — untagged exterior edges carry the natural
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -115,30 +114,39 @@ def tri_areas(coords: np.ndarray, conn: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # file I/O
 
+def format_rows(fmt: str, rows) -> str:
+    """``fmt`` applied to each row of ``rows`` (a 1-D or 2-D array), joined.
+
+    One ``%`` operation over the flattened values; the text is the same as
+    formatting each row on its own.
+    """
+    rows = np.asarray(rows)
+    return (fmt * len(rows)) % tuple(rows.ravel().tolist())
+
+
 def save_mesh(mesh: Mesh, path) -> None:
-    buf = io.StringIO()
-    buf.write("CCMMESH 1\n")
-    buf.write("NODES %d\n" % mesh.n_nodes)
-    for i, (x, y) in enumerate(mesh.nodes):
-        buf.write("%d %.17g %.17g\n" % (i, x, y))
-    buf.write("TRIANGLES %d\n" % mesh.n_triangles)
-    for i in range(mesh.n_triangles):
-        a, b, c = mesh.triangles[i]
-        buf.write("%d %d %d %d %d\n" % (i, a, b, c, mesh.tri_region[i]))
-    buf.write("BOUNDARY %d\n" % len(mesh.boundary_edges))
-    for (a, b), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
-        buf.write("%d %d %s\n" % (a, b, tag))
-    buf.write("REGION_ROLE %d\n" % len(mesh.region_roles))
-    for rid in sorted(mesh.region_roles):
-        buf.write("%d %s\n" % (rid, mesh.region_roles[rid]))
-    if mesh.strip is not None:
-        s = mesh.strip
-        buf.write("STRIP h_row=%.17g rows=%d\n" % (s.h_row, s.n_rows))
-        for k, row in enumerate(s.rows):
-            flag = " V" if s.virtual_rows[k] else ""
-            buf.write("%d%s %s\n" % (k, flag, " ".join(str(int(n)) for n in row)))
     with open(path, "w") as f:
-        f.write(buf.getvalue())
+        f.write("CCMMESH 1\n")
+        f.write("NODES %d\n" % mesh.n_nodes)
+        # node ids ride along as float64, exact below 2**53, and print by %d
+        f.write(format_rows("%d %.17g %.17g\n",
+                            np.column_stack([np.arange(mesh.n_nodes), mesh.nodes])))
+        f.write("TRIANGLES %d\n" % mesh.n_triangles)
+        f.write(format_rows("%d %d %d %d %d\n",
+                            np.column_stack([np.arange(mesh.n_triangles), mesh.triangles,
+                                             mesh.tri_region])))
+        f.write("BOUNDARY %d\n" % len(mesh.boundary_edges))
+        for (a, b), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
+            f.write("%d %d %s\n" % (a, b, tag))
+        f.write("REGION_ROLE %d\n" % len(mesh.region_roles))
+        for rid in sorted(mesh.region_roles):
+            f.write("%d %s\n" % (rid, mesh.region_roles[rid]))
+        if mesh.strip is not None:
+            s = mesh.strip
+            f.write("STRIP h_row=%.17g rows=%d\n" % (s.h_row, s.n_rows))
+            for k, row in enumerate(s.rows):
+                flag = " V" if s.virtual_rows[k] else ""
+                f.write("%d%s %s\n" % (k, flag, " ".join(map(str, row.tolist()))))
 
 
 def _expect(cond, msg):
@@ -146,9 +154,23 @@ def _expect(cond, msg):
         raise MeshFormatError(msg)
 
 
+# one line of the NODES and of the TRIANGLES block, and how a line-by-line
+# reading converts its tokens
+_NODE_ROW = np.dtype([("id", np.int64), ("xy", np.float64, 2)])
+_NODE_TOKENS = (int, float, float)
+_TRIANGLE_ROW = np.dtype([("id", np.int64), ("tri", np.int64, 3), ("region", np.int64)])
+_TRIANGLE_TOKENS = (int,) * 5
+
+
 def load_mesh(path) -> Mesh:
+    """Read and validate a version-1 mesh file.
+
+    The NODES and TRIANGLES blocks are each parsed by one ``np.loadtxt``
+    call.  Only a block that fails is read again one line at a time, to name
+    the offending line.  Line numbers in messages count non-blank lines.
+    """
     with open(path) as f:
-        lines = [ln.strip() for ln in f if ln.strip()]
+        lines = list(filter(None, map(str.strip, f)))
     _expect(lines and lines[0] == "CCMMESH 1", "missing 'CCMMESH 1' header")
     pos = 1
 
@@ -160,26 +182,43 @@ def load_mesh(path) -> Mesh:
         pos += 1
         return int(parts[1])
 
-    try:
-        n = header("NODES")
-        nodes = np.empty((n, 2))
-        for i in range(n):
+    def block(name, row, tokens):
+        """The rows of the next ``<NAME> <count>`` block, of dtype ``row``,
+        with consecutive zero-based ids in the first field."""
+        nonlocal pos
+        count = header(name.upper())
+        if count < 0:
+            raise ValueError("negative dimensions are not allowed")
+        if count == 0:
+            return np.empty(0, row)
+        start = pos
+        error = ValueError("%s block does not parse" % name)
+        try:
+            rows = np.loadtxt(lines[pos:pos + count], dtype=row, comments=None, ndmin=1)
+            if np.array_equal(rows["id"], np.arange(count)):
+                pos += count
+                return rows
+        except ValueError as exc:
+            error = exc
+        # name the first line that fails: a missing line, a wrong column
+        # count or id, or a token that does not convert
+        for i in range(count):
             parts = lines[pos].split()
-            _expect(len(parts) == 3 and int(parts[0]) == i,
-                    "nodes must be consecutive starting at 0 (line %d)" % (pos + 1))
-            nodes[i] = (float(parts[1]), float(parts[2]))
+            _expect(len(parts) == len(tokens) and int(parts[0]) == i,
+                    "%s must be consecutive starting at 0 (line %d)" % (name, pos + 1))
+            for convert, token in zip(tokens, parts):
+                convert(token)
             pos += 1
+        # every line reads one at a time: NumPy rejected a token that Python
+        # accepts (such as "1_0"), so name the block's first line
+        pos = start
+        raise error
 
-        m = header("TRIANGLES")
-        tris = np.empty((m, 3), dtype=np.int64)
-        region = np.empty(m, dtype=np.int64)
-        for i in range(m):
-            parts = lines[pos].split()
-            _expect(len(parts) == 5 and int(parts[0]) == i,
-                    "triangles must be consecutive starting at 0 (line %d)" % (pos + 1))
-            tris[i] = (int(parts[1]), int(parts[2]), int(parts[3]))
-            region[i] = int(parts[4])
-            pos += 1
+    try:
+        nodes = block("nodes", _NODE_ROW, _NODE_TOKENS)["xy"].copy()
+        tri_rows = block("triangles", _TRIANGLE_ROW, _TRIANGLE_TOKENS)
+        tris, region = tri_rows["tri"].copy(), tri_rows["region"].copy()
+        del tri_rows
 
         b = header("BOUNDARY")
         edges = np.empty((b, 2), dtype=np.int64)
@@ -222,7 +261,7 @@ def load_mesh(path) -> Mesh:
                 pos += 1
             strip = StripLayout(h_row, rows, virt)
         _expect(pos == len(lines), "trailing content after line %d" % pos)
-    except (IndexError, ValueError) as exc:
+    except (IndexError, ValueError, OverflowError) as exc:
         if pos >= len(lines):
             raise MeshFormatError("file ends early after line %d" % len(lines)) from exc
         raise MeshFormatError("bad line %d: %r (%s)" % (pos + 1, lines[pos], exc)) from exc

@@ -26,6 +26,7 @@ from .motion import zipper_triangles
 
 STATIC, STRIP, UPDATE, VIRTUAL = 0, 1, 2, 3
 _ROLES = {STATIC: "static", STRIP: "strip", UPDATE: "update", VIRTUAL: "virtual"}
+STRIP_MIN_ROWS = 4      # fewest rows per side of make_strip_square
 
 
 class _Builder:
@@ -143,8 +144,8 @@ def make_strip_square(n: int, n_virt: int = 2) -> Mesh:
     'left' (x=0) and 'right' (x=1) boundary tags.  ``n_virt`` >= 2 ring
     bands start outside the window.
     """
-    if n < 4:
-        raise ValueError("need at least 4 rows")
+    if n < STRIP_MIN_ROWS:
+        raise ValueError("need at least %d rows" % STRIP_MIN_ROWS)
     h = 1.0 / n
     L = n + n_virt
     lines = np.arange(L) * h                 # ring line ordinates (y)

@@ -27,6 +27,7 @@ from .stfem import SlabProblem
 __all__ = [
     "ErrorTable",
     "convergence_rate",
+    "grid_cells",
     "l2_error",
     "meshupdate_convergence",
     "run_cbf_case",
@@ -98,6 +99,16 @@ def l2_error(coords: np.ndarray, conn: np.ndarray, field_values: np.ndarray,
     return math.sqrt(acc)
 
 
+def grid_cells(h: float, least: int = 1) -> int:
+    """Cells per side of the unit square of grid size ``h``, which must be
+    ``1/n`` for a whole ``n >= least``."""
+    n = round(1.0 / h) if math.isfinite(h) and h > 0.0 else 0
+    if n < least or abs(n * h - 1.0) > 1e-12:
+        raise ValueError(f"grid size h must divide the unit square evenly into "
+                         f"n >= {least} cells per side, got {h:g}")
+    return n
+
+
 def run_cbf_case(h: float = 0.02, dt: float = 0.05, n_steps: int = 20) -> ErrorTable:
     """Flux-recovery benchmark on the unit square.
 
@@ -108,10 +119,7 @@ def run_cbf_case(h: float = 0.02, dt: float = 0.05, n_steps: int = 20) -> ErrorT
     the recovered (slab-averaged) flux against the exact series evaluated
     at the slab midpoint t = (i + 1/2) dt.
     """
-    n = round(1.0 / h)
-    if abs(n * h - 1.0) > 1e-12:
-        raise ValueError("grid size h must divide the unit square evenly")
-    mesh = meshgen.make_unit_square(n)
+    mesh = meshgen.make_unit_square(grid_cells(h))
     coords = mesh.nodes
     x = coords[:, 0]
     dir_nodes = np.where(np.isclose(x, 1.0))[0]
@@ -150,10 +158,7 @@ def run_meshupdate_case(h: float, velocity: float = 0.005, dt: float = 1.0,
     recycled and outside nodes.  Returns the largest L2 error over all
     steps, computed on the active elements.
     """
-    n = round(1.0 / h)
-    if abs(n * h - 1.0) > 1e-12:
-        raise ValueError("grid size h must divide the unit square evenly")
-    mesh = meshgen.make_strip_square(n, n_virt=n_virt)
+    mesh = meshgen.make_strip_square(grid_cells(h, meshgen.STRIP_MIN_ROWS), n_virt=n_virt)
     state = motion.init_motion(mesh, (0.0, -1.0))
     exact = mesh.nodes[:, 0].copy()        # T = x; the band moves along y only
     left = np.unique(mesh.tagged_edges("left"))

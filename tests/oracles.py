@@ -6,13 +6,17 @@ secant iteration, a degree-5 quadrature instead of the degree-2 rule), so
 agreement between the two is evidence of correctness rather than a shared
 bug.  Expensive references were run once at high resolution and their
 outputs frozen as literals in the test modules; the functions below are
-cheap enough to run live.
+cheap enough to run live.  The file readers and writers at the end work one
+line at a time, the plain loops that the package's block parser and block
+writers must match byte for byte.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.linalg import solve_banded
+
+from ccmsim.mesh import ROLES, Mesh, MeshFormatError, StripLayout, validate_mesh
 
 
 def cn_cooling(nx: int = 801, dt: float = 5e-5, t_end: float = 0.25):
@@ -153,3 +157,127 @@ def slab_residual(coords_old, coords_new, conn, dt, alpha, t_prev, t_bot, t_top)
         jump = (t_bot[conn] - t_prev[conn]) @ bary
         np.add.at(res, conn, (wq * area * jump)[:, None] * bary[None, :])
     return res
+
+
+# ---------------------------------------------------------------------------
+# line-by-line file I/O, the reference for the block parser and writers
+
+def load_mesh_by_line(path):
+    """Parse a version-1 mesh file one line at a time with ``split``/``int``/
+    ``float``; same checks, messages and result as :func:`ccmsim.mesh.load_mesh`."""
+    def _expect(cond, msg):
+        if not cond:
+            raise MeshFormatError(msg)
+
+    with open(path) as f:
+        lines = [ln.strip() for ln in f if ln.strip()]
+    _expect(lines and lines[0] == "CCMMESH 1", "missing 'CCMMESH 1' header")
+    pos = 1
+
+    def header(name):
+        nonlocal pos
+        parts = lines[pos].split()
+        _expect(len(parts) == 2 and parts[0] == name,
+                "expected '%s <count>' at line %d" % (name, pos + 1))
+        pos += 1
+        return int(parts[1])
+
+    try:
+        n = header("NODES")
+        nodes = np.empty((n, 2))
+        for i in range(n):
+            parts = lines[pos].split()
+            _expect(len(parts) == 3 and int(parts[0]) == i,
+                    "nodes must be consecutive starting at 0 (line %d)" % (pos + 1))
+            nodes[i] = (float(parts[1]), float(parts[2]))
+            pos += 1
+
+        m = header("TRIANGLES")
+        tris = np.empty((m, 3), dtype=np.int64)
+        region = np.empty(m, dtype=np.int64)
+        for i in range(m):
+            parts = lines[pos].split()
+            _expect(len(parts) == 5 and int(parts[0]) == i,
+                    "triangles must be consecutive starting at 0 (line %d)" % (pos + 1))
+            tris[i] = (int(parts[1]), int(parts[2]), int(parts[3]))
+            region[i] = int(parts[4])
+            pos += 1
+
+        b = header("BOUNDARY")
+        edges = np.empty((b, 2), dtype=np.int64)
+        tags = []
+        for i in range(b):
+            parts = lines[pos].split()
+            _expect(len(parts) == 3, "bad BOUNDARY line %d" % (pos + 1))
+            edges[i] = (int(parts[0]), int(parts[1]))
+            tags.append(parts[2])
+            pos += 1
+
+        r = header("REGION_ROLE")
+        roles = {}
+        for i in range(r):
+            parts = lines[pos].split()
+            _expect(len(parts) == 2, "bad REGION_ROLE line %d" % (pos + 1))
+            _expect(parts[1] in ROLES, "unknown role %r" % parts[1])
+            roles[int(parts[0])] = parts[1]
+            pos += 1
+
+        strip = None
+        if pos < len(lines):
+            parts = lines[pos].split()
+            _expect(parts[0] == "STRIP", "expected STRIP section at line %d" % (pos + 1))
+            kv = dict(p.split("=", 1) for p in parts[1:])
+            _expect(set(kv) == {"h_row", "rows"}, "STRIP header needs h_row= and rows=")
+            h_row = float(kv["h_row"])
+            n_rows = int(kv["rows"])
+            pos += 1
+            rows = []
+            virt = np.zeros(n_rows, dtype=bool)
+            for k in range(n_rows):
+                parts = lines[pos].split()
+                _expect(int(parts[0]) == k, "rows must be consecutive (line %d)" % (pos + 1))
+                rest = parts[1:]
+                if rest and rest[0] == "V":
+                    virt[k] = True
+                    rest = rest[1:]
+                rows.append(np.array([int(p) for p in rest], dtype=np.int64))
+                pos += 1
+            strip = StripLayout(h_row, rows, virt)
+        _expect(pos == len(lines), "trailing content after line %d" % pos)
+    except (IndexError, ValueError) as exc:
+        if pos >= len(lines):
+            raise MeshFormatError("file ends early after line %d" % len(lines)) from exc
+        raise MeshFormatError("bad line %d: %r (%s)" % (pos + 1, lines[pos], exc)) from exc
+
+    mesh = Mesh(nodes, tris, region, edges, tags, roles, strip)
+    validate_mesh(mesh)
+    return mesh
+
+
+def write_vtk_by_line(path, coords, conn, temperature, active_mask) -> None:
+    """Legacy-ASCII VTK snapshot written one line at a time; the reference
+    for :func:`ccmsim.driver.write_vtk`."""
+    n = len(coords)
+    m = len(conn)
+    with open(path, "w", encoding="utf-8") as f:
+        f.write("# vtk DataFile Version 3.0\n")
+        f.write("ccmsim snapshot\n")
+        f.write("ASCII\n")
+        f.write("DATASET UNSTRUCTURED_GRID\n")
+        f.write(f"POINTS {n} double\n")
+        for x, y in coords:
+            f.write(f"{x:.17g} {y:.17g} 0\n")
+        f.write(f"CELLS {m} {4 * m}\n")
+        for a, b, c in conn:
+            f.write(f"3 {a} {b} {c}\n")
+        f.write(f"CELL_TYPES {m}\n")
+        for _ in range(m):
+            f.write("5\n")
+        f.write(f"POINT_DATA {n}\n")
+        f.write("SCALARS temperature double\nLOOKUP_TABLE default\n")
+        for v in temperature:
+            f.write(f"{v:.17g}\n")
+        f.write(f"CELL_DATA {m}\n")
+        f.write("SCALARS active int\nLOOKUP_TABLE default\n")
+        for a in active_mask:
+            f.write(f"{int(a)}\n")

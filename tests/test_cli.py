@@ -147,6 +147,28 @@ def test_verify_meshupdate_honours_dt_and_steps(tmp_path):
     assert err == verify.run_meshupdate_case(0.2, dt=7.0, n_steps=2)
 
 
+@pytest.mark.parametrize("case, options, name", [
+    ("cbf", ["--h", "0"], "--h"),
+    ("cbf", ["--h", "-0.1"], "--h"),
+    ("cbf", ["--h", "0.3"], "--h"),
+    ("cbf", ["--h", "nan"], "--h"),
+    ("meshupdate", ["--h", "0"], "--h"),
+    ("meshupdate", ["--h", "0.5"], "--h"),      # the band needs 4 rows
+    ("cbf", ["--h", "0.5", "--dt", "-1"], "--dt"),
+    ("meshupdate", ["--h", "0.25", "--dt", "0"], "--dt"),
+    ("cbf", ["--h", "0.5", "--steps", "0"], "--steps"),
+    ("cbf", ["--h", "0.5", "--steps", "-2"], "--steps"),
+])
+def test_verify_rejects_bad_options_before_the_first_slab(tmp_path, capsys, monkeypatch,
+                                                          case, options, name):
+    def no_slab(*args, **kwargs):
+        raise AssertionError("a slab was built")
+    monkeypatch.setattr(stfem.SlabOperator, "__init__", no_slab)
+    assert main(["verify", case, *options, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {name}: ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_missing_mesh_exits_2(tmp_path, capsys):
     cfg = make_config(tmp_path)
     os.remove(tmp_path / "m.mesh")

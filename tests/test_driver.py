@@ -14,6 +14,7 @@ from ccmsim.errors import ConfigError
 from ccmsim.mesh import load_mesh, save_mesh
 
 from conftest import FIXTURE_DIR
+from oracles import write_vtk_by_line
 
 # toy materials chosen so the equilibrium velocity has a hand-checkable
 # closed form: h_m_star = 1 + 1 * 0.5 = 1.5 and
@@ -236,6 +237,21 @@ def test_toy_run_vtk_snapshots(toy_report):
     active = np.array(lines[i_a + 2:i_a + 2 + m], dtype=int)
     assert set(np.unique(active)) <= {0, 1}
     assert 0 < active.sum() < m                  # virtual rows stay inactive
+
+
+def test_vtk_writer_matches_the_line_writer(tmp_path):
+    # a slid band (inactive virtual and wrapped cells), a NaN, a negative
+    # zero and values that need all 17 digits
+    mesh = meshgen.make_strip_square(8)
+    state = motion.init_motion(mesh, (0.0, -1.0))
+    motion.advance(mesh, state, 0.37 / 8)
+    active = motion.active_elements(mesh, state)
+    T = np.random.default_rng(7).normal(size=mesh.n_nodes) * 1e3
+    T[[3, 5]] = np.nan, -0.0
+    assert 0 < active.sum() < mesh.n_triangles
+    driver.write_vtk(tmp_path / "blocks.vtk", mesh.nodes, mesh.triangles, T, active)
+    write_vtk_by_line(tmp_path / "lines.vtk", mesh.nodes, mesh.triangles, T, active)
+    assert (tmp_path / "blocks.vtk").read_bytes() == (tmp_path / "lines.vtk").read_bytes()
 
 
 def test_toy_run_deterministic(tmp_path):

@@ -1,9 +1,13 @@
 import copy
+import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccmsim import meshgen
 from ccmsim.driver import sample_sensors
@@ -17,6 +21,7 @@ from ccmsim.mesh import (
 )
 
 from conftest import _BUILDERS, FIXTURE_DIR
+from oracles import load_mesh_by_line
 
 
 def test_unit_square_counts_and_tags():
@@ -212,3 +217,120 @@ def test_fixture_mesh_matches_its_builder(tmp_path, name):
     # the committed fixture is exactly what its generator writes today
     save_mesh(_BUILDERS[name](), tmp_path / name)
     assert (tmp_path / name).read_bytes() == Path(FIXTURE_DIR, name).read_bytes()
+
+
+def assert_same_mesh(a, b):
+    # bitwise: equal dtypes, shapes and values (NaN-free meshes)
+    for name in ("nodes", "triangles", "tri_region", "boundary_edges"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.shape == y.shape, name
+        assert x.tobytes() == y.tobytes(), name
+    assert a.boundary_tags == b.boundary_tags
+    assert a.region_roles == b.region_roles
+    assert (a.strip is None) == (b.strip is None)
+    if a.strip is not None:
+        assert a.strip.h_row == b.strip.h_row
+        assert a.strip.virtual_rows.tobytes() == b.strip.virtual_rows.tobytes()
+        assert len(a.strip.rows) == len(b.strip.rows)
+        for x, y in zip(a.strip.rows, b.strip.rows):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(_BUILDERS))
+def test_block_parser_matches_the_line_reader(tmp_path, fixture_dir, name):
+    path = Path(fixture_dir, name)
+    mesh = load_mesh(path)
+    assert_same_mesh(mesh, load_mesh_by_line(path))
+    save_mesh(mesh, tmp_path / name)
+    assert (tmp_path / name).read_bytes() == path.read_bytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(4, 12), strip=st.booleans(), n_virt=st.integers(2, 4),
+       scale=st.floats(0.01, 100.0), shift=st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)))
+def test_block_parser_matches_the_line_reader_on_drawn_meshes(n, strip, n_virt, scale, shift):
+    # an affine map keeps the mesh valid and gives coordinates of arbitrary bits
+    mesh = meshgen.make_strip_square(n, n_virt=n_virt) if strip else meshgen.make_unit_square(n)
+    mesh.nodes = mesh.nodes * scale + np.array(shift)
+    if mesh.strip is not None:
+        mesh.strip.h_row *= scale
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "drawn.mesh")
+        save_mesh(mesh, path)
+        loaded = load_mesh(path)
+        assert_same_mesh(loaded, load_mesh_by_line(path))
+        assert_same_mesh(loaded, mesh)
+
+
+def corrupt(tmp_path, edit):
+    """make_unit_square(3) written with ``edit`` applied to its lines.
+
+    File line 19 holds ``TRIANGLES 18``, so triangle k is on line 20 + k;
+    ``lines[i]`` is file line i + 1.
+    """
+    save_mesh(meshgen.make_unit_square(3), tmp_path / "ok.mesh")
+    lines = (tmp_path / "ok.mesh").read_text().splitlines()
+    assert lines[18] == "TRIANGLES 18"
+    edit(lines)
+    (tmp_path / "bad.mesh").write_text("\n".join(lines) + "\n")
+    return tmp_path / "bad.mesh"
+
+
+def _set(line, text):
+    def edit(lines):
+        lines[line - 1] = text
+    return edit
+
+
+def _cut(first, last=None):
+    def edit(lines):
+        del lines[first - 1:last]
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    # the 5th TRIANGLES line has a token that is no integer
+    (_set(24, "4 5 x 6 0"), r"^bad line 24: '4 5 x 6 0' \(invalid literal"),
+    # a NODES line with a fourth column
+    (_set(5, "2 0.5 0 7"), r"^nodes must be consecutive starting at 0 \(line 5\)$"),
+    # triangle ids jump from 3 to 5 in mid-block
+    (_set(24, "5 5 9 6 0"), r"^triangles must be consecutive starting at 0 \(line 24\)$"),
+    # a float where the id should be: int() and NumPy both refuse it
+    (_set(24, "4.0 5 9 6 0"), r"^bad line 24: '4.0 5 9 6 0' \(invalid literal"),
+    # the file ends after the 5th triangle
+    (_cut(25), r"^file ends early after line 24$"),
+    # the block runs into the next header after the 5th triangle
+    (_cut(25, 37), r"^triangles must be consecutive starting at 0 \(line 25\)$"),
+    (_set(19, "TRIANGLES -1"), r"^bad line 20: '0 0 4 5 0' \(negative dimensions"),
+], ids=["non-numeric", "nodes-4-columns", "id-jump", "float-id", "truncated", "short-block",
+        "negative-count"])
+def test_bad_line_inside_a_block_is_named(tmp_path, edit, message):
+    path = corrupt(tmp_path, edit)
+    with pytest.raises(MeshFormatError, match=message) as new:
+        load_mesh(path)
+    with pytest.raises(MeshFormatError) as old:
+        load_mesh_by_line(path)
+    assert str(new.value) == str(old.value)
+
+
+def test_blank_lines_inside_a_block_are_skipped(tmp_path):
+    def edit(lines):
+        lines.insert(23, "")
+        lines.insert(3, "   \t")
+    assert_same_mesh(load_mesh(corrupt(tmp_path, edit)), meshgen.make_unit_square(3))
+
+
+def test_token_only_python_reads_names_the_block(tmp_path):
+    # Python's float() takes "0.6_666..."; NumPy does not, so the block's
+    # first line is named with NumPy's message
+    path = corrupt(tmp_path, _set(5, "2 0 0.6_6666666666666663"))
+    assert_same_mesh(load_mesh_by_line(path), meshgen.make_unit_square(3))
+    with pytest.raises(MeshFormatError, match=r"^bad line 3: '0 0 0' \(.*'0.6_6"):
+        load_mesh(path)
+
+
+def test_integer_too_large_is_a_bad_line(tmp_path):
+    # int() reads it, but it does not fit the int64 edge array
+    path = corrupt(tmp_path, _set(39, "99999999999999999999 1 bottom"))
+    with pytest.raises(MeshFormatError, match=r"^bad line 39: '99999999999999999999 1 bottom'"):
+        load_mesh(path)

@@ -54,15 +54,6 @@ def test_integrate_nodal_linear_exact():
     assert integrate_nodal(mesh.nodes, mesh.triangles, v) == pytest.approx(3.0, abs=1e-13)
 
 
-def assert_matches_real_slab_solve(prob):
-    sol = solve_slab(prob)
-    t_bot, t_top = real_slab_solve(prob)
-    scale = max(np.max(np.abs(t_bot)), np.max(np.abs(t_top)))
-    assert np.max(np.abs(sol.t_bot - t_bot)) <= 1e-10 * scale
-    assert np.max(np.abs(sol.t_top - t_top)) <= 1e-10 * scale
-    assert free_row_residual(prob, sol) <= 1e-12
-
-
 @settings(max_examples=20, deadline=None)
 @given(**slab_draws)
 def test_conservation_insulated(n, frac, dt, alpha, seed):
@@ -91,15 +82,6 @@ def test_linear_exactness_static():
     sol = solve_slab(prob)
     npt.assert_allclose(sol.t_top, exact, atol=5e-13)
     npt.assert_allclose(sol.t_bot, exact, atol=5e-13)       # zero jump
-
-
-def assert_matches_real_slab_solve(prob):
-    sol = solve_slab(prob)
-    t_bot, t_top = real_slab_solve(prob)
-    scale = max(np.max(np.abs(t_bot)), np.max(np.abs(t_top)))
-    assert np.max(np.abs(sol.t_bot - t_bot)) <= 1e-10 * scale
-    assert np.max(np.abs(sol.t_top - t_top)) <= 1e-10 * scale
-    assert free_row_residual(prob, sol) <= 1e-12
 
 
 @settings(max_examples=20, deadline=None)
