@@ -587,6 +587,8 @@ def run(config: RunConfig) -> RunReport:
                           mesh.nodes, mesh.triangles, T, act)
 
             U = U_next
+            # let this step's slab go before the next one is assembled
+            op = sol = fr = None
     except Exception:
         log.error("run aborted at step %d; writing state dump", step)
         try:

@@ -167,18 +167,29 @@ def load_mesh(path) -> Mesh:
 
     The NODES and TRIANGLES blocks are each parsed by one ``np.loadtxt``
     call.  Only a block that fails is read again one line at a time, to name
-    the offending line.  Line numbers in messages count non-blank lines.
+    the offending line.  Messages name lines by their number in the file,
+    blank lines included.
     """
     with open(path) as f:
-        lines = list(filter(None, map(str.strip, f)))
+        stripped = list(map(str.strip, f))
+    lines = list(filter(None, stripped))     # blank lines are skipped
     _expect(lines and lines[0] == "CCMMESH 1", "missing 'CCMMESH 1' header")
     pos = 1
+
+    def line_no(k):
+        """Number in the file of ``lines[k]``."""
+        return [i for i, text in enumerate(stripped, 1) if text][k]
+
+    def expect(cond, k, fmt, *args):
+        """Raise ``fmt % (*args, number in the file of lines[k])`` unless ``cond``."""
+        if not cond:
+            raise MeshFormatError(fmt % (*args, line_no(k)))
 
     def header(name):
         nonlocal pos
         parts = lines[pos].split()
-        _expect(len(parts) == 2 and parts[0] == name,
-                "expected '%s <count>' at line %d" % (name, pos + 1))
+        expect(len(parts) == 2 and parts[0] == name, pos, "expected '%s <count>' at line %d",
+               name)
         pos += 1
         return int(parts[1])
 
@@ -204,8 +215,8 @@ def load_mesh(path) -> Mesh:
         # count or id, or a token that does not convert
         for i in range(count):
             parts = lines[pos].split()
-            _expect(len(parts) == len(tokens) and int(parts[0]) == i,
-                    "%s must be consecutive starting at 0 (line %d)" % (name, pos + 1))
+            expect(len(parts) == len(tokens) and int(parts[0]) == i, pos,
+                   "%s must be consecutive starting at 0 (line %d)", name)
             for convert, token in zip(tokens, parts):
                 convert(token)
             pos += 1
@@ -225,7 +236,7 @@ def load_mesh(path) -> Mesh:
         tags = []
         for i in range(b):
             parts = lines[pos].split()
-            _expect(len(parts) == 3, "bad BOUNDARY line %d" % (pos + 1))
+            expect(len(parts) == 3, pos, "bad BOUNDARY line %d")
             edges[i] = (int(parts[0]), int(parts[1]))
             tags.append(parts[2])
             pos += 1
@@ -234,7 +245,7 @@ def load_mesh(path) -> Mesh:
         roles = {}
         for i in range(r):
             parts = lines[pos].split()
-            _expect(len(parts) == 2, "bad REGION_ROLE line %d" % (pos + 1))
+            expect(len(parts) == 2, pos, "bad REGION_ROLE line %d")
             _expect(parts[1] in ROLES, "unknown role %r" % parts[1])
             roles[int(parts[0])] = parts[1]
             pos += 1
@@ -242,7 +253,7 @@ def load_mesh(path) -> Mesh:
         strip = None
         if pos < len(lines):
             parts = lines[pos].split()
-            _expect(parts[0] == "STRIP", "expected STRIP section at line %d" % (pos + 1))
+            expect(parts[0] == "STRIP", pos, "expected STRIP section at line %d")
             kv = dict(p.split("=", 1) for p in parts[1:])
             _expect(set(kv) == {"h_row", "rows"}, "STRIP header needs h_row= and rows=")
             h_row = float(kv["h_row"])
@@ -252,7 +263,7 @@ def load_mesh(path) -> Mesh:
             virt = np.zeros(n_rows, dtype=bool)
             for k in range(n_rows):
                 parts = lines[pos].split()
-                _expect(int(parts[0]) == k, "rows must be consecutive (line %d)" % (pos + 1))
+                expect(int(parts[0]) == k, pos, "rows must be consecutive (line %d)")
                 rest = parts[1:]
                 if rest and rest[0] == "V":
                     virt[k] = True
@@ -260,11 +271,11 @@ def load_mesh(path) -> Mesh:
                 rows.append(np.array([int(p) for p in rest], dtype=np.int64))
                 pos += 1
             strip = StripLayout(h_row, rows, virt)
-        _expect(pos == len(lines), "trailing content after line %d" % pos)
+        expect(pos == len(lines), pos - 1, "trailing content after line %d")
     except (IndexError, ValueError, OverflowError) as exc:
         if pos >= len(lines):
-            raise MeshFormatError("file ends early after line %d" % len(lines)) from exc
-        raise MeshFormatError("bad line %d: %r (%s)" % (pos + 1, lines[pos], exc)) from exc
+            raise MeshFormatError("file ends early after line %d" % line_no(-1)) from exc
+        raise MeshFormatError("bad line %d: %r (%s)" % (line_no(pos), lines[pos], exc)) from exc
 
     mesh = Mesh(nodes, tris, region, edges, tags, roles, strip)
     validate_mesh(mesh)

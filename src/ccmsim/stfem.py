@@ -58,6 +58,18 @@ started from a zero correction and not restarted, whose residual is the
 true slab residual.  (Plain iterative refinement ``x += K^-1 (b - A x)``
 contracts more slowly the further a step shears the zipper; GMRES does not
 depend on that contraction.)
+
+The run's plan holds its last LU together with the structure of the slab
+it was made for: the active-element mask, the zipper connectivity and the
+fixed (Dirichlet or idle) nodes.  Between two slips the band only
+translates, so consecutive slabs keep that structure and only the values
+of ``lambda M' + N'`` change (the band's displacement, the zipper's
+shear).  Such a slab is not factored: the held LU preconditions GMRES,
+which corrects the changed values as it corrects the zipper remainder.  A
+slab of another structure frees the held LU before it is assembled and is
+factored anew, and so is a slab whose GMRES does not converge with the held
+LU.  A bare :class:`SlabProblem` has a one-off plan, so it is always
+factored.
 """
 
 from __future__ import annotations
@@ -76,6 +88,12 @@ _M = (np.ones((3, 3)) + np.eye(3)) / 24.0
 # two-point Gauss in the time direction on [0, 1]
 _TH_PTS = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
 _TH_W = np.array([0.5, 0.5])
+# per Gauss point, with l the values of the two time levels' shape functions:
+# the products l_r l_s (flattened), and the time derivative block of the 6
+# basis functions [bot x 3, top x 3]
+_TH_LEVELS = np.stack([1.0 - _TH_PTS, _TH_PTS], axis=1)
+_TH_LL = np.einsum("qr,qs->qrs", _TH_LEVELS, _TH_LEVELS).reshape(2, 4)
+_TH_DERIV = np.stack([np.kron(np.outer(lsh, [-1.0, 1.0]), _M) for lsh in _TH_LEVELS])
 
 _DN = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])  # d(shape)/d(xi, eta)
 
@@ -131,28 +149,31 @@ def _theta_blocks(xo, xn, dt, alpha):
 
     The inverse Jacobian makes the integrand rational in time, so time is
     integrated by 2-point Gauss; the spatial integrals at each time point
-    are exact.
+    are exact.  Both points are evaluated at once, on arrays whose leading
+    axis is the point.  At a point where the two time levels' shape
+    functions take the values l, the gradient of basis function (level r,
+    node a) is l_r grad N_a, so diffusion and mesh velocity together form
+    ``kron(l l^T, S)`` with one 3 x 3 matrix S per element.
     """
+    ne = len(xo)
     mdx = np.einsum("ab,ebi->eai", _M, xn - xo)   # integrals of N_a * (xn - xo)
-    ke = np.zeros((len(xo), 6, 6))
-    for th, wth in zip(_TH_PTS, _TH_W):
-        lsh = np.array([1.0 - th, th])
-        a2 = np.einsum("eai,aj->eij", (1.0 - th) * xo + th * xn, _DN)
-        det2 = a2[:, 0, 0] * a2[:, 1, 1] - a2[:, 0, 1] * a2[:, 1, 0]
-        if np.any(det2 <= 0):
-            raise NumericalError("inverted prism cross-section")
-        invt = np.moveaxis(np.array([[a2[:, 1, 1], -a2[:, 1, 0]],
-                                     [-a2[:, 0, 1], a2[:, 0, 0]]]), 2, 0)
-        invt /= det2[:, None, None]                        # inv(a2)^T
-        # gradients of the 6 basis functions [bot x 3, top x 3]
-        g = np.einsum("eij,aj->eia", invt, _DN)            # (ne, 2, 3)
-        gx = np.concatenate([g * lsh[0], g * lsh[1]], axis=2)
-        adv = np.einsum("eai,eic->eac", mdx, gx)           # (ne, 3, 6)
-        # time derivative (its 1/dt cancels the dt of the measure), mesh velocity, diffusion
-        ke += (wth * det2)[:, None, None] * (
-            np.kron(np.outer(lsh, [-1.0, 1.0]), _M)
-            - np.concatenate([lsh[0] * adv, lsh[1] * adv], axis=1)
-            + 0.5 * dt * alpha * np.einsum("eib,eic->ebc", gx, gx))
+    th = _TH_PTS[:, None, None, None]
+    a2 = np.swapaxes((1.0 - th) * xo + th * xn, 2, 3) @ _DN              # (2, ne, 2, 2)
+    det2 = a2[..., 0, 0] * a2[..., 1, 1] - a2[..., 0, 1] * a2[..., 1, 0]
+    if np.any(det2 <= 0):
+        raise NumericalError("inverted prism cross-section")
+    invt = np.stack([a2[..., 1, 1], -a2[..., 1, 0], -a2[..., 0, 1], a2[..., 0, 0]],
+                    axis=-1).reshape(2, ne, 2, 2)
+    invt /= det2[..., None, None]                                      # inv(a2)^T
+    g = invt @ _DN.T                                                   # (2, ne, 2, 3)
+    # diffusion minus mesh velocity, each point weighted by its measure
+    wdet = _TH_W[:, None] * det2
+    s = 0.5 * dt * alpha * (np.swapaxes(g, 2, 3) @ g) - mdx @ g        # (2, ne, 3, 3)
+    s *= wdet[..., None, None]
+    ke = (_TH_LL.T @ s.reshape(2, -1)).reshape(2, 2, ne, 3, 3)
+    ke = ke.transpose(2, 0, 3, 1, 4).reshape(ne, 6, 6)
+    # the time derivative (its 1/dt cancels the dt of the measure)
+    ke += (wdet.T @ _TH_DERIV.reshape(2, 36)).reshape(ne, 6, 6)
     return ke
 
 
@@ -166,9 +187,9 @@ class SlabPlan:
     shape in every slab, so their P1 mass ``M_e``, diffusion ``K_e`` and
     gradients ``G_e`` (each times twice the area) are computed here once.
 
-    The pattern holds the node pairs of the rigid elements and the full
-    diagonal.  A slab's rigid part of ``M' + i N'`` is linear in each
-    element's weight ``w_e`` (1 if active, 0 if not) and displacement
+    The pattern holds the node pairs of the rigid elements.  A slab's rigid
+    part of ``M' + i N'`` is linear in each element's weight ``w_e`` (1 if
+    active, 0 if not) and displacement
     ``d_e``: the sum of ``w_e M_e`` and that of
     ``w_e (dt alpha K_e / 2 - (d_e . G_e) / 6)``.  So ``mass``,
     ``diffusion``, ``grad_x`` and ``grad_y`` are sparse matrices from the
@@ -176,10 +197,16 @@ class SlabPlan:
     ``M_e``, ``K_e`` and the two components of ``G_e``: each sum is one
     product with a vector of per-element factors.  The four share one
     index structure.
+
+    The plan also holds the run's last LU of ``lambda M' + N'`` in ``lu``,
+    and in ``lu_structure`` the structure of the slab it was made for: its
+    active-element mask, zipper connectivity and fixed nodes (see
+    :meth:`SlabOperator.solve`).
     """
 
     def __init__(self, n, conn, shapes, zipper):
         self.n = n
+        self.lu = self.lu_structure = None
         self.zipper = np.asarray(zipper, dtype=bool)
         self.rigid = np.flatnonzero(~self.zipper)
         rconn = conn[self.rigid]
@@ -198,18 +225,16 @@ class SlabPlan:
         grads = [np.broadcast_to(g[:, None, :], (r, 3, 3)) for g in (gx, gy)]
 
         # entry (a, b) of element e sits in row conn[e, a], column conn[e, b]
-        keys = np.concatenate([(np.tile(rconn, (1, 3)) * n + np.repeat(rconn, 3, axis=1)).ravel(),
-                               np.arange(n) * (n + 1)])
+        keys = (np.tile(rconn, (1, 3)) * n + np.repeat(rconn, 3, axis=1)).ravel()
         pairs, slot = np.unique(keys, return_inverse=True)
         pattern = sp.csc_matrix((np.ones(len(pairs)), pairs % n,
                                  np.searchsorted(pairs // n, np.arange(n + 1))), shape=(n, n))
         self.indices, self.indptr = pattern.indices, pattern.indptr
-        self.diag = slot[-n:]
         # the element entries in the order of their slots, as CSR from the
         # elements to the pattern's data
-        order = np.argsort(slot[:-n], kind="stable")
+        order = np.argsort(slot, kind="stable")
         elem = (order // 9).astype(self.indices.dtype)
-        start = np.searchsorted(slot[:-n][order], np.arange(len(pairs) + 1)).astype(elem.dtype)
+        start = np.searchsorted(slot[order], np.arange(len(pairs) + 1)).astype(elem.dtype)
         self.mass, self.diffusion, self.grad_x, self.grad_y = (
             sp.csr_matrix((np.ravel(v)[order], elem, start), shape=(len(pairs), r))
             for v in (det2[:, None, None] * _M,
@@ -258,6 +283,7 @@ class SlabSolution:
     t_top: np.ndarray                 # (n,) trace at t_n + dt
     residual_norm: float              # relative free-row residual, see SOLVER_TOL
     refinements: int = 0              # GMRES steps after the first solve
+    factored: bool = True             # False: solved with the plan's held LU
 
 
 class SlabOperator:
@@ -278,9 +304,22 @@ class SlabOperator:
             plan, active = SlabPlan.of_problem(p), np.ones(len(p.conn), dtype=bool)
         else:
             plan, active = p.plan, p.active
+        self._plan = plan
         n = plan.n
         self.node_active = np.zeros(n, dtype=bool)
         self.node_active[p.conn] = True
+
+        # Dirichlet nodes fix both time levels; so do nodes of no active
+        # element, at their previous value
+        idle = ~self.node_active
+        self._fixed = idle.copy()
+        self._fixed[p.dirichlet_nodes] = True
+        zc = p.conn[plan.zipper[active]]
+        self._structure = (active.copy(), zc, self._fixed)
+        if not self._holds_factor():
+            # free the factor of another structure before this slab's
+            # assembly and factorization need the memory
+            plan.lu = plan.lu_structure = None
 
         # rigid elements: M' + i N' summed into the plan's pattern, each
         # element weighted by whether it is active in this slab
@@ -294,17 +333,10 @@ class SlabOperator:
         # the jump load: each element's bottom-face mass times t_prev
         rhs = sp.csc_matrix((mass, plan.indices, plan.indptr), shape=(n, n)) @ p.t_prev
 
-        # Dirichlet nodes fix both time levels; so do nodes of no active
-        # element, at their previous value
-        idle = ~self.node_active
-        self._fixed = idle.copy()
-        self._fixed[p.dirichlet_nodes] = True
-
         # shearing elements: full 6 x 6 blocks from the time quadrature, plus
         # the jump coupling (bottom-face mass on the old coordinates).  Their
         # fit P (x) X_e + D (x) Y_e joins M' and N' as a small COO; the
         # remainder is kept as a 2n x 2n COO
-        zc = p.conn[plan.zipper[active]]
         xo = p.coords_old[zc]
         e1 = xo[:, 1] - xo[:, 0]
         e2 = xo[:, 2] - xo[:, 0]
@@ -325,24 +357,45 @@ class SlabOperator:
         rows, cols = np.repeat(zc, 3, axis=1).ravel(), np.tile(zc, (1, 3)).ravel()
 
         # Adding the zipper COO to the pattern drops the entries that sum to
-        # zero (those of inactive elements), so neither matrix keeps them
+        # zero (those of inactive elements)
         self._mn = (sp.csc_matrix((mass + 1j * stiff, plan.indices, plan.indptr), shape=(n, n))
                     + sp.coo_matrix(((x_e + 1j * y_e).ravel(), (rows, cols)), shape=(n, n)))
-        # lambda M' + N' with identity rows at the fixed nodes, which keeps
-        # those rows out of the LU's fill
-        lhs = _LAM * mass + stiff
-        lhs[self._fixed[plan.indices]] = 0.0
-        lhs[plan.diag[self._fixed]] = 1.0
-        z = _LAM * x_e + y_e
-        z.reshape(-1)[self._fixed[rows]] = 0.0
-        self._lhs = (sp.csc_matrix((lhs, plan.indices, plan.indptr), shape=(n, n))
-                     + sp.coo_matrix((z.ravel(), (rows, cols)), shape=(n, n)))
 
         self._rhs_raw = np.zeros((2, n))
         self._rhs_raw[0] = rhs
         self._rhs = self._rhs_raw.copy()
         self._rhs[:, p.dirichlet_nodes] = p.dirichlet_values
         self._rhs[:, idle] = p.t_prev[idle]
+
+    # -- the factor -----------------------------------------------------------
+
+    def _holds_factor(self):
+        """Whether the plan's LU was made for a slab of this one's structure."""
+        held = self._plan.lu_structure
+        return held is not None and all(
+            np.array_equal(a, b) for a, b in zip(held, self._structure))
+
+    def _lhs(self):
+        """``lambda M' + N'`` with identity rows at the fixed nodes, which
+        keeps those rows out of the LU's fill."""
+        a = self._mn.copy()
+        a.data = _LAM * a.data.real + a.data.imag
+        a.data[self._fixed[a.indices]] = 0.0
+        return a + sp.diags(self._fixed.astype(float), format="csc")
+
+    def _factor(self):
+        """Factor this slab's ``lambda M' + N'`` and hold the LU in the plan."""
+        plan = self._plan
+        plan.lu = plan.lu_structure = None          # freed before the new one is made
+        try:
+            # The pattern is nearly symmetric (only the Dirichlet identity
+            # rows break it), so a minimum-degree ordering of A^T + A keeps
+            # far less LU fill than the default COLAMD.
+            plan.lu = spla.splu(self._lhs(), permc_spec="MMD_AT_PLUS_A",
+                                panel_size=PANEL_SIZE, relax=RELAX)
+        except RuntimeError as exc:
+            raise NumericalError("sparse factorization failed: %s" % exc)
+        plan.lu_structure = self._structure
 
     # -- exact operator and its preconditioner --------------------------------
 
@@ -373,7 +426,8 @@ class SlabOperator:
         preconditioned with the LU, from ``u = 0`` and without restarts.
 
         Stops once the Arnoldi estimate of ``|r - A u|`` is at most ``tol`` or
-        after MAX_REFINEMENTS steps; returns ``u`` and the number of steps.
+        after MAX_REFINEMENTS steps; returns ``u``, the number of steps and
+        whether the estimate reached ``tol``.
         """
         m = MAX_REFINEMENTS
         h = np.zeros((m + 1, m))                  # Hessenberg matrix, rotated to R
@@ -404,38 +458,49 @@ class SlabOperator:
             y = np.linalg.solve(h[:k, :k], g[:k])
             for yj, zj in zip(y, z):
                 u += yj * zj
-        return u, k
+        return u, k, abs(g[k]) <= tol
 
     # -- solve ---------------------------------------------------------------
 
     def solve(self) -> SlabSolution:
-        try:
-            # The pattern is nearly symmetric (only the Dirichlet identity
-            # rows break it), so a minimum-degree ordering of A^T + A keeps
-            # far less LU fill than the default COLAMD.
-            lu = spla.splu(self._lhs, permc_spec="MMD_AT_PLUS_A", panel_size=PANEL_SIZE,
-                           relax=RELAX)
-        except RuntimeError as exc:
-            raise NumericalError("sparse factorization failed: %s" % exc)
+        """Solve with the plan's LU if it was made for a slab of this
+        structure (see the module docstring), else with a new one.
+
+        If GMRES with the held LU does not reach REFINE_TOL, or its result
+        misses SOLVER_TOL, the slab is factored and solved anew.
+        """
+        if self._holds_factor():
+            x, res, passes, reached = self._solve_with(self._plan.lu)
+            if reached and res <= SOLVER_TOL:
+                return SlabSolution(x[0], x[1], res, passes, factored=False)
+        self._factor()
+        x, res, passes, _ = self._solve_with(self._plan.lu)
+        if not res <= SOLVER_TOL:
+            raise NumericalError("slab solve residual %.3e exceeds %.1e after %d refinement "
+                                 "passes" % (res, SOLVER_TOL, passes))
+        return SlabSolution(x[0], x[1], res, passes)
+
+    def _solve_with(self, lu):
+        """First solve with ``lu``, corrected by GMRES on the exact slab.
+
+        Returns the solution (2, n), its relative free-row residual, the
+        GMRES steps and whether GMRES reached REFINE_TOL.
+        """
         # Start from the Dirichlet values: the free rows of b - A x are then
         # the right-hand side of the equations solved for, and the scale of
-        # the residual check.  The first solve is exact on a rigid slab;
-        # otherwise GMRES on the exact slab closes the zipper remainder.
+        # the residual check.  The first solve is exact on a rigid slab with
+        # its own LU; otherwise GMRES on the exact slab closes the rest.
         x = np.zeros_like(self._rhs)
         r = self._residual(x)
         scale = max(np.linalg.norm(r), 1e-300)
         x += self._precondition(lu, r)
         r = self._residual(x)
-        passes = 0
+        passes, reached = 0, True
         if np.linalg.norm(r) > REFINE_TOL * scale:
-            u, passes = self._gmres(lu, r, REFINE_TOL * scale)
+            u, passes, reached = self._gmres(lu, r, REFINE_TOL * scale)
             x += u
             r = self._residual(x)
-        res = np.linalg.norm(r) / scale
-        if not res <= SOLVER_TOL:
-            raise NumericalError("slab solve residual %.3e exceeds %.1e after %d refinement "
-                                 "passes" % (res, SOLVER_TOL, passes))
-        return SlabSolution(x[0], x[1], res, passes)
+        return x, np.linalg.norm(r) / scale, passes, reached
 
     # -- residual functionals ----------------------------------------------
 

@@ -143,6 +143,8 @@ def run_cbf_case(h: float = 0.02, dt: float = 0.05, n_steps: int = 20) -> ErrorT
         err = abs(fr.q_s_avg - q_ref) / q_ref
         table.add_row(h, dt, err, time.perf_counter() - tic)
         t_prev = sol.t_top
+        # let this step's slab go before the next one is assembled
+        op = sol = fr = None
     return table
 
 

@@ -164,13 +164,16 @@ def slab_residual(coords_old, coords_new, conn, dt, alpha, t_prev, t_bot, t_top)
 
 def load_mesh_by_line(path):
     """Parse a version-1 mesh file one line at a time with ``split``/``int``/
-    ``float``; same checks, messages and result as :func:`ccmsim.mesh.load_mesh`."""
+    ``float``; same checks, messages and result as :func:`ccmsim.mesh.load_mesh`.
+    ``at[k]`` is the number in the file of ``lines[k]``."""
     def _expect(cond, msg):
         if not cond:
             raise MeshFormatError(msg)
 
     with open(path) as f:
-        lines = [ln.strip() for ln in f if ln.strip()]
+        numbered = [(i, ln.strip()) for i, ln in enumerate(f, 1) if ln.strip()]
+    at = [i for i, _ in numbered]
+    lines = [ln for _, ln in numbered]
     _expect(lines and lines[0] == "CCMMESH 1", "missing 'CCMMESH 1' header")
     pos = 1
 
@@ -178,7 +181,7 @@ def load_mesh_by_line(path):
         nonlocal pos
         parts = lines[pos].split()
         _expect(len(parts) == 2 and parts[0] == name,
-                "expected '%s <count>' at line %d" % (name, pos + 1))
+                "expected '%s <count>' at line %d" % (name, at[pos]))
         pos += 1
         return int(parts[1])
 
@@ -188,7 +191,7 @@ def load_mesh_by_line(path):
         for i in range(n):
             parts = lines[pos].split()
             _expect(len(parts) == 3 and int(parts[0]) == i,
-                    "nodes must be consecutive starting at 0 (line %d)" % (pos + 1))
+                    "nodes must be consecutive starting at 0 (line %d)" % at[pos])
             nodes[i] = (float(parts[1]), float(parts[2]))
             pos += 1
 
@@ -198,7 +201,7 @@ def load_mesh_by_line(path):
         for i in range(m):
             parts = lines[pos].split()
             _expect(len(parts) == 5 and int(parts[0]) == i,
-                    "triangles must be consecutive starting at 0 (line %d)" % (pos + 1))
+                    "triangles must be consecutive starting at 0 (line %d)" % at[pos])
             tris[i] = (int(parts[1]), int(parts[2]), int(parts[3]))
             region[i] = int(parts[4])
             pos += 1
@@ -208,7 +211,7 @@ def load_mesh_by_line(path):
         tags = []
         for i in range(b):
             parts = lines[pos].split()
-            _expect(len(parts) == 3, "bad BOUNDARY line %d" % (pos + 1))
+            _expect(len(parts) == 3, "bad BOUNDARY line %d" % at[pos])
             edges[i] = (int(parts[0]), int(parts[1]))
             tags.append(parts[2])
             pos += 1
@@ -217,7 +220,7 @@ def load_mesh_by_line(path):
         roles = {}
         for i in range(r):
             parts = lines[pos].split()
-            _expect(len(parts) == 2, "bad REGION_ROLE line %d" % (pos + 1))
+            _expect(len(parts) == 2, "bad REGION_ROLE line %d" % at[pos])
             _expect(parts[1] in ROLES, "unknown role %r" % parts[1])
             roles[int(parts[0])] = parts[1]
             pos += 1
@@ -225,7 +228,7 @@ def load_mesh_by_line(path):
         strip = None
         if pos < len(lines):
             parts = lines[pos].split()
-            _expect(parts[0] == "STRIP", "expected STRIP section at line %d" % (pos + 1))
+            _expect(parts[0] == "STRIP", "expected STRIP section at line %d" % at[pos])
             kv = dict(p.split("=", 1) for p in parts[1:])
             _expect(set(kv) == {"h_row", "rows"}, "STRIP header needs h_row= and rows=")
             h_row = float(kv["h_row"])
@@ -235,7 +238,7 @@ def load_mesh_by_line(path):
             virt = np.zeros(n_rows, dtype=bool)
             for k in range(n_rows):
                 parts = lines[pos].split()
-                _expect(int(parts[0]) == k, "rows must be consecutive (line %d)" % (pos + 1))
+                _expect(int(parts[0]) == k, "rows must be consecutive (line %d)" % at[pos])
                 rest = parts[1:]
                 if rest and rest[0] == "V":
                     virt[k] = True
@@ -243,11 +246,11 @@ def load_mesh_by_line(path):
                 rows.append(np.array([int(p) for p in rest], dtype=np.int64))
                 pos += 1
             strip = StripLayout(h_row, rows, virt)
-        _expect(pos == len(lines), "trailing content after line %d" % pos)
+        _expect(pos == len(lines), "trailing content after line %d" % at[pos - 1])
     except (IndexError, ValueError) as exc:
         if pos >= len(lines):
-            raise MeshFormatError("file ends early after line %d" % len(lines)) from exc
-        raise MeshFormatError("bad line %d: %r (%s)" % (pos + 1, lines[pos], exc)) from exc
+            raise MeshFormatError("file ends early after line %d" % at[-1]) from exc
+        raise MeshFormatError("bad line %d: %r (%s)" % (at[pos], lines[pos], exc)) from exc
 
     mesh = Mesh(nodes, tris, region, edges, tags, roles, strip)
     validate_mesh(mesh)

@@ -2,10 +2,12 @@ import copy
 import dataclasses
 import logging
 import os
+import weakref
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from ccmsim import driver, meshgen, motion, stfem
 from ccmsim.cbf import FluxResult, recover_flux
@@ -351,6 +353,33 @@ def test_run_plan_matches_the_one_off_assembly(tmp_path, monkeypatch, case):
     assert seen["slabs"] == cfg.n_steps
     assert report.records[-1].slip_count >= 3
     assert seen["wrapped"] > 0 and seen["seam"] > 0
+
+
+class Factor:
+    """A SuperLU factor that a weak reference can follow."""
+
+    def __init__(self, lu):
+        self.solve = lu.solve
+
+
+def test_old_factor_is_freed_before_a_new_one_is_made(tmp_path, monkeypatch):
+    # the run's plan holds one factor; when a slip changes the slab's
+    # structure, the old factor goes before the new one takes its memory
+    factors = []
+    splu = spla.splu
+
+    def checked(a, *args, **kwargs):
+        assert all(ref() is None for ref in factors)
+        factor = Factor(splu(a, *args, **kwargs))
+        factors.append(weakref.ref(factor))
+        return factor
+
+    monkeypatch.setattr(spla, "splu", checked)
+    cfg = load_config(write_config(tmp_path))
+    cfg.n_steps = 20
+    report = run(cfg)
+    assert report.records[-1].slip_count >= 3
+    assert 3 <= len(factors) < cfg.n_steps
 
 
 def test_run_on_static_mesh(tmp_path):

@@ -313,6 +313,24 @@ def test_bad_line_inside_a_block_is_named(tmp_path, edit, message):
     assert str(new.value) == str(old.value)
 
 
+@pytest.mark.parametrize("edit, message", [
+    # a NODES line with a fourth column, at file line 5 + 2
+    (_set(5, "2 0.5 0 7"), r"^nodes must be consecutive starting at 0 \(line 7\)$"),
+    # the 5th TRIANGLES line has a token that is no integer, at file line 24 + 2
+    (_set(24, "4 5 x 6 0"), r"^bad line 26: '4 5 x 6 0' \(invalid literal"),
+], ids=["nodes-4-columns", "non-numeric"])
+def test_messages_count_blank_lines(tmp_path, edit, message):
+    # two blank lines above the first NODES line move every later line of
+    # the file down by two, and the message names the line where it is now
+    def blank_lines_first(lines):
+        edit(lines)
+        lines[2:2] = ["", "  \t"]
+    path = corrupt(tmp_path, blank_lines_first)
+    for load in (load_mesh, load_mesh_by_line):
+        with pytest.raises(MeshFormatError, match=message):
+            load(path)
+
+
 def test_blank_lines_inside_a_block_are_skipped(tmp_path):
     def edit(lines):
         lines.insert(23, "")

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -6,7 +8,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccmsim import meshgen, motion, stfem, verify
+from ccmsim import driver, meshgen, motion, stfem, verify
 from ccmsim.errors import NumericalError
 from ccmsim.mesh import tri_areas
 from ccmsim.stfem import (
@@ -442,3 +444,125 @@ def test_slab_factorization_keeps_fill_low(monkeypatch):
     verify.run_cbf_case(h=0.02, dt=0.01, n_steps=1)
     assert len(fills) == 1
     assert fills[0] < 7.5
+
+
+# -- reuse of the run's factor -------------------------------------------------
+
+
+def counted_splu(monkeypatch):
+    """Count the calls of spla.splu; returns the list they append to."""
+    calls = []
+    splu = spla.splu
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return splu(a, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counted)
+    return calls
+
+
+def fresh(problem):
+    """``problem`` without the run's plan: a one-off plan, a new factor."""
+    return dataclasses.replace(problem, plan=None, active=None)
+
+
+def assert_matches_fresh_solve(prob, sol):
+    ref = solve_slab(fresh(prob))
+    assert ref.factored
+    scale = max(np.max(np.abs(ref.t_bot)), np.max(np.abs(ref.t_top)))
+    assert np.max(np.abs(sol.t_bot - ref.t_bot)) <= 1e-10 * scale
+    assert np.max(np.abs(sol.t_top - ref.t_top)) <= 1e-10 * scale
+    assert free_row_residual(prob, sol) <= 1e-12
+
+
+def test_cooling_run_factors_once(monkeypatch):
+    # the static cooling slab keeps its structure and its values, so the
+    # first slab's factor solves every later one exactly
+    calls = counted_splu(monkeypatch)
+    reused = verify.run_cbf_case(h=0.02, dt=0.01, n_steps=10)
+    assert len(calls) == 1
+    operator = stfem.SlabOperator
+    monkeypatch.setattr(stfem, "SlabOperator", lambda problem: operator(fresh(problem)))
+    factored = verify.run_cbf_case(h=0.02, dt=0.01, n_steps=10)
+    assert len(calls) == 11
+    assert reused.error == factored.error
+
+
+def test_band_factors_only_slabs_of_a_new_structure(monkeypatch):
+    # a fifth of a row per step: each slip changes the active mask and the
+    # zipper connectivity, so the structure of two slabs; the slabs between
+    # them reuse the factor although the band moves and the zipper shears
+    mesh = meshgen.make_strip_square(8)
+    state = motion.init_motion(mesh, (0.0, -1.0))
+    plan = driver.slab_plan(mesh, state)
+    background = np.random.default_rng(12).uniform(-1.0, 2.0, mesh.n_nodes)
+    flanks = np.unique(mesh.tagged_edges(("left", "right")))
+    T, act = background.copy(), motion.active_elements(mesh, state)
+    calls = counted_splu(monkeypatch)
+    held, factored = None, []
+    for _ in range(16):
+        before = len(calls)
+        op, sol, T, act = driver.slab_step(
+            mesh, state, T, act, 0.2 / 8, plan=plan, dt=0.37, alpha=1.7,
+            dirichlet_nodes=flanks, dirichlet_values=background[flanks], background=background)
+        prob = op.problem
+        fixed = np.ones(mesh.n_nodes, dtype=bool)
+        fixed[prob.conn] = False
+        fixed[flanks] = True
+        structure = (prob.active.copy(), prob.conn[plan.zipper[prob.active]], fixed)
+        changed = held is None or not all(map(np.array_equal, structure, held))
+        held = structure
+        assert sol.factored == changed
+        assert len(calls) - before == int(changed)
+        assert_matches_fresh_solve(prob, sol)
+        factored.append(changed)
+    assert state.n_slips >= 3
+    assert factored.count(True) >= 4 and factored.count(False) >= 6
+
+
+def test_factor_is_checked_when_the_slab_is_solved(monkeypatch):
+    # right is built while the plan holds a factor of its structure, then
+    # corner (Dirichlet data on the top edge too) replaces that factor
+    # before right is solved: right must not take corner's factor for its
+    # own (GMRES would reach the tolerance with it, in 17 steps)
+    mesh = meshgen.make_unit_square(8)
+    plan = driver.slab_plan(mesh, None)
+    t_prev = np.linspace(0.0, 1.0, mesh.n_nodes)
+
+    def problem(edge):
+        nodes = np.unique(mesh.tagged_edges(edge))
+        return SlabProblem(mesh.nodes, mesh.nodes, mesh.triangles, dt=0.1, alpha=1.0,
+                           t_prev=t_prev, dirichlet_nodes=nodes,
+                           dirichlet_values=np.zeros(len(nodes)), plan=plan,
+                           active=np.ones(mesh.n_triangles, dtype=bool))
+
+    calls = counted_splu(monkeypatch)
+    assert SlabOperator(problem("right")).solve().factored
+    right, corner = SlabOperator(problem("right")), SlabOperator(problem(("right", "top")))
+    solved = [(op.problem, op.solve()) for op in (corner, right)]
+    assert len(calls) == 3
+    for prob, sol in solved:
+        assert sol.factored and sol.refinements == 0
+        assert_matches_fresh_solve(prob, sol)
+
+
+def test_held_factor_that_does_not_converge_is_replaced(monkeypatch):
+    # the same structure with twice the time step: GMRES with the held
+    # factor needs more steps than MAX_REFINEMENTS allows, so the slab is
+    # factored anew and then solved exactly
+    mesh, prob = square_problem(n=8, dt=0.01, t_prev=np.ones(81))
+    prob.dirichlet_nodes = np.unique(mesh.tagged_edges("right"))
+    prob.dirichlet_values = np.zeros(9)
+    prob.plan = driver.slab_plan(mesh, None)
+    prob.active = np.ones(mesh.n_triangles, dtype=bool)
+    doubled = dataclasses.replace(prob, dt=0.02)
+    calls = counted_splu(monkeypatch)
+    assert solve_slab(prob).factored
+    sol = solve_slab(doubled)
+    assert not sol.factored and sol.refinements > 4
+    monkeypatch.setattr(stfem, "MAX_REFINEMENTS", 4)
+    sol = solve_slab(doubled)
+    assert sol.factored and sol.refinements == 0
+    assert len(calls) == 2
+    assert_matches_fresh_solve(doubled, sol)
