@@ -22,7 +22,7 @@ import configparser
 import logging
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -416,27 +416,28 @@ def slab_plan(mesh: Mesh, state) -> SlabPlan:
                     state.tri_code == motion.ROLE_CODE["update"])
 
 
-def slab_step(mesh: Mesh, state, T: np.ndarray, active: np.ndarray, distance: float,
-              *, plan: SlabPlan, dt: float, alpha: float, dirichlet_nodes, dirichlet_values,
+def slab_step(mesh: Mesh, state, T: np.ndarray, distance: float, *, plan: SlabPlan,
+              dt: float, alpha: float, dirichlet_nodes, dirichlet_values,
               background: np.ndarray):
     """One time step of the sliding-band method: move the band, solve a slab.
 
     Shifts the band by ``distance`` (``state`` is None for a mesh without
-    one: nothing moves).  The slab is assembled from ``plan`` (see
-    :func:`slab_plan`) on the triangles active both in the old position
-    (``active``) and in the new one, less those touching a node that
-    wrapped round the ring.  Wrapped nodes are reseeded in ``T`` from the
-    nodal field ``background`` before the solve; nodes outside the new
-    active mask take ``background`` after it.
+    one: nothing moves, and every triangle is active).  The slab is
+    assembled from ``plan`` (see :func:`slab_plan`) on the triangles active
+    in the new position, less those touching a node that wrapped round the
+    ring.  Wrapped nodes are reseeded in ``T`` from the nodal field
+    ``background`` before the solve; nodes outside the new active mask take
+    ``background`` after it, the value at which a row entering the window
+    joins the slab.
     Returns ``(operator, solution, T_new, active_new)``.
     """
     coords_old = mesh.nodes.copy()
-    act = active
+    active = act = np.ones(mesh.n_triangles, dtype=bool)
     if state is not None:
         wrapped = motion.advance(mesh, state, distance).wrapped_nodes
         T[wrapped] = background[wrapped]
         active = motion.active_elements(mesh, state)
-        act = act & active & ~np.isin(mesh.triangles, wrapped).any(axis=1)
+        act = active & ~np.isin(mesh.triangles, wrapped).any(axis=1)
     prob = SlabProblem(coords_old, mesh.nodes, mesh.triangles[act], dt=dt, alpha=alpha,
                        t_prev=T, dirichlet_nodes=dirichlet_nodes,
                        dirichlet_values=dirichlet_values, plan=plan, active=act)
@@ -471,21 +472,23 @@ def run(config: RunConfig) -> RunReport:
         except ValueError as exc:
             raise ConfigError(f"[mesh] direction: cannot move the band of {cfg.mesh_path} "
                               f"along {cfg.direction}: {exc}") from exc
-        act = motion.active_elements(mesh, state)
     plan = slab_plan(mesh, state)
 
     p = cfg.ccm_params
     rho_cp = cfg.rho_s * cfg.cp_s
     U_eq = _equilibrium_velocity(cfg)
     log.info("equilibrium velocity U_eq = %.6e m/s", U_eq)
+    # a transient U peaks at q_s = 0 (clamped), where the closure is U_eq without preheating
+    U_max = (U_eq if cfg.coupling == "equilibrium"
+             else _equilibrium_velocity(replace(cfg, T_s=cfg.T_m)))
     warnings: list[str] = []
-    if state is not None and U_eq * cfg.dt >= state.circumference / 2:
-        raise ConfigError(f"[time] dt: U_eq*dt = {U_eq * cfg.dt:.6g} m per step reaches half "
-                          f"the band's ring circumference ({state.circumference / 2:.6g} m); "
-                          f"use dt < {state.circumference / (2 * U_eq):.6g} s")
-    if state is not None and U_eq * cfg.dt > state.h_row:
-        msg = (f"U_eq*dt = {U_eq * cfg.dt:.6g} m per step exceeds the band's row height "
-               f"({state.h_row:.6g} m): a step can slip more than one row")
+    if state is not None and U_max * cfg.dt >= state.circumference / 2:
+        raise ConfigError(f"[time] dt: U*dt can reach {U_max * cfg.dt:.6g} m per step; half "
+                          f"the band's ring circumference is {state.circumference / 2:.6g} m; "
+                          f"use dt < {state.circumference / (2 * U_max):.6g} s")
+    if state is not None and U_max * cfg.dt > state.h_row:
+        msg = (f"U*dt can reach {U_max * cfg.dt:.6g} m per step, more than the band's row "
+               f"height ({state.h_row:.6g} m): a step can slip more than one row")
         log.warning(msg)
         warnings.append(msg)
 
@@ -526,7 +529,7 @@ def run(config: RunConfig) -> RunReport:
         for step in range(cfg.n_steps):
             t_n = step * cfg.dt
             op, sol, T, act = slab_step(
-                mesh, state, T, act, U * cfg.dt, plan=plan, dt=cfg.dt, alpha=cfg.alpha_s,
+                mesh, state, T, U * cfg.dt, plan=plan, dt=cfg.dt, alpha=cfg.alpha_s,
                 dirichlet_nodes=dir_nodes, dirichlet_values=dir_vals,
                 background=virgin)
             if state is not None:
@@ -543,11 +546,8 @@ def run(config: RunConfig) -> RunReport:
                     f"{displacement:.6g} m ({slips_total} slips, {U * cfg.dt:.6g} m this "
                     f"step)")
 
-            q_s = 0.0
-            q_min = 0.0
-            q_max = 0.0
-            clamped = False
-            stalled = False
+            q_s = q_min = q_max = 0.0
+            clamped = stalled = False
             if cfg.coupling == "transient":
                 fr = recover_flux(op, sol, tip_edges, rho_cp)
                 q_raw = -fr.q_s_avg       # positive when heat enters the solid

@@ -61,15 +61,21 @@ depend on that contraction.)
 
 The run's plan holds its last LU together with the structure of the slab
 it was made for: the active-element mask, the zipper connectivity and the
-fixed (Dirichlet or idle) nodes.  Between two slips the band only
-translates, so consecutive slabs keep that structure and only the values
-of ``lambda M' + N'`` change (the band's displacement, the zipper's
-shear).  Such a slab is not factored: the held LU preconditions GMRES,
-which corrects the changed values as it corrects the zipper remainder.  A
-slab of another structure frees the held LU before it is assembled and is
-factored anew, and so is a slab whose GMRES does not converge with the held
-LU.  A bare :class:`SlabProblem` has a one-off plan, so it is always
-factored.
+fixed (Dirichlet or idle) nodes.  The driver assembles each slab on the
+window mask of the band's new position (see
+:func:`ccmsim.driver.slab_step`), so a slip changes the mask and the
+zipper of its own slab only.  (That takes a band of three or more
+virtual rows, as in the bundled meshes.  With two, the rows that wrap at
+a slip land next to the window and keep the entering row out of the slip
+slab, so the next slab has a new structure too.)  Between two slips the
+band only translates, so the slabs that follow a slip keep its structure
+and only the values of ``lambda M' + N'`` change (the band's
+displacement, the zipper's shear).  Such a slab is not factored: the held
+LU preconditions GMRES, which corrects the changed values as it corrects
+the zipper remainder.  A slab of another structure frees the held LU
+before it is assembled and is factored anew, and so is a slab whose GMRES
+does not converge with the held LU.  A bare :class:`SlabProblem` has a
+one-off plan, so it is always factored.
 """
 
 from __future__ import annotations

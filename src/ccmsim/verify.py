@@ -169,12 +169,11 @@ def run_meshupdate_case(h: float, velocity: float = 0.005, dt: float = 1.0,
     dir_vals = np.concatenate([np.zeros(len(left)), np.ones(len(right))])
 
     T = exact.copy()
-    act = motion.active_elements(mesh, state)
     plan = driver.slab_plan(mesh, state)
     max_err = 0.0
     for _ in range(n_steps):
         _, _, T, act = driver.slab_step(
-            mesh, state, T, act, velocity * dt, plan=plan, dt=dt, alpha=1.0,
+            mesh, state, T, velocity * dt, plan=plan, dt=dt, alpha=1.0,
             dirichlet_nodes=dir_nodes, dirichlet_values=dir_vals, background=exact)
         err = l2_error(mesh.nodes, mesh.triangles[act], T, lambda xy: xy[:, 0])
         max_err = max(max_err, err)

@@ -1,3 +1,4 @@
+import configparser
 import os
 import subprocess
 import sys
@@ -118,6 +119,30 @@ def test_run_direction_off_the_band_exits_2(tmp_path, capsys):
     assert main(["run", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert "[mesh] direction" in err and "m.mesh" in err
+
+
+def test_transient_velocity_overrunning_the_ring_exits_2(tmp_path, fixture_dir, capsys,
+                                                         monkeypatch):
+    # a light solid under a dense melt: U_eq*dt is below half the ring, but
+    # the transient closure's U, up to its value at q_s = 0, is not
+    ini = configparser.ConfigParser()
+    ini.optionxform = str
+    ini.read(os.path.join(fixture_dir, "hotwire.ini"))
+    ini["material.solid"]["rho"] = "0.46"
+    ini["material.solid"]["kappa"] = "0.0018"
+    ini["material.liquid"]["rho"] = "84"
+    ini["mesh"]["path"] = os.path.join(fixture_dir, "hotwire.mesh")
+    ini["output"]["directory"] = str(tmp_path / "out")
+    with open(tmp_path / "case.ini", "w") as f:
+        ini.write(f)
+
+    def no_slab(*args, **kwargs):
+        raise AssertionError("a slab was built")
+    monkeypatch.setattr(stfem.SlabOperator, "__init__", no_slab)
+    assert main(["run", "--config", str(tmp_path / "case.ini")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [time] dt: ") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_verify_cbf(tmp_path, capsys):

@@ -269,10 +269,9 @@ def test_toy_run_deterministic(tmp_path):
 
 @pytest.mark.parametrize("coupling", ["equilibrium", "transient"])
 def test_each_step_builds_one_slab_and_one_mask(tmp_path, monkeypatch, coupling):
-    # the active mask is carried from step to step: set-up computes the
-    # first one and the run's one slab plan, then each step computes one
-    # mask after the band moves (even a zero move from rest) and builds one
-    # slab; sensors and snapshots reuse the mask
+    # set-up builds the run's one slab plan and no mask; each step computes
+    # one mask after the band moves (even a zero move from rest) and builds
+    # one slab on it; sensors and snapshots reuse that mask
     events = []
 
     def counted(name, fn):
@@ -290,7 +289,7 @@ def test_each_step_builds_one_slab_and_one_mask(tmp_path, monkeypatch, coupling)
     cfg.vtk_every = 2
     cfg.sensors = ((0.85, 0.43),)
     run(cfg)
-    assert events == ["mask", "plan"] + ["mask", "slab"] * 4
+    assert events == ["plan"] + ["mask", "slab"] * 4
 
 
 def seam_band(mesh, state):

@@ -91,6 +91,19 @@ def test_transient_power_consistency():
     assert u_tr == pytest.approx(u_eq, rel=1e-9)
 
 
+@pytest.mark.parametrize("p", [ICE, WAX])
+def test_transient_closures_peak_at_zero_flux(p):
+    # the driver bounds a transient run's U by the closure at q_s = 0 (it
+    # clamps q_s at 0), which is the equilibrium U without solid preheating
+    cold = dataclasses.replace(p, T_s=p.T_m)
+    T_w = p.T_m + 30.0
+    u0 = u_transient_temperature(p, T_w, 0.0)
+    assert u0 == pytest.approx(u_eq_temperature(cold, T_w), rel=1e-9)
+    assert u_transient_temperature(p, T_w, 0.01 * Q_1KW) < u0
+    assert u_transient_power(p, Q_1KW, 0.0) == (pytest.approx(u_eq_power(cold, Q_1KW),
+                                                              rel=1e-9), False)
+
+
 def test_transient_power_stall():
     u, stalled = u_transient_power(ICE, Q_1KW, Q_1KW)
     assert (u, stalled) == (0.0, True)
