@@ -88,12 +88,25 @@ def _verify_options(args) -> dict:
     return {k: v for k, v in (("dt", args.dt), ("n_steps", args.steps)) if v is not None}
 
 
+def _writable_csv(out_dir, name) -> str:
+    """Path of ``name`` in ``out_dir``, made if missing; the file is opened
+    once now, so that an output that cannot be written fails before the
+    case runs."""
+    path = os.path.join(out_dir, name)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        open(path, "w", encoding="utf-8").close()
+    except OSError as exc:
+        raise ConfigError(f"--out: cannot write {exc.filename or path}: "
+                          f"{exc.strerror or exc}") from exc
+    return path
+
+
 def _cmd_verify(args) -> int:
     given = _verify_options(args)
-    os.makedirs(args.out, exist_ok=True)
+    path = _writable_csv(args.out, f"{args.case}_errors.csv")
     if args.case == "cbf":
         table = verify.run_cbf_case(h=args.h, **given)
-        path = os.path.join(args.out, "cbf_errors.csv")
         table.to_csv(path)
         print("h,dt,error,runtime")
         for h, dt, e, r in zip(table.h, table.dt, table.error, table.runtime):
@@ -103,7 +116,6 @@ def _cmd_verify(args) -> int:
         err = verify.run_meshupdate_case(args.h, **given)
         table = verify.ErrorTable(norm_kind="max_over_time_L2")
         table.add_row(args.h, given.get("dt", 1.0), err, 0.0)
-        path = os.path.join(args.out, "meshupdate_errors.csv")
         table.to_csv(path)
         print(f"max L2 error at h={args.h:g}: {err:.6e}")
         print(f"wrote {path}")
@@ -119,6 +131,8 @@ def _cmd_sweep(args) -> int:
                 values.append(float(chunk))
             except ValueError as exc:
                 raise ConfigError(f"--values: not a number: {chunk!r}") from exc
+            if not math.isfinite(values[-1]):
+                raise ConfigError(f"--values: not finite: {chunk!r}")
     if not values:
         raise ConfigError("--values: no values given")
 

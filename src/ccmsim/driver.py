@@ -315,6 +315,9 @@ def check_values(cfg: RunConfig) -> None:
         raise ConfigError("[source] T_w: must be above the melting point [melting] T_m")
     if cfg.q_h is not None and not cfg.q_h > 0.0:
         raise ConfigError("[source] q_h: must be positive")
+    if cfg.T_m < cfg.T_s:
+        raise ConfigError("[melting] T_m: below the solid temperature [material.solid] T_s: "
+                          "nothing to melt")
     try:
         cfg.ccm_params  # triggers physical-parameter validation
     except ValueError as exc:
@@ -400,6 +403,17 @@ class _CsvWriter:
 
     def close(self) -> None:
         self._f.close()
+
+
+def _open_output(out_dir, name, header) -> _CsvWriter:
+    """A CSV writer in ``out_dir``, made if missing; a directory that cannot
+    be made, or a file that cannot be opened, is a configuration error."""
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        return _CsvWriter(os.path.join(out_dir, name), header)
+    except OSError as exc:
+        raise ConfigError(f"[output] directory: cannot write {exc.filename or out_dir}: "
+                          f"{exc.strerror or exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -506,14 +520,16 @@ def run(config: RunConfig) -> RunReport:
         far_tags = cfg.farfield_tags
     far_nodes = np.unique(mesh.tagged_edges(far_tags)) if far_tags else np.empty(0, np.int64)
 
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    run_csv = _CsvWriter(os.path.join(cfg.out_dir, cfg.csv_name),
-                         "time,velocity,displacement,flux_avg,flux_min,"
-                         "flux_max,slip_count")
+    run_csv = _open_output(cfg.out_dir, cfg.csv_name,
+                           "time,velocity,displacement,flux_avg,flux_min,flux_max,slip_count")
     sensor_csv = None
     if cfg.sensors:
         head = "time," + ",".join(f"sensor_{k}" for k in range(len(cfg.sensors)))
-        sensor_csv = _CsvWriter(os.path.join(cfg.out_dir, "sensors.csv"), head)
+        try:
+            sensor_csv = _open_output(cfg.out_dir, "sensors.csv", head)
+        except ConfigError:
+            run_csv.close()
+            raise
 
     virgin = np.full(len(mesh.nodes), cfg.T_s)   # recycled rows are virgin solid
     T = virgin.copy()

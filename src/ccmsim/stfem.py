@@ -26,24 +26,30 @@ integrals are exact.  Elements are assembled by class:
   the P1 mass and ``N_e = dt alpha K_e / 2 - (d_e . G_e) / 6`` diffusion
   minus the mesh-velocity term of an element moved by ``d_e``;
 * only shearing elements (the zipper triangles) use 2-point Gauss in time:
-  there the inverse Jacobian makes the integrand rational in time.  Each
-  such 6 x 6 block Z_e is split into a fit ``P (x) X_e + D (x) Y_e`` (a
-  fixed 2 x 4 matrix applied to its four 3 x 3 time blocks) and a
-  remainder.  The fit keeps the block's sums over its two test levels
-  exact, i.e. the element balance seen by a test function constant in
-  time.
+  there the inverse Jacobian makes the integrand rational in time.  Their
+  full 6 x 6 blocks, jump included, are kept as they are.
 
 A :class:`SlabPlan` holds what does not change from slab to slab: the
 shape data ``M_e``, ``K_e`` and the gradients ``G_e`` of every rigid
 element, one CSC pattern over all mesh nodes, and where each rigid element
 entry goes in it.  A run builds one plan before its first slab; a bare
 :class:`SlabProblem` gets a one-off plan of its own triangles.  Each slab
-then sums the rigid part of ``M' + i N'`` into the pattern, each element
-weighted by whether it is active (1 or 0), and adds the zipper fits
-``X_e + i Y_e`` as a small COO; the zipper remainders form a small
-2n x 2n COO matrix.  Nodes of no active element become identity rows.  The exact slab operator ``P (x) M' + D (x) N'`` plus that remainder
-is never assembled; it is applied matrix-free, for the solve and for the
-weak residual that flux recovery reads.
+then sums the rigid part of ``M' + i N'`` straight into the pattern, each
+element weighted by whether it is active (1 or 0), and puts the zipper
+blocks into one small 2n x 2n COO matrix.  Nodes of no active element
+become identity rows.  The exact slab operator, the rigid
+``P (x) M' + D (x) N'`` plus the zipper matrix, is never assembled whole;
+it is applied matrix-free, for the solve and for the weak residual that
+flux recovery reads.  The solve's last residual check forms that product
+for the solution it returns, and the residual reuses it.
+
+Only the LU needs the zipper blocks in the ``P (x) X_e + D (x) Y_e`` form:
+a fixed 2 x 4 matrix (``_PROJ``) fits each block's four 3 x 3 time blocks
+so that its sums over the two test levels stay exact, i.e. the element
+balance seen by a test function constant in time.  A slab that is factored
+adds these fits ``X_e + i Y_e`` to the pattern (the sum drops the zero
+entries of inactive elements); a slab solved with a held LU builds
+neither.
 
 Solve.  Multiplying each node's two rows by D^-1 turns ``P (x) M' + D (x) N'``
 into ``D^-1 P (x) M' + I (x) N'``.  D^-1 P = [[3, 1], [-3, 1]] has the
@@ -72,7 +78,7 @@ band only translates, so the slabs that follow a slip keep its structure
 and only the values of ``lambda M' + N'`` change (the band's
 displacement, the zipper's shear).  Such a slab is not factored: the held
 LU preconditions GMRES, which corrects the changed values as it corrects
-the zipper remainder.  A slab of another structure frees the held LU
+what the zipper fit misses.  A slab of another structure frees the held LU
 before it is assembled and is factored anew, and so is a slab whose GMRES
 does not converge with the held LU.  A bare :class:`SlabProblem` has a
 one-off plan, so it is always factored.
@@ -148,6 +154,13 @@ _WD = np.array([2.0 - 0.5j * np.sqrt(2.0), -1.0 - 0.5j * np.sqrt(2.0)])
 # On probe slabs moved by several rows per step it needs half the GMRES steps
 # of the least-squares fit.
 _PROJ = np.array([[-1.0, 1.0, -1.0, 1.0], [2.0, 0.0, 2.0, 0.0]])
+
+
+def _zipper_fit(ke):
+    """Fit ``P (x) X_e + D (x) Y_e`` of (ne, 6, 6) element blocks: (X_e, Y_e),
+    each (ne, 3, 3), by _PROJ."""
+    quad = ke.reshape(-1, 2, 3, 2, 3).transpose(0, 2, 4, 1, 3).reshape(-1, 3, 3, 4)
+    return np.moveaxis(quad @ _PROJ.T, 3, 0)
 
 
 def _theta_blocks(xo, xn, dt, alpha):
@@ -340,32 +353,26 @@ class SlabOperator:
         rhs = sp.csc_matrix((mass, plan.indices, plan.indptr), shape=(n, n)) @ p.t_prev
 
         # shearing elements: full 6 x 6 blocks from the time quadrature, plus
-        # the jump coupling (bottom-face mass on the old coordinates).  Their
-        # fit P (x) X_e + D (x) Y_e joins M' and N' as a small COO; the
-        # remainder is kept as a 2n x 2n COO
+        # the jump coupling (bottom-face mass on the old coordinates), applied
+        # as one 2n x 2n COO; a factored slab fits them in _lhs
         xo = p.coords_old[zc]
         e1 = xo[:, 1] - xo[:, 0]
         e2 = xo[:, 2] - xo[:, 0]
         jump = (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])[:, None, None] * _M
         ke = _theta_blocks(xo, p.coords_new[zc], p.dt, p.alpha)
         ke[:, :3, :3] += jump
-        quad = ke.reshape(-1, 2, 3, 2, 3).transpose(0, 2, 4, 1, 3).reshape(-1, 3, 3, 4)
-        x_e, y_e = np.moveaxis(quad @ _PROJ.T, 3, 0)
         rhs += np.bincount(zc.ravel(), np.einsum("eab,eb->ea", jump, p.t_prev[zc]).ravel(),
                            minlength=n)
-        self._rest = None
+        self._zc, self._zke = zc, ke
+        self._zipper = None
         if len(zc):
-            rest = ke - np.kron(_P, x_e) - np.kron(_D, y_e)
             dof = np.concatenate([zc, zc + n], axis=1)                        # (nz, 6)
-            self._rest = sp.coo_matrix(
-                (rest.ravel(), (np.repeat(dof, 6, axis=1).ravel(), np.tile(dof, (1, 6)).ravel())),
+            self._zipper = sp.coo_matrix(
+                (ke.ravel(), (np.repeat(dof, 6, axis=1).ravel(), np.tile(dof, (1, 6)).ravel())),
                 shape=(2 * n, 2 * n))
-        rows, cols = np.repeat(zc, 3, axis=1).ravel(), np.tile(zc, (1, 3)).ravel()
-
-        # Adding the zipper COO to the pattern drops the entries that sum to
-        # zero (those of inactive elements)
-        self._mn = (sp.csc_matrix((mass + 1j * stiff, plan.indices, plan.indptr), shape=(n, n))
-                    + sp.coo_matrix(((x_e + 1j * y_e).ravel(), (rows, cols)), shape=(n, n)))
+        self._mn = sp.csc_matrix((mass + 1j * stiff, plan.indices, plan.indptr), shape=(n, n))
+        # A x of the solution solve returned, formed by its last residual check
+        self._product = None
 
         self._rhs_raw = np.zeros((2, n))
         self._rhs_raw[0] = rhs
@@ -382,9 +389,17 @@ class SlabOperator:
             np.array_equal(a, b) for a, b in zip(held, self._structure))
 
     def _lhs(self):
-        """``lambda M' + N'`` with identity rows at the fixed nodes, which
-        keeps those rows out of the LU's fill."""
-        a = self._mn.copy()
+        """``lambda M' + N'``, the zipper blocks by their fit, with identity
+        rows at the fixed nodes, which keeps those rows out of the LU's fill.
+
+        Adding the zipper COO to the pattern drops the entries that sum to
+        zero (those of inactive elements).
+        """
+        zc = self._zc
+        rows, cols = np.repeat(zc, 3, axis=1).ravel(), np.tile(zc, (1, 3)).ravel()
+        x_e, y_e = _zipper_fit(self._zke)
+        n = self._mn.shape[0]
+        a = self._mn + sp.coo_matrix(((x_e + 1j * y_e).ravel(), (rows, cols)), shape=(n, n))
         a.data = _LAM * a.data.real + a.data.imag
         a.data[self._fixed[a.indices]] = 0.0
         return a + sp.diags(self._fixed.astype(float), format="csc")
@@ -409,8 +424,8 @@ class SlabOperator:
         """Exact slab operator on ``x = [bottom; top]`` given as (2, n)."""
         q = self._mn @ x.T                             # (n, 2): M' x_j + i N' x_j
         ax = _P @ q.real.T + _D @ q.imag.T
-        if self._rest is not None:
-            ax += (self._rest @ x.ravel()).reshape(ax.shape)
+        if self._zipper is not None:
+            ax += (self._zipper @ x.ravel()).reshape(ax.shape)
         return ax
 
     def _precondition(self, lu, r):
@@ -421,11 +436,12 @@ class SlabOperator:
 
     def _residual(self, x):
         """Set the Dirichlet values in ``x``; return ``b - A x`` on the free
-        rows (zero on the Dirichlet rows)."""
+        rows (zero on the Dirichlet rows) and ``A x``."""
         x[:, self._fixed] = self._rhs[:, self._fixed]
-        r = self._rhs - self._apply(x)
+        ax = self._apply(x)
+        r = self._rhs - ax
         r[:, self._fixed] = 0.0
-        return r
+        return r, ax
 
     def _gmres(self, lu, r, tol):
         """Correction ``u`` with ``A u = r`` on the free rows by GMRES right-
@@ -476,44 +492,59 @@ class SlabOperator:
         misses SOLVER_TOL, the slab is factored and solved anew.
         """
         if self._holds_factor():
-            x, res, passes, reached = self._solve_with(self._plan.lu)
+            x, ax, res, passes, reached = self._solve_with(self._plan.lu)
             if reached and res <= SOLVER_TOL:
-                return SlabSolution(x[0], x[1], res, passes, factored=False)
+                return self._solution(x, ax, res, passes, factored=False)
         self._factor()
-        x, res, passes, _ = self._solve_with(self._plan.lu)
+        x, ax, res, passes, _ = self._solve_with(self._plan.lu)
         if not res <= SOLVER_TOL:
             raise NumericalError("slab solve residual %.3e exceeds %.1e after %d refinement "
                                  "passes" % (res, SOLVER_TOL, passes))
-        return SlabSolution(x[0], x[1], res, passes)
+        return self._solution(x, ax, res, passes, factored=True)
+
+    def _solution(self, x, ax, res, passes, factored):
+        """The solution ``x``, kept with its product ``ax`` for the residual."""
+        sol = SlabSolution(x[0], x[1], res, passes, factored=factored)
+        self._product = (sol, ax)
+        return sol
 
     def _solve_with(self, lu):
         """First solve with ``lu``, corrected by GMRES on the exact slab.
 
-        Returns the solution (2, n), its relative free-row residual, the
-        GMRES steps and whether GMRES reached REFINE_TOL.
+        Returns the solution (2, n), its product with the exact operator,
+        its relative free-row residual, the GMRES steps and whether GMRES
+        reached REFINE_TOL.
         """
         # Start from the Dirichlet values: the free rows of b - A x are then
         # the right-hand side of the equations solved for, and the scale of
         # the residual check.  The first solve is exact on a rigid slab with
         # its own LU; otherwise GMRES on the exact slab closes the rest.
         x = np.zeros_like(self._rhs)
-        r = self._residual(x)
+        r, _ = self._residual(x)
         scale = max(np.linalg.norm(r), 1e-300)
         x += self._precondition(lu, r)
-        r = self._residual(x)
+        r, ax = self._residual(x)
         passes, reached = 0, True
         if np.linalg.norm(r) > REFINE_TOL * scale:
             u, passes, reached = self._gmres(lu, r, REFINE_TOL * scale)
             x += u
-            r = self._residual(x)
-        return x, np.linalg.norm(r) / scale, passes, reached
+            r, ax = self._residual(x)
+        return x, ax, np.linalg.norm(r) / scale, passes, reached
 
     # -- residual functionals ----------------------------------------------
 
     def unconstrained_residual(self, solution: SlabSolution) -> np.ndarray:
-        """Raw weak residual A0 x - b0 of the solved state (length 2n)."""
-        x = np.stack([solution.t_bot, solution.t_top])
-        return (self._apply(x) - self._rhs_raw).ravel()
+        """Raw weak residual A0 x - b0 of the solved state (length 2n).
+
+        For the solution :meth:`solve` returned (taken as unchanged since),
+        ``A0 x`` is the product its last residual check formed; any other
+        solution is applied anew.
+        """
+        if self._product is not None and self._product[0] is solution:
+            ax = self._product[1]
+        else:
+            ax = self._apply(np.stack([solution.t_bot, solution.t_top]))
+        return (ax - self._rhs_raw).ravel()
 
     def node_residual_time_avg(self, solution: SlabSolution, nodes) -> np.ndarray:
         """Slab-time-averaged weak residual per node.

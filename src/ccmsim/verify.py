@@ -21,6 +21,7 @@ import numpy as np
 
 from . import driver, meshgen, motion, stfem
 from .cbf import recover_flux, series_flux_reference
+from .errors import ConfigError
 from .mesh import tri_areas
 from .stfem import SlabProblem
 
@@ -117,8 +118,14 @@ def run_cbf_case(h: float = 0.02, dt: float = 0.05, n_steps: int = 20) -> ErrorT
     slab on the static structured mesh of cell size ``h`` and recovers
     the right-edge flux; the row for step i holds the relative error of
     the recovered (slab-averaged) flux against the exact series evaluated
-    at the slab midpoint t = (i + 1/2) dt.
+    at the slab midpoint t = (i + 1/2) dt.  A run whose last midpoint is
+    so late that the exact flux underflows to zero has no relative error;
+    it is a ConfigError before the first slab.
     """
+    t_last = (n_steps - 0.5) * dt
+    if not series_flux_reference(t_last) > 0.0:
+        raise ConfigError(f"dt, n_steps: the exact flux underflows to zero by the last "
+                          f"slab's midpoint t = {t_last:g}; use fewer or shorter steps")
     mesh = meshgen.make_unit_square(grid_cells(h))
     coords = mesh.nodes
     x = coords[:, 0]
@@ -158,10 +165,14 @@ def run_meshupdate_case(h: float, velocity: float = 0.005, dt: float = 1.0,
     left and right edges) should remain unchanged.  Each step is
     :func:`ccmsim.driver.slab_step`, with the exact field as the value of
     recycled and outside nodes.  Returns the largest L2 error over all
-    steps, computed on the active elements.
+    steps, computed on the active elements.  A step that would move the
+    band by half its ring or more is a ConfigError before the first slab.
     """
     mesh = meshgen.make_strip_square(grid_cells(h, meshgen.STRIP_MIN_ROWS), n_virt=n_virt)
     state = motion.init_motion(mesh, (0.0, -1.0))
+    if velocity * dt >= state.circumference / 2:
+        raise ConfigError(f"dt: the band moves {velocity * dt:g} per step; half its ring "
+                          f"circumference is {state.circumference / 2:g}")
     exact = mesh.nodes[:, 0].copy()        # T = x; the band moves along y only
     left = np.unique(mesh.tagged_edges("left"))
     right = np.unique(mesh.tagged_edges("right"))

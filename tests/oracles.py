@@ -14,6 +14,8 @@ writers must match byte for byte.
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.linalg import solve_banded
 
 from ccmsim.mesh import ROLES, Mesh, MeshFormatError, StripLayout, validate_mesh
@@ -157,6 +159,26 @@ def slab_residual(coords_old, coords_new, conn, dt, alpha, t_prev, t_bot, t_top)
         jump = (t_bot[conn] - t_prev[conn]) @ bary
         np.add.at(res, conn, (wq * area * jump)[:, None] * bary[None, :])
     return res
+
+
+def recover_flux_sparse(op, sol, edges, rho_cp):
+    """Boundary flux recovery with a sparse chain solve, the reference for the
+    package's dense one: the consistent chain mass assembled as COO, turned
+    into CSC and solved by ``spsolve``.  Returns (nodes, nodal_flux, q_s_avg)
+    in the conventions of ``ccmsim.cbf.recover_flux``.
+    """
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    nodes = np.unique(edges)
+    r = op.node_residual_time_avg(sol, nodes)
+    coords = op.problem.coords_new
+    loc = np.searchsorted(nodes, edges)
+    ell = np.linalg.norm(coords[edges[:, 1]] - coords[edges[:, 0]], axis=1)
+    a, b = loc[:, 0], loc[:, 1]
+    mass = sp.coo_matrix((np.concatenate([ell / 3.0, ell / 3.0, ell / 6.0, ell / 6.0]),
+                          (np.concatenate([a, b, a, b]), np.concatenate([a, b, b, a]))),
+                         shape=(nodes.size, nodes.size)).tocsc()
+    g = spla.spsolve(mass, r)
+    return nodes, -rho_cp * g, -rho_cp * float(r.sum() / mass.sum())
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,16 @@
+import dataclasses
+import os
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from ccmsim import meshgen
+from ccmsim import driver, meshgen
 from ccmsim.cbf import recover_flux, series_flux_reference
 from ccmsim.stfem import SlabOperator, SlabProblem
 from ccmsim.verify import run_cbf_case
 
-from oracles import cn_cooling
+from oracles import cn_cooling, recover_flux_sparse
 
 
 def steady_linear_setup(n=10, alpha=0.7, dt=0.3):
@@ -74,6 +77,43 @@ def test_chain_mean_weights_each_node_by_half_its_edges():
         w[b] += 0.5 * e
     assert fr.q_s_avg == pytest.approx(np.dot(w, fr.nodal_flux) / w.sum(), rel=1e-12)
     assert fr.q_s_avg != pytest.approx(np.mean(fr.nodal_flux), rel=1e-3)
+
+
+def assert_matches_sparse_chain_solve(op, sol, edges, rho_cp):
+    """The dense chain solve agrees with the sparse one to 1e-13; returns
+    the number of chain nodes."""
+    fr = recover_flux(op, sol, edges, rho_cp)
+    nodes, flux, q_s_avg = recover_flux_sparse(op, sol, edges, rho_cp)
+    npt.assert_array_equal(fr.nodes, nodes)
+    scale = np.max(np.abs(flux))
+    assert np.max(np.abs(fr.nodal_flux - flux)) <= 1e-13 * scale
+    assert abs(fr.q_s_avg - q_s_avg) <= 1e-13 * scale
+    return fr, len(nodes)
+
+
+def test_closed_loop_matches_the_sparse_chain_solve():
+    # the whole boundary of the square: a chain with no ends
+    mesh, op, sol = steady_linear_setup(n=7)
+    edges = mesh.tagged_edges(("left", "right", "bottom", "top"))
+    _, k = assert_matches_sparse_chain_solve(op, sol, edges, 2.5)
+    assert k == len(edges) == 28
+
+
+@pytest.mark.parametrize("name", ["probe_temperature", "power_1kw", "power_3kw", "hotwire"])
+def test_fixture_tips_match_the_sparse_chain_solve(fixture_dir, tmp_path, monkeypatch, name):
+    # every step's tip chain of a transient fixture run; the chains have at
+    # most 31 nodes, which the dense solve's O(k^3) assumes
+    sizes = []
+
+    def checked(op, sol, edges, rho_cp):
+        fr, k = assert_matches_sparse_chain_solve(op, sol, edges, rho_cp)
+        sizes.append(k)
+        return fr
+
+    monkeypatch.setattr(driver, "recover_flux", checked)
+    cfg = driver.load_config(os.path.join(fixture_dir, name + ".ini"))
+    driver.run(dataclasses.replace(cfg, n_steps=3, vtk_every=0, out_dir=str(tmp_path)))
+    assert len(sizes) == 3 and 9 <= min(sizes) and max(sizes) <= 31
 
 
 def test_empty_edge_set_rejected():

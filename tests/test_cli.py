@@ -76,6 +76,49 @@ def test_run_output_dir_override(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def forbid_slabs(monkeypatch):
+    def no_slab(*args, **kwargs):
+        raise AssertionError("a slab was built")
+    monkeypatch.setattr(stfem.SlabOperator, "__init__", no_slab)
+
+
+@pytest.mark.parametrize("blocked", ["out-is-a-file", "csv-is-a-directory"])
+def test_run_unwritable_output_exits_2_before_the_first_slab(tmp_path, capsys, monkeypatch,
+                                                             blocked):
+    cfg = make_config(tmp_path)
+    out = tmp_path / "taken"
+    if blocked == "out-is-a-file":
+        out.write_text("")
+    else:
+        (out / "run.csv").mkdir(parents=True)
+    forbid_slabs(monkeypatch)
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [output] directory: cannot write ") and str(out) in err
+
+
+@pytest.mark.parametrize("case", ["cbf", "meshupdate"])
+def test_verify_unwritable_output_exits_2_before_the_first_slab(tmp_path, capsys,
+                                                                monkeypatch, case):
+    out = tmp_path / "taken"
+    out.write_text("")
+    forbid_slabs(monkeypatch)
+    assert main(["verify", case, "--h", "0.25", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: --out: cannot write {out}: ")
+
+
+def test_sweep_unwritable_output_exits_2_before_the_first_slab(tmp_path, capsys,
+                                                               monkeypatch):
+    cfg = make_config(tmp_path)
+    out = tmp_path / "taken"
+    out.write_text("")
+    forbid_slabs(monkeypatch)
+    assert main(["sweep", "--config", cfg, "--key", "source.T_w", "--values", "0.9",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [output] directory: cannot write ") and str(out) in err
+
+
 def test_run_missing_config(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.ini")]) == 2
     assert "error:" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import dataclasses
+import os
 
 import numpy as np
 import numpy.testing as npt
@@ -141,7 +142,7 @@ def test_rigid_block_closed_form_matches_time_quadrature(x0, r1, r2, phi, beta, 
     xo = np.array(x0) + np.array([[0.0, 0.0], e1, e2])
     op = SlabOperator(SlabProblem(xo, xo + np.array(d), np.array([[0, 1, 2]]), dt=dt,
                                   alpha=alpha, t_prev=np.zeros(3)))
-    assert op._rest is None                              # classified rigid
+    assert op._zipper is None                            # classified rigid
     mn = op._mn.toarray()
     closed = np.kron(stfem._P, mn.real) + np.kron(stfem._D, mn.imag)
     theta = stfem._theta_blocks(xo[None], (xo + np.array(d))[None], dt, alpha)[0]
@@ -524,6 +525,71 @@ def test_band_factors_only_slabs_of_a_new_structure(monkeypatch):
         factored.append(changed)
     assert state.n_slips >= 3
     assert factored.count(True) == state.n_slips + 1
+
+
+@pytest.mark.parametrize("case", ["strip_square", "power_3kw"])
+def test_only_factored_slabs_fit_their_zipper(fixture_dir, tmp_path, monkeypatch, case):
+    # the operator applies the zipper blocks whole; only the LU's input needs
+    # their fit, so a slab solved with the held factor builds neither
+    calls = {"lhs": 0, "fit": 0, "factored": 0, "reused": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    solve = stfem.SlabOperator.solve
+
+    def solved(op):
+        sol = solve(op)
+        calls["factored" if sol.factored else "reused"] += 1
+        return sol
+
+    monkeypatch.setattr(stfem, "_zipper_fit", counted("fit", stfem._zipper_fit))
+    monkeypatch.setattr(stfem.SlabOperator, "_lhs", counted("lhs", stfem.SlabOperator._lhs))
+    monkeypatch.setattr(stfem.SlabOperator, "solve", solved)
+    if case == "strip_square":
+        mesh = meshgen.make_strip_square(8, n_virt=3)
+        state = motion.init_motion(mesh, (0.0, -1.0))
+        plan = driver.slab_plan(mesh, state)
+        T = np.zeros(mesh.n_nodes)
+        flanks = np.unique(mesh.tagged_edges(("left", "right")))
+        for _ in range(16):
+            _, _, T, _ = driver.slab_step(
+                mesh, state, T, 0.35 / 8, plan=plan, dt=0.37, alpha=1.7,
+                dirichlet_nodes=flanks, dirichlet_values=np.ones(len(flanks)),
+                background=np.zeros(mesh.n_nodes))
+        assert state.n_slips >= 3
+    else:
+        cfg = driver.load_config(os.path.join(fixture_dir, "power_3kw.ini"))
+        driver.run(dataclasses.replace(cfg, n_steps=30, vtk_every=0, out_dir=str(tmp_path)))
+    assert calls["lhs"] == calls["fit"] == calls["factored"] > 1
+    assert calls["reused"] > calls["factored"]
+
+
+def test_residual_of_the_solved_state_is_the_solves_own_product(monkeypatch):
+    # the solve's last residual check formed A x of the solution it returns;
+    # the residual reads that product, bit for bit what a fresh one gives
+    prob, _ = band_slab(0.4 / 8)
+    prob = fix_flanks(prob, np.linspace(0.0, 1.0, len(prob.coords_old)))
+    op = SlabOperator(prob)
+    sol = op.solve()
+
+    def fresh_residual(s):
+        return (op._apply(np.stack([s.t_bot, s.t_top])) - op._rhs_raw).ravel()
+
+    expected = fresh_residual(sol)
+    applied = []
+    apply = op._apply
+    monkeypatch.setattr(op, "_apply", lambda x: applied.append(x) or apply(x))
+    npt.assert_array_equal(op.unconstrained_residual(sol), expected)
+    assert not applied
+    # any other solution, even of the same values, is applied anew
+    for other in (SlabSolution(sol.t_bot.copy(), sol.t_top.copy(), 0.0),
+                  SlabSolution(sol.t_bot + 1.0, sol.t_top, 0.0)):
+        npt.assert_array_equal(op.unconstrained_residual(other), fresh_residual(other))
+    assert len(applied) == 4
 
 
 def test_zipper_rewired_under_the_same_mask_is_factored_anew(monkeypatch):
