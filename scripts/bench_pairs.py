@@ -4,18 +4,19 @@
 
 ``--parent`` is a checkout of the parent commit (for example one made by
 ``git worktree add ../parent HEAD~1``) and ``--change`` the checkout under
-test.  Each pair runs
+test.  Each of the 10 pairs runs, for every workload of ``BENCHMARK.json``,
 
     python3 stepbench/run.py --workload W --seed S --seconds T --trace 0
 
-once from the root of each checkout, with the same seed on both sides.
-Even pairs run the parent first, odd pairs the change; the workloads take
-turns, so host drift falls on both sides alike.  The file written,
-``BENCH_<name>.json`` in the change's root unless ``--out`` says otherwise,
-holds per pair the end-to-end metrics of ``BENCHMARK.json`` and stepbench's
-raw wall figures, and per workload and metric the medians, the inclusive
-quartiles, the number of pairs the change won and its relative change of
-the median against the metric's bound.
+once from the root of each checkout, with the same seed on both sides and
+the ``run_seconds`` of ``BENCHMARK.json`` as T.  Pair i uses seed
+``--seed0`` + i; pick seeds no run used before.  Even pairs run the parent
+first, odd pairs the change; the workloads take turns, so host drift falls
+on both sides alike.  The file written, ``BENCH_<name>.json`` in the
+change's root, holds per pair the end-to-end metrics of ``BENCHMARK.json``
+and stepbench's raw wall figures, and per workload and metric the medians,
+the inclusive quartiles, the number of pairs the change won and its
+relative change of the median against the metric's bound.
 
 The script writes nothing but that file; each ``stepbench/run.py`` keeps
 its own report in its checkout's ``stepbench/out``.
@@ -35,22 +36,18 @@ from pathlib import Path
 RAW = re.compile(r"untraced raw wall figures (.*)$", re.MULTILINE)
 
 
+PAIRS = 10
+
+
 def parse_args(argv):
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--parent", required=True, type=Path, help="checkout of the parent commit")
     p.add_argument("--change", default=Path("."), type=Path, help="checkout under test")
     p.add_argument("--name", required=True, help="writes BENCH_<name>.json")
-    p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--workloads", default="ramp,probe,cooling")
-    p.add_argument("--seconds", type=float, default=30.0)
     p.add_argument("--seed0", type=int, default=20001, help="seed of the first pair")
-    p.add_argument("--out", type=Path, help="output file (default: in the change's root)")
     args = p.parse_args(argv)
-    args.out = (args.out or args.change / f"BENCH_{args.name}.json").resolve()
-    if "stepbench" in args.out.parts:
-        p.error("--out: the benchmark's own directory is not written to")
-    if args.pairs < 1:
-        p.error("--pairs must be at least 1")
+    if not re.fullmatch(r"\w[\w.-]*", args.name):
+        p.error("--name: letters, digits, '_', '.' and '-' only")
     return args
 
 
@@ -84,8 +81,6 @@ def run_once(checkout, workload, seed, seconds, metrics):
 
 
 def quartiles(values):
-    if len(values) < 2:
-        return [values[0], values[0]]
     q = statistics.quantiles(values, n=4, method="inclusive")
     return [q[0], q[2]]
 
@@ -118,33 +113,35 @@ def main(argv=None):
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
     spec = bench["end_to_end"]
     metrics = [m["name"] for m in spec]
-    workloads = [w for w in args.workloads.split(",") if w]
+    workloads = [w["name"] for w in bench["workloads"]]
+    seconds = bench["run_seconds"]
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     result = {
         "command": "python3 stepbench/run.py --workload <w> --seed <s> --seconds "
-                   f"{args.seconds:g} --trace 0",
+                   f"{seconds:g} --trace 0",
         "order": "pairs alternate which side runs first (even index: parent first); "
                  "the workloads take turns: " + ", ".join(workloads),
         "quartiles": "statistics.quantiles(n=4, method='inclusive')",
+        "seeds": f"{args.seed0}-{args.seed0 + PAIRS - 1}",
         "parent": commit(sides["parent"]), "change": commit(sides["change"]),
         "workloads": {w: {"pairs": []} for w in workloads},
     }
-    for i in range(args.pairs):
+    for i in range(PAIRS):
         seed = args.seed0 + i
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for w in workloads:
             pair = {"seed": seed}
             for side in order:
-                pair[side] = run_once(sides[side], w, seed, args.seconds, metrics)
+                pair[side] = run_once(sides[side], w, seed, seconds, metrics)
             result["workloads"][w]["pairs"].append(pair)
             p50 = [pair[s]["step_ms.p50"] for s in ("parent", "change")]
             print(f"pair {i} {w}: step_ms.p50 parent {p50[0]:.3f} change {p50[1]:.3f}",
                   flush=True)
     for w in workloads:
         result["workloads"][w]["summary"] = summarise(result["workloads"][w]["pairs"], spec)
-    args.out.write_text(json.dumps(result, indent=1) + "\n")
-    print(f"wrote {args.out}")
-
+    out = sides["change"] / f"BENCH_{args.name}.json"
+    out.write_text(json.dumps(result, indent=1) + "\n")
+    print(f"wrote {out}")
 
 if __name__ == "__main__":
     main()

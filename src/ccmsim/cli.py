@@ -15,7 +15,7 @@ import os
 import sys
 
 from . import meshgen, verify
-from .driver import check_values, load_config, run
+from .driver import check_values, load_config, output_path, run
 from .errors import ConfigError, NumericalError
 
 __all__ = ["main"]
@@ -88,23 +88,9 @@ def _verify_options(args) -> dict:
     return {k: v for k, v in (("dt", args.dt), ("n_steps", args.steps)) if v is not None}
 
 
-def _writable_csv(out_dir, name) -> str:
-    """Path of ``name`` in ``out_dir``, made if missing; the file is opened
-    once now, so that an output that cannot be written fails before the
-    case runs."""
-    path = os.path.join(out_dir, name)
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-        open(path, "w", encoding="utf-8").close()
-    except OSError as exc:
-        raise ConfigError(f"--out: cannot write {exc.filename or path}: "
-                          f"{exc.strerror or exc}") from exc
-    return path
-
-
 def _cmd_verify(args) -> int:
     given = _verify_options(args)
-    path = _writable_csv(args.out, f"{args.case}_errors.csv")
+    path = output_path(args.out, f"{args.case}_errors.csv", "--out")
     if args.case == "cbf":
         table = verify.run_cbf_case(h=args.h, **given)
         table.to_csv(path)

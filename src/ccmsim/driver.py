@@ -39,6 +39,7 @@ __all__ = [
     "StepRecord",
     "check_values",
     "load_config",
+    "output_path",
     "run",
     "sample_sensors",
     "slab_plan",
@@ -305,6 +306,16 @@ def load_config(path) -> RunConfig:
     return cfg
 
 
+# the config key of each CcmParams field, named by a ConfigError
+_PARAM_KEYS = {
+    "rho_s": "[material.solid] rho", "cp_s": "[material.solid] cp",
+    "T_s": "[material.solid] T_s", "rho_l": "[material.liquid] rho",
+    "cp_l": "[material.liquid] cp", "kappa_l": "[material.liquid] kappa",
+    "mu_l": "[material.liquid] mu", "h_m": "[melting] h_m", "T_m": "[melting] T_m",
+    "R": "[source] R", "F_ex": "[source] F_ex",
+}
+
+
 def check_values(cfg: RunConfig) -> None:
     """Check the physical values of a built config; ConfigError names the key."""
     if cfg.tip_area is not None and not cfg.tip_area > 0.0:
@@ -315,13 +326,11 @@ def check_values(cfg: RunConfig) -> None:
         raise ConfigError("[source] T_w: must be above the melting point [melting] T_m")
     if cfg.q_h is not None and not cfg.q_h > 0.0:
         raise ConfigError("[source] q_h: must be positive")
-    if cfg.T_m < cfg.T_s:
-        raise ConfigError("[melting] T_m: below the solid temperature [material.solid] T_s: "
-                          "nothing to melt")
     try:
         cfg.ccm_params  # triggers physical-parameter validation
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        field = str(exc).partition(" ")[0].removeprefix("CcmParams.")
+        raise ConfigError(f"{_PARAM_KEYS[field]}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -405,15 +414,19 @@ class _CsvWriter:
         self._f.close()
 
 
-def _open_output(out_dir, name, header) -> _CsvWriter:
-    """A CSV writer in ``out_dir``, made if missing; a directory that cannot
-    be made, or a file that cannot be opened, is a configuration error."""
+def output_path(out_dir, name, key) -> str:
+    """Path of ``name`` in ``out_dir``, made if missing.  The file is opened
+    for appending once, so an output that cannot be written is a
+    ConfigError naming ``key`` before any slab, and an existing file keeps
+    its content until the caller writes it."""
+    path = os.path.join(out_dir, name)
     try:
         os.makedirs(out_dir, exist_ok=True)
-        return _CsvWriter(os.path.join(out_dir, name), header)
+        open(path, "a", encoding="utf-8").close()
     except OSError as exc:
-        raise ConfigError(f"[output] directory: cannot write {exc.filename or out_dir}: "
+        raise ConfigError(f"{key}: cannot write {exc.filename or path}: "
                           f"{exc.strerror or exc}") from exc
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -520,16 +533,15 @@ def run(config: RunConfig) -> RunReport:
         far_tags = cfg.farfield_tags
     far_nodes = np.unique(mesh.tagged_edges(far_tags)) if far_tags else np.empty(0, np.int64)
 
-    run_csv = _open_output(cfg.out_dir, cfg.csv_name,
-                           "time,velocity,displacement,flux_avg,flux_min,flux_max,slip_count")
+    run_path = output_path(cfg.out_dir, cfg.csv_name, "[output] directory")
+    sensor_path = (output_path(cfg.out_dir, "sensors.csv", "[output] directory")
+                   if cfg.sensors else None)
+    run_csv = _CsvWriter(run_path,
+                         "time,velocity,displacement,flux_avg,flux_min,flux_max,slip_count")
     sensor_csv = None
     if cfg.sensors:
         head = "time," + ",".join(f"sensor_{k}" for k in range(len(cfg.sensors)))
-        try:
-            sensor_csv = _open_output(cfg.out_dir, "sensors.csv", head)
-        except ConfigError:
-            run_csv.close()
-            raise
+        sensor_csv = _CsvWriter(sensor_path, head)
 
     virgin = np.full(len(mesh.nodes), cfg.T_s)   # recycled rows are virgin solid
     T = virgin.copy()

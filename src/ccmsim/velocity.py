@@ -90,7 +90,7 @@ class CcmParams:
             if not (value > 0.0) or not math.isfinite(value):
                 raise ValueError(f"CcmParams.{name} must be positive and finite, got {value!r}")
         if self.T_m < self.T_s:
-            raise ValueError("melting temperature below the solid temperature: nothing to melt")
+            raise ValueError("CcmParams.T_m is below T_s: nothing to melt")
 
     @property
     def alpha_l(self) -> float:

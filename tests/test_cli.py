@@ -119,6 +119,22 @@ def test_sweep_unwritable_output_exits_2_before_the_first_slab(tmp_path, capsys,
     assert err.startswith("error: [output] directory: cannot write ") and str(out) in err
 
 
+@pytest.mark.parametrize("case, options, name", [
+    ("cbf", ["--dt", "1e300"], "dt, n_steps"),         # the exact flux underflows
+    ("meshupdate", ["--dt", "1e10"], "dt"),            # half the ring or more per step
+])
+def test_verify_case_check_keeps_an_earlier_csv(tmp_path, capsys, monkeypatch,
+                                                 case, options, name):
+    out = tmp_path / "out"
+    out.mkdir()
+    earlier = out / f"{case}_errors.csv"
+    earlier.write_text("h,dt,error,runtime\n0.25,1,0.5,0\n")
+    forbid_slabs(monkeypatch)
+    assert main(["verify", case, "--h", "0.25", *options, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {name}: ")
+    assert earlier.read_text() == "h,dt,error,runtime\n0.25,1,0.5,0\n"
+
+
 def test_run_missing_config(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.ini")]) == 2
     assert "error:" in capsys.readouterr().err
@@ -300,6 +316,17 @@ def test_sweep_rejects_bad_values(tmp_path, fixture_dir, capsys):
     assert main(["sweep", "--config", power, "--key", "source.q_h",
                  "--values", "-1000", "--out", str(tmp_path / "sw")]) == 2
     assert "[source] q_h" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("values", ["inf", "0.9,-inf", "nan"])
+def test_sweep_rejects_non_finite_values_before_the_first_slab(tmp_path, capsys,
+                                                                monkeypatch, values):
+    cfg = make_config(tmp_path)
+    forbid_slabs(monkeypatch)
+    assert main(["sweep", "--config", cfg, "--key", "source.T_w", "--values", values,
+                 "--out", str(tmp_path / "sw")]) == 2
+    assert capsys.readouterr().err.startswith("error: --values: not finite: ")
+    assert not (tmp_path / "sw").exists()
 
 
 def test_bogus_log_level_is_a_usage_error(tmp_path, monkeypatch, capsys):

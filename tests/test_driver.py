@@ -129,6 +129,8 @@ CONFIG_ERRORS = [
     ("bad-sensors", _set("output", "sensors", "1,2,3"), "sensors"),
     ("non-numeric", _set("material.solid", "rho", "thick"), "not a number"),
     ("unphysical-viscosity", _set("material.liquid", "mu", -1.0), "mu_l"),
+    ("melting-below-solid", _set("melting", "T_m", -1.0), r"\[melting\] T_m: "),
+    ("zero-latent-heat", _set("melting", "h_m", 0.0), r"\[melting\] h_m: "),
     ("zero-tip-area", _set("source", "tip_area", 0.0), "tip_area"),
     ("nan-kappa", _set("material.solid", "kappa", "nan"), r"\[material.solid\] kappa: not finite"),
     ("infinite-dt", _set("time", "dt", "inf"), r"\[time\] dt: not finite"),
