@@ -98,19 +98,16 @@ def series_flux_reference(t: float, truncation: float = 1e-14, min_terms: int = 
 
     Terms are added until one falls below ``truncation`` (with a floor of
     ``min_terms`` terms).  ``t`` must be positive: the series diverges at
-    t = 0 (the flux is singular there).
+    t = 0 (the flux is singular there); a ``t`` so small that the series
+    needs more than 100001 terms is a ValueError too.
     """
     if t <= 0.0:
         raise ValueError("series flux reference requires t > 0")
     total = 0.0
-    n = 1
-    while True:
+    for n in range(1, 100002):
         lam = (2 * n - 1) * math.pi / 2.0
         term = math.exp(-lam * lam * t)
         total += term
         if n >= min_terms and term < truncation:
-            break
-        if n > 100000:  # pragma: no cover - unreachable for t > 0
-            raise NumericalError("flux series failed to converge")
-        n += 1
-    return 2.0 * total
+            return 2.0 * total
+    raise ValueError(f"flux series needs more than 100001 terms at t = {t:g}")

@@ -93,18 +93,16 @@ def _cmd_verify(args) -> int:
     path = output_path(args.out, f"{args.case}_errors.csv", "--out")
     if args.case == "cbf":
         table = verify.run_cbf_case(h=args.h, **given)
-        table.to_csv(path)
         print("h,dt,error,runtime")
         for h, dt, e, r in zip(table.h, table.dt, table.error, table.runtime):
             print(f"{h:g},{dt:g},{e:.6e},{r:.3f}")
-        print(f"wrote {path}")
     else:
         err = verify.run_meshupdate_case(args.h, **given)
         table = verify.ErrorTable(norm_kind="max_over_time_L2")
         table.add_row(args.h, given.get("dt", 1.0), err, 0.0)
-        table.to_csv(path)
         print(f"max L2 error at h={args.h:g}: {err:.6e}")
-        print(f"wrote {path}")
+    table.to_csv(path)
+    print(f"wrote {path}")
     return 0
 
 

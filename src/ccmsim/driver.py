@@ -4,11 +4,12 @@ Each time step runs three stages: (A) slide the mesh band by U*dt and
 solve one space-time slab for the solid temperature with the melt
 interface held at the melting point, (B) recover the solid-side heat flux
 at the tip and (C) evaluate the melt closure for the approach velocity U.
-Stage A is :func:`slab_step`, the step core shared with the sliding-band
-check in :mod:`ccmsim.verify`.  The velocity computed from a slab deforms
-the *next* slab (explicit one-step lag), so a transient run starts from
-U = 0 and an equilibrium run applies the closed-form velocity from the
-first step on.
+Stage A is :func:`slab_step`, the step core shared by all three loops:
+:func:`run` here and the cooling and sliding-band cases of
+:mod:`ccmsim.verify`.  The velocity computed from a slab deforms the
+*next* slab (explicit one-step lag), so a transient run starts from U = 0
+and an equilibrium run applies the closed-form velocity from the first
+step on.
 
 Configuration is a flat INI file; every section and key is validated
 against ``_SCHEMA`` below (unknown sections and keys are errors).
@@ -19,6 +20,7 @@ snapshots of the deformed mesh with an element activity mask.
 from __future__ import annotations
 
 import configparser
+import contextlib
 import logging
 import math
 import os
@@ -172,10 +174,7 @@ def _cfg_int(cp, section, key, default=None, required=False):
 def _cfg_tags(cp, section, key, default=None):
     if not cp.has_option(section, key):
         return default
-    raw = cp.get(section, key).strip()
-    if not raw:
-        return ()
-    return tuple(t.strip() for t in raw.split(",") if t.strip())
+    return tuple(t.strip() for t in cp.get(section, key).split(",") if t.strip())
 
 
 def _parse_sensors(raw: str):
@@ -331,6 +330,13 @@ def check_values(cfg: RunConfig) -> None:
     except ValueError as exc:
         field = str(exc).partition(" ")[0].removeprefix("CcmParams.")
         raise ConfigError(f"{_PARAM_KEYS[field]}: {exc}") from exc
+    key = "[source] T_w" if cfg.mode == "temperature" else "[source] q_h"
+    try:
+        velocities = _velocities(cfg)
+    except OverflowError as exc:
+        raise ConfigError(f"{key}: the melt closure overflows: {exc.args[-1]}") from exc
+    if not all(map(math.isfinite, velocities)):
+        raise ConfigError(f"{key}: the melt velocity is not finite")
 
 
 # ---------------------------------------------------------------------------
@@ -393,27 +399,6 @@ def sample_sensors(mesh: Mesh, active, T: np.ndarray, sensors) -> np.ndarray:
     return out
 
 
-class _CsvWriter:
-    def __init__(self, path, header):
-        self._f = open(path, "w", encoding="utf-8")
-        self._f.write(header + "\n")
-
-    def row(self, values) -> None:
-        cells = []
-        for v in values:
-            if v is None or (isinstance(v, float) and math.isnan(v)):
-                cells.append("")
-            elif isinstance(v, (int, np.integer)):
-                cells.append(str(int(v)))
-            else:
-                cells.append(f"{v:.17g}")
-        self._f.write(",".join(cells) + "\n")
-        self._f.flush()
-
-    def close(self) -> None:
-        self._f.close()
-
-
 def output_path(out_dir, name, key) -> str:
     """Path of ``name`` in ``out_dir``, made if missing.  The file is opened
     for appending once, so an output that cannot be written is a
@@ -427,6 +412,61 @@ def output_path(out_dir, name, key) -> str:
         raise ConfigError(f"{key}: cannot write {exc.filename or path}: "
                           f"{exc.strerror or exc}") from exc
     return path
+
+
+def _write_row(f, values) -> None:
+    """A CSV row, a NaN (sensor gap) left empty; flushed, so an abort keeps it."""
+    f.write(",".join("" if math.isnan(v) else f"{v:.17g}" for v in values) + "\n")
+    f.flush()
+
+
+class _Outputs(contextlib.ExitStack):
+    """A run's CSV files, VTK snapshots, abort dump and sensor arrays.  Both
+    CSV paths are checked before either file is truncated."""
+
+    def __init__(self, cfg: RunConfig, mesh: Mesh):
+        super().__init__()
+        self._cfg, self._mesh = cfg, mesh
+        run_path = output_path(cfg.out_dir, cfg.csv_name, "[output] directory")
+        sensor_path = (output_path(cfg.out_dir, "sensors.csv", "[output] directory")
+                       if cfg.sensors else None)
+        self._run = self.enter_context(open(run_path, "w", encoding="utf-8"))
+        self._run.write("time,velocity,displacement,flux_avg,flux_min,flux_max,slip_count\n")
+        self._sensors = None
+        if cfg.sensors:
+            self._sensors = self.enter_context(open(sensor_path, "w", encoding="utf-8"))
+            self._sensors.write(
+                "time," + ",".join(f"sensor_{k}" for k in range(len(cfg.sensors))) + "\n")
+        self._times, self._rows = [], []
+
+    def step(self, step: int, row: list, T: np.ndarray, active: np.ndarray) -> None:
+        """Write step ``step``: its ``run.csv`` row, sensors and snapshot."""
+        cfg, mesh = self._cfg, self._mesh
+        _write_row(self._run, row)
+        if cfg.sensors:
+            t = row[0] + cfg.dt
+            values = sample_sensors(mesh, active, T, cfg.sensors)
+            self._rows.append(values)
+            self._times.append(t)
+            _write_row(self._sensors, [t, *values])
+        if cfg.vtk_every and (step + 1) % cfg.vtk_every == 0:
+            write_vtk(os.path.join(cfg.out_dir, f"state_{step + 1:06d}.vtk"),
+                      mesh.nodes, mesh.triangles, T, active)
+
+    def abort(self, step: int, T: np.ndarray, state) -> None:
+        log.error("run aborted at step %d; writing state dump", step)
+        mesh = self._mesh
+        # the band may have moved since the last step's mask was computed
+        active = (np.ones(mesh.n_triangles, dtype=bool) if state is None
+                  else motion.active_elements(mesh, state))
+        with contextlib.suppress(OSError):      # best effort
+            write_vtk(os.path.join(self._cfg.out_dir, "abort_state.vtk"), mesh.nodes,
+                      mesh.triangles, T, active)
+
+    def sensor_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Sensor times and values (steps, sensors) for the report."""
+        return (np.array(self._times),
+                np.array(self._rows) if self._rows else np.empty((0, 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -458,20 +498,25 @@ def slab_step(mesh: Mesh, state, T: np.ndarray, distance: float, *, plan: SlabPl
     joins the slab.
     Returns ``(operator, solution, T_new, active_new)``.
     """
-    coords_old = mesh.nodes.copy()
     active = act = np.ones(mesh.n_triangles, dtype=bool)
+    coords_old, conn = mesh.nodes, mesh.triangles
     if state is not None:
+        coords_old = mesh.nodes.copy()
         wrapped = motion.advance(mesh, state, distance).wrapped_nodes
         T[wrapped] = background[wrapped]
         active = motion.active_elements(mesh, state)
         act = active & ~np.isin(mesh.triangles, wrapped).any(axis=1)
-    prob = SlabProblem(coords_old, mesh.nodes, mesh.triangles[act], dt=dt, alpha=alpha,
-                       t_prev=T, dirichlet_nodes=dirichlet_nodes,
-                       dirichlet_values=dirichlet_values, plan=plan, active=act)
+        conn = mesh.triangles[act]
+    prob = SlabProblem(coords_old, mesh.nodes, conn, dt=dt, alpha=alpha, t_prev=T,
+                       dirichlet_nodes=dirichlet_nodes, dirichlet_values=dirichlet_values,
+                       plan=plan, active=act)
     op = SlabOperator(prob)
     sol = op.solve()
-    inside = np.zeros(len(T), dtype=bool)
-    inside[mesh.triangles[active]] = True
+    inside = op.node_active
+    # the nodes of window triangles that touch a wrapped node are inside too
+    if state is not None:
+        inside = np.zeros(len(T), dtype=bool)
+        inside[mesh.triangles[active]] = True
     return op, sol, np.where(inside, sol.t_top, background), active
 
 
@@ -482,15 +527,23 @@ def _equilibrium_velocity(cfg: RunConfig) -> float:
     return vel.u_eq_power(p, cfg.q_h)
 
 
-def run(config: RunConfig) -> RunReport:
-    """Execute the configured run and return the full report."""
-    cfg = config
+def _velocities(cfg: RunConfig) -> tuple[float, float]:
+    """``U_eq`` and the largest U of a step.  A transient U peaks at q_s = 0
+    (clamped), where the closure is ``U_eq`` without preheating."""
+    U_eq = _equilibrium_velocity(cfg)
+    if cfg.coupling == "equilibrium":
+        return U_eq, U_eq
+    return U_eq, _equilibrium_velocity(replace(cfg, T_s=cfg.T_m))
+
+
+def _set_up(cfg: RunConfig):
+    """``(mesh, state, plan, U_eq, warnings, tip_edges, dirichlet_nodes,
+    farfield_nodes)`` of a run; ``state`` is None for a mesh without a band."""
     try:
         mesh = load_mesh(cfg.mesh_path)
     except (OSError, MeshFormatError) as exc:
         raise ConfigError(f"[mesh] path: cannot load {cfg.mesh_path}: {exc}") from exc
     state = None
-    act = np.ones(len(mesh.triangles), dtype=bool)
     if mesh.strip is not None:
         if cfg.direction is None:
             raise ConfigError("[mesh] direction: required for a mesh with a sliding band")
@@ -501,13 +554,8 @@ def run(config: RunConfig) -> RunReport:
                               f"along {cfg.direction}: {exc}") from exc
     plan = slab_plan(mesh, state)
 
-    p = cfg.ccm_params
-    rho_cp = cfg.rho_s * cfg.cp_s
-    U_eq = _equilibrium_velocity(cfg)
+    U_eq, U_max = _velocities(cfg)
     log.info("equilibrium velocity U_eq = %.6e m/s", U_eq)
-    # a transient U peaks at q_s = 0 (clamped), where the closure is U_eq without preheating
-    U_max = (U_eq if cfg.coupling == "equilibrium"
-             else _equilibrium_velocity(replace(cfg, T_s=cfg.T_m)))
     warnings: list[str] = []
     if state is not None and U_max * cfg.dt >= state.circumference / 2:
         raise ConfigError(f"[time] dt: U*dt can reach {U_max * cfg.dt:.6g} m per step; half "
@@ -522,125 +570,95 @@ def run(config: RunConfig) -> RunReport:
     tip_edges = mesh.tagged_edges(cfg.tip_tags)
     if tip_edges.shape[0] == 0:
         raise ConfigError(f"[source] tip_tags: no boundary edges tagged {cfg.tip_tags!r}")
-    tip_nodes = np.unique(tip_edges)
     source_tags = set(cfg.tip_tags) | set(cfg.side_tags)
     dir_nodes = np.unique(mesh.tagged_edges(tuple(source_tags)))
-    dir_vals = np.full(len(dir_nodes), cfg.T_m)
+    far_tags = cfg.farfield_tags
+    if far_tags is None:
+        far_tags = set(mesh.boundary_tags) - source_tags
+    far_nodes = np.unique(mesh.tagged_edges(far_tags))
+    return mesh, state, plan, U_eq, warnings, tip_edges, dir_nodes, far_nodes
 
-    if cfg.farfield_tags is None:
-        far_tags = tuple(sorted(set(mesh.boundary_tags) - source_tags))
+
+def _closure(cfg: RunConfig, op: SlabOperator, sol, tip_edges):
+    """``(U_next, q_s, q_min, q_max, clamped, stalled)`` of the melt closure
+    on the slab's tip flux into the solid; an equilibrium run keeps U_eq."""
+    if cfg.coupling == "equilibrium":
+        return _equilibrium_velocity(cfg), 0.0, 0.0, 0.0, False, False
+    fr = recover_flux(op, sol, tip_edges, cfg.rho_s * cfg.cp_s)
+    q_raw = -fr.q_s_avg       # positive when heat enters the solid
+    into_solid = -fr.nodal_flux
+    q_s = max(q_raw, 0.0)
+    stalled = False
+    if cfg.mode == "temperature":
+        U_next = vel.u_transient_temperature(cfg.ccm_params, cfg.T_w, q_s)
     else:
-        far_tags = cfg.farfield_tags
-    far_nodes = np.unique(mesh.tagged_edges(far_tags)) if far_tags else np.empty(0, np.int64)
+        U_next, stalled = vel.u_transient_power(cfg.ccm_params, cfg.q_h, q_s)
+    return (U_next, q_s, float(into_solid.min()), float(into_solid.max()), q_raw < 0.0,
+            stalled)
 
-    run_path = output_path(cfg.out_dir, cfg.csv_name, "[output] directory")
-    sensor_path = (output_path(cfg.out_dir, "sensors.csv", "[output] directory")
-                   if cfg.sensors else None)
-    run_csv = _CsvWriter(run_path,
-                         "time,velocity,displacement,flux_avg,flux_min,flux_max,slip_count")
-    sensor_csv = None
-    if cfg.sensors:
-        head = "time," + ",".join(f"sensor_{k}" for k in range(len(cfg.sensors)))
-        sensor_csv = _CsvWriter(sensor_path, head)
+
+def run(config: RunConfig) -> RunReport:
+    """Execute the configured run and return the full report."""
+    cfg = config
+    mesh, state, plan, U_eq, warnings, tip_edges, dir_nodes, far_nodes = _set_up(cfg)
+    tip_nodes = np.unique(tip_edges)
+    dir_vals = np.full(len(dir_nodes), cfg.T_m)
 
     virgin = np.full(len(mesh.nodes), cfg.T_s)   # recycled rows are virgin solid
     T = virgin.copy()
     U = U_eq if cfg.coupling == "equilibrium" else 0.0
     displacement = 0.0
     records: list[StepRecord] = []
-    sensor_rows = []
-    sensor_times = []
     far_warned = False
 
-    step = -1
-    try:
-        for step in range(cfg.n_steps):
-            t_n = step * cfg.dt
-            op, sol, T, act = slab_step(
-                mesh, state, T, U * cfg.dt, plan=plan, dt=cfg.dt, alpha=cfg.alpha_s,
-                dirichlet_nodes=dir_nodes, dirichlet_values=dir_vals,
-                background=virgin)
-            if state is not None:
-                displacement = state.displacement
-                slips_total = state.n_slips
-            else:
-                displacement += U * cfg.dt
-                slips_total = 0
-            if not op.node_active[tip_nodes].all():
-                # the band has carried the tip out of the window, or into
-                # rows that wrapped this step
-                raise NumericalError(
-                    f"step {step}: the source tip left the active slab at displacement "
-                    f"{displacement:.6g} m ({slips_total} slips, {U * cfg.dt:.6g} m this "
-                    f"step)")
-
-            q_s = q_min = q_max = 0.0
-            clamped = stalled = False
-            if cfg.coupling == "transient":
-                fr = recover_flux(op, sol, tip_edges, rho_cp)
-                q_raw = -fr.q_s_avg       # positive when heat enters the solid
-                into_solid = -fr.nodal_flux
-                q_min = float(into_solid.min())
-                q_max = float(into_solid.max())
-                clamped = q_raw < 0.0
-                q_s = max(q_raw, 0.0)
-                if cfg.mode == "temperature":
-                    U_next = vel.u_transient_temperature(p, cfg.T_w, q_s)
-                else:
-                    U_next, stalled = vel.u_transient_power(p, cfg.q_h, q_s)
-            else:
-                U_next = U_eq
-
-            if (not far_warned and far_nodes.size
-                    and np.any(np.abs(T[far_nodes] - cfg.T_s) > 0.1)):
-                msg = (f"step {step}: far-field boundary temperature strayed more "
-                       f"than 0.1 K from T_s = {cfg.T_s} K")
-                log.warning(msg)
-                warnings.append(msg)
-                far_warned = True
-
-            records.append(StepRecord(t=t_n, U=U, displacement=displacement,
-                                      q_s_avg=q_s, slip_count=slips_total,
-                                      clamped=clamped, stalled=stalled))
-            run_csv.row([t_n, U, displacement, q_s, q_min, q_max, slips_total])
-
-            if cfg.sensors:
-                values = sample_sensors(mesh, act, T, cfg.sensors)
-                sensor_rows.append(values)
-                sensor_times.append(t_n + cfg.dt)
-                sensor_csv.row([t_n + cfg.dt, *values])
-
-            if cfg.vtk_every and (step + 1) % cfg.vtk_every == 0:
-                write_vtk(os.path.join(cfg.out_dir, f"state_{step + 1:06d}.vtk"),
-                          mesh.nodes, mesh.triangles, T, act)
-
-            U = U_next
-            # let this step's slab go before the next one is assembled
-            op = sol = fr = None
-    except Exception:
-        log.error("run aborted at step %d; writing state dump", step)
+    with _Outputs(cfg, mesh) as out:
+        step = -1
         try:
-            # the band may have moved since ``act`` was computed
-            write_vtk(os.path.join(cfg.out_dir, "abort_state.vtk"), mesh.nodes,
-                      mesh.triangles, T,
-                      act if state is None else motion.active_elements(mesh, state))
-        except OSError:  # pragma: no cover - best effort
-            pass
-        raise
-    finally:
-        run_csv.close()
-        if sensor_csv is not None:
-            sensor_csv.close()
+            for step in range(cfg.n_steps):
+                t_n = step * cfg.dt
+                op, sol, T, act = slab_step(
+                    mesh, state, T, U * cfg.dt, plan=plan, dt=cfg.dt, alpha=cfg.alpha_s,
+                    dirichlet_nodes=dir_nodes, dirichlet_values=dir_vals,
+                    background=virgin)
+                if state is not None:
+                    displacement = state.displacement
+                    slips_total = state.n_slips
+                else:
+                    displacement += U * cfg.dt
+                    slips_total = 0
+                if not op.node_active[tip_nodes].all():
+                    # the band has carried the tip out of the window, or into
+                    # rows that wrapped this step
+                    raise NumericalError(
+                        f"step {step}: the source tip left the active slab at displacement "
+                        f"{displacement:.6g} m ({slips_total} slips, {U * cfg.dt:.6g} m this "
+                        f"step)")
+                U_next, q_s, q_min, q_max, clamped, stalled = _closure(cfg, op, sol, tip_edges)
+
+                if not far_warned and np.any(np.abs(T[far_nodes] - cfg.T_s) > 0.1):
+                    msg = (f"step {step}: far-field boundary temperature strayed more "
+                           f"than 0.1 K from T_s = {cfg.T_s} K")
+                    log.warning(msg)
+                    warnings.append(msg)
+                    far_warned = True
+
+                records.append(StepRecord(t=t_n, U=U, displacement=displacement,
+                                          q_s_avg=q_s, slip_count=slips_total,
+                                          clamped=clamped, stalled=stalled))
+                out.step(step, [t_n, U, displacement, q_s, q_min, q_max, slips_total], T, act)
+                U = U_next
+                # let this step's slab go before the next one is assembled
+                op = sol = None
+        except Exception:
+            out.abort(step, T, state)
+            raise
 
     tail = max(1, cfg.n_steps // 10)
     mean_u = float(np.mean([r.U for r in records[-tail:]]))
     summary = RunSummary(final_displacement=displacement,
                          mean_velocity_last_10pct=mean_u)
-    report = RunReport(records=records,
-                       sensor_times=np.array(sensor_times),
-                       sensor_values=(np.array(sensor_rows)
-                                      if sensor_rows else np.empty((0, 0))),
-                       summary=summary, warnings=warnings)
+    sensor_times, sensor_values = out.sensor_arrays()
     log.info("run complete: displacement %.6f m, mean U (last 10%%) %.6e m/s",
              displacement, mean_u)
-    return report
+    return RunReport(records=records, sensor_times=sensor_times, sensor_values=sensor_values,
+                     summary=summary, warnings=warnings)

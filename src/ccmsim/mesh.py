@@ -94,8 +94,6 @@ class Mesh:
             tags = (tags,)
         want = set(tags)
         idx = [i for i, t in enumerate(self.boundary_tags) if t in want]
-        if not idx:
-            return np.empty((0, 2), dtype=np.int64)
         return self.boundary_edges[np.array(idx, dtype=np.int64)]
 
 

@@ -75,18 +75,8 @@ class CcmParams:
     F_ex: float
 
     def __post_init__(self) -> None:
-        positive = {
-            "rho_s": self.rho_s,
-            "cp_s": self.cp_s,
-            "rho_l": self.rho_l,
-            "cp_l": self.cp_l,
-            "kappa_l": self.kappa_l,
-            "mu_l": self.mu_l,
-            "h_m": self.h_m,
-            "R": self.R,
-            "F_ex": self.F_ex,
-        }
-        for name, value in positive.items():
+        for name in ("rho_s", "cp_s", "rho_l", "cp_l", "kappa_l", "mu_l", "h_m", "R", "F_ex"):
+            value = getattr(self, name)
             if not (value > 0.0) or not math.isfinite(value):
                 raise ValueError(f"CcmParams.{name} must be positive and finite, got {value!r}")
         if self.T_m < self.T_s:

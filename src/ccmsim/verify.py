@@ -9,6 +9,9 @@ Two self-contained benchmark problems exercise the solver stack end to end:
   vertical band of the mesh slides downward through a recycling window —
   any error is purely a mesh-update artifact, and its decay under
   refinement measures the quality of the sliding-mesh machinery.
+
+Both take each step from :func:`ccmsim.driver.slab_step`, the step core
+of the driver's run loop, so the three loops share one step.
 """
 
 from __future__ import annotations
@@ -19,10 +22,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import driver, meshgen, motion, stfem
+from . import driver, meshgen, motion
 from .cbf import recover_flux, series_flux_reference
 from .errors import ConfigError
 from .mesh import tri_areas
+# unused since the cooling case steps through driver.slab_step; kept because
+# stepbench's step clock patches verify.SlabProblem as well as the driver's
 from .stfem import SlabProblem
 
 __all__ = [
@@ -114,42 +119,41 @@ def run_cbf_case(h: float = 0.02, dt: float = 0.05, n_steps: int = 20) -> ErrorT
     """Flux-recovery benchmark on the unit square.
 
     Initial temperature 1 everywhere; the right edge is clamped to 0 and
-    the remaining edges are insulated (natural).  Each step solves one
-    slab on the static structured mesh of cell size ``h`` and recovers
-    the right-edge flux; the row for step i holds the relative error of
-    the recovered (slab-averaged) flux against the exact series evaluated
-    at the slab midpoint t = (i + 1/2) dt.  A run whose last midpoint is
-    so late that the exact flux underflows to zero has no relative error;
-    it is a ConfigError before the first slab.
+    the remaining edges are insulated (natural).  Each step is
+    :func:`ccmsim.driver.slab_step` on the static structured mesh of cell
+    size ``h``, which has no band, followed by a recovery of the
+    right-edge flux; the row for step i holds the relative error of the
+    recovered (slab-averaged) flux against the exact series evaluated at
+    the slab midpoint t = (i + 1/2) dt.  A run whose first midpoint is so
+    early that the series cannot be summed, or whose last midpoint is so
+    late that the exact flux underflows to zero, has no reference; it is
+    a ConfigError before the first slab.
     """
-    t_last = (n_steps - 0.5) * dt
-    if not series_flux_reference(t_last) > 0.0:
+    # the exact flux at each slab's midpoint, first to last
+    try:
+        q_ref = [series_flux_reference((i + 0.5) * dt) for i in range(n_steps)]
+    except ValueError as exc:
+        raise ConfigError(f"dt: the exact flux series cannot be summed at the first slab's "
+                          f"midpoint t = {0.5 * dt:g} ({exc}); use a longer step") from exc
+    if not q_ref[-1] > 0.0:
         raise ConfigError(f"dt, n_steps: the exact flux underflows to zero by the last "
-                          f"slab's midpoint t = {t_last:g}; use fewer or shorter steps")
+                          f"slab's midpoint t = {(n_steps - 0.5) * dt:g}; use fewer or "
+                          f"shorter steps")
     mesh = meshgen.make_unit_square(grid_cells(h))
-    coords = mesh.nodes
-    x = coords[:, 0]
-    dir_nodes = np.where(np.isclose(x, 1.0))[0]
-    dir_vals = np.zeros(len(dir_nodes))
     edges = mesh.tagged_edges("right")
-    t_prev = np.ones(len(coords))
+    right = np.unique(edges)
+    zeros = np.zeros(len(right))
+    T = np.ones(mesh.n_nodes)
     plan = driver.slab_plan(mesh, None)
-    everywhere = np.ones(mesh.n_triangles, dtype=bool)
 
     table = ErrorTable(norm_kind="relative_scalar")
-    for i in range(n_steps):
+    for q in q_ref:
         tic = time.perf_counter()
-        prob = SlabProblem(coords, coords, mesh.triangles, dt=dt, alpha=1.0,
-                           t_prev=t_prev, dirichlet_nodes=dir_nodes,
-                           dirichlet_values=dir_vals, plan=plan, active=everywhere)
-        op = stfem.SlabOperator(prob)
-        sol = op.solve()
-        t_mid = (i + 0.5) * dt
+        op, sol, T, _ = driver.slab_step(
+            mesh, None, T, 0.0, plan=plan, dt=dt, alpha=1.0, dirichlet_nodes=right,
+            dirichlet_values=zeros, background=T)
         fr = recover_flux(op, sol, edges, rho_cp=1.0)
-        q_ref = series_flux_reference(t_mid)
-        err = abs(fr.q_s_avg - q_ref) / q_ref
-        table.add_row(h, dt, err, time.perf_counter() - tic)
-        t_prev = sol.t_top
+        table.add_row(h, dt, abs(fr.q_s_avg - q) / q, time.perf_counter() - tic)
         # let this step's slab go before the next one is assembled
         op = sol = fr = None
     return table
@@ -174,10 +178,8 @@ def run_meshupdate_case(h: float, velocity: float = 0.005, dt: float = 1.0,
         raise ConfigError(f"dt: the band moves {velocity * dt:g} per step; half its ring "
                           f"circumference is {state.circumference / 2:g}")
     exact = mesh.nodes[:, 0].copy()        # T = x; the band moves along y only
-    left = np.unique(mesh.tagged_edges("left"))
-    right = np.unique(mesh.tagged_edges("right"))
-    dir_nodes = np.concatenate([left, right])
-    dir_vals = np.concatenate([np.zeros(len(left)), np.ones(len(right))])
+    dir_nodes = np.unique(mesh.tagged_edges(("left", "right")))
+    dir_vals = exact[dir_nodes]            # 0 on the left edge, 1 on the right
 
     T = exact.copy()
     plan = driver.slab_plan(mesh, state)

@@ -144,6 +144,14 @@ def test_series_flux_requires_positive_time():
         series_flux_reference(-0.1)
 
 
+def test_series_flux_too_early_to_sum_is_a_value_error():
+    # about sqrt(32 / t) / pi terms reach the truncation: past 100001 of them
+    # the time is too early for the series, not a numerical failure
+    assert series_flux_reference(1e-9) > 0.0
+    with pytest.raises(ValueError, match="100001 terms"):
+        series_flux_reference(1e-300)
+
+
 def test_cooling_benchmark_flux_errors_decay():
     # the reference flux is singular at t = 0, so the first slab is poor by
     # construction; accuracy recovers fast once the front is resolved

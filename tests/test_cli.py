@@ -122,6 +122,7 @@ def test_sweep_unwritable_output_exits_2_before_the_first_slab(tmp_path, capsys,
 @pytest.mark.parametrize("case, options, name", [
     ("cbf", ["--dt", "1e300"], "dt, n_steps"),         # the exact flux underflows
     ("meshupdate", ["--dt", "1e10"], "dt"),            # half the ring or more per step
+    ("cbf", ["--dt", "1e-300"], "dt"),                 # too early to sum the series
 ])
 def test_verify_case_check_keeps_an_earlier_csv(tmp_path, capsys, monkeypatch,
                                                  case, options, name):
@@ -326,6 +327,20 @@ def test_sweep_rejects_non_finite_values_before_the_first_slab(tmp_path, capsys,
     assert main(["sweep", "--config", cfg, "--key", "source.T_w", "--values", values,
                  "--out", str(tmp_path / "sw")]) == 2
     assert capsys.readouterr().err.startswith("error: --values: not finite: ")
+    assert not (tmp_path / "sw").exists()
+
+
+@pytest.mark.parametrize("fixture, section, key", [("hotwire.ini", "source", "T_w"),
+                                                   ("power_3kw.ini", "source", "q_h")])
+def test_sweep_overflowing_the_closure_exits_2_before_the_first_slab(
+        tmp_path, fixture_dir, capsys, monkeypatch, fixture, section, key):
+    # a finite value so large that the melt closure overflows a float
+    forbid_slabs(monkeypatch)
+    assert main(["sweep", "--config", os.path.join(fixture_dir, fixture),
+                 "--key", f"{section}.{key}", "--values", "1e300",
+                 "--out", str(tmp_path / "sw")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: [{section}] {key}: ") and "Traceback" not in err
     assert not (tmp_path / "sw").exists()
 
 

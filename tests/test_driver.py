@@ -9,7 +9,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from ccmsim import driver, meshgen, motion, stfem
+from ccmsim import driver, meshgen, motion, stfem, verify
 from ccmsim.cbf import FluxResult, recover_flux
 from ccmsim.driver import RunConfig, load_config, run
 from ccmsim.errors import ConfigError
@@ -292,6 +292,34 @@ def test_each_step_builds_one_slab_and_one_mask(tmp_path, monkeypatch, coupling)
     cfg.sensors = ((0.85, 0.43),)
     run(cfg)
     assert events == ["plan"] + ["mask", "slab"] * 4
+
+
+@pytest.mark.parametrize("loop", ["run", "cooling", "sliding band"])
+def test_every_slab_is_built_by_the_step_core(tmp_path, monkeypatch, loop):
+    # the run loop and both verification cases share driver.slab_step: no
+    # loop builds a slab of its own
+    built, stepped = [], []
+    init, step = stfem.SlabOperator.__init__, driver.slab_step
+
+    def counted_init(self, problem):
+        built.append(problem)
+        init(self, problem)
+
+    def counted_step(*args, **kwargs):
+        stepped.append(args)
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(stfem.SlabOperator, "__init__", counted_init)
+    monkeypatch.setattr(driver, "slab_step", counted_step)
+    if loop == "run":
+        cfg = load_config(write_config(tmp_path))
+        cfg.n_steps = 3
+        run(cfg)
+    elif loop == "cooling":
+        verify.run_cbf_case(h=0.25, dt=0.05, n_steps=3)
+    else:
+        verify.run_meshupdate_case(0.25, n_steps=3)
+    assert len(built) == len(stepped) == 3
 
 
 def seam_band(mesh, state):

@@ -483,8 +483,8 @@ def test_cooling_run_factors_once(monkeypatch):
     calls = counted_splu(monkeypatch)
     reused = verify.run_cbf_case(h=0.02, dt=0.01, n_steps=10)
     assert len(calls) == 1
-    operator = stfem.SlabOperator
-    monkeypatch.setattr(stfem, "SlabOperator", lambda problem: operator(fresh(problem)))
+    operator = driver.SlabOperator
+    monkeypatch.setattr(driver, "SlabOperator", lambda problem: operator(fresh(problem)))
     factored = verify.run_cbf_case(h=0.02, dt=0.01, n_steps=10)
     assert len(calls) == 11
     assert reused.error == factored.error
