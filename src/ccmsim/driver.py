@@ -305,13 +305,14 @@ def load_config(path) -> RunConfig:
     return cfg
 
 
-# the config key of each CcmParams field, named by a ConfigError
+# the config key of each input of the melt closures (the CcmParams fields,
+# T_w and q_h), named by a ConfigError
 _PARAM_KEYS = {
     "rho_s": "[material.solid] rho", "cp_s": "[material.solid] cp",
     "T_s": "[material.solid] T_s", "rho_l": "[material.liquid] rho",
     "cp_l": "[material.liquid] cp", "kappa_l": "[material.liquid] kappa",
     "mu_l": "[material.liquid] mu", "h_m": "[melting] h_m", "T_m": "[melting] T_m",
-    "R": "[source] R", "F_ex": "[source] F_ex",
+    "R": "[source] R", "F_ex": "[source] F_ex", "T_w": "[source] T_w", "q_h": "[source] q_h",
 }
 
 
@@ -330,13 +331,16 @@ def check_values(cfg: RunConfig) -> None:
     except ValueError as exc:
         field = str(exc).partition(" ")[0].removeprefix("CcmParams.")
         raise ConfigError(f"{_PARAM_KEYS[field]}: {exc}") from exc
-    key = "[source] T_w" if cfg.mode == "temperature" else "[source] q_h"
+    # a closure that over- or underflows fails on the input furthest from 1
+    key = _PARAM_KEYS[max((f for f in _PARAM_KEYS if getattr(cfg, f) is not None),
+                          key=lambda f: abs(math.log10(abs(getattr(cfg, f)) or 1.0)))]
     try:
         velocities = _velocities(cfg)
-    except OverflowError as exc:
-        raise ConfigError(f"{key}: the melt closure overflows: {exc.args[-1]}") from exc
-    if not all(map(math.isfinite, velocities)):
-        raise ConfigError(f"{key}: the melt velocity is not finite")
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise ConfigError(f"{key}: the melt closure fails in floating point: "
+                          f"{exc.args[-1]}") from exc
+    if not all(math.isfinite(U) and U > 0.0 for U in velocities):
+        raise ConfigError(f"{key}: the melt velocity is not a positive finite number")
 
 
 # ---------------------------------------------------------------------------
@@ -495,29 +499,39 @@ def slab_step(mesh: Mesh, state, T: np.ndarray, distance: float, *, plan: SlabPl
     ring.  Wrapped nodes are reseeded in ``T`` from the nodal field
     ``background`` before the solve; nodes outside the new active mask take
     ``background`` after it, the value at which a row entering the window
-    joins the slab.
+    joins the slab.  It keeps the plan's structure, passed on as its very
+    mask and connectivity, if the band (moved only here) did not slip, which
+    alone rewires the zipper, and both masks, the window's and the slab's,
+    are the held ones.
     Returns ``(operator, solution, T_new, active_new)``.
     """
-    active = act = np.ones(mesh.n_triangles, dtype=bool)
-    coords_old, conn = mesh.nodes, mesh.triangles
+    held, coords_old, slips = plan.structure, mesh.nodes, 0
+    window = act = np.ones(mesh.n_triangles, dtype=bool)
     if state is not None:
         coords_old = mesh.nodes.copy()
-        wrapped = motion.advance(mesh, state, distance).wrapped_nodes
+        moved = motion.advance(mesh, state, distance)
+        wrapped, slips = moved.wrapped_nodes, moved.slips
         T[wrapped] = background[wrapped]
-        active = motion.active_elements(mesh, state)
-        act = active & ~np.isin(mesh.triangles, wrapped).any(axis=1)
+        window = act = motion.active_elements(mesh, state)
+        if wrapped.size:
+            act = window & ~np.isin(mesh.triangles, wrapped).any(axis=1)
+    if (held is not None and not slips and np.array_equal(window, held.window)
+            and np.array_equal(act, held.active)):
+        window, act, conn = held.window, held.active, held.conn
+    else:
         conn = mesh.triangles[act]
+    held = None     # a slab of another structure lets the held one and its LU go
     prob = SlabProblem(coords_old, mesh.nodes, conn, dt=dt, alpha=alpha, t_prev=T,
                        dirichlet_nodes=dirichlet_nodes, dirichlet_values=dirichlet_values,
                        plan=plan, active=act)
     op = SlabOperator(prob)
+    rec = op.structure
+    if rec.inside is None:
+        # the nodes of window triangles that touch a wrapped node are inside too
+        rec.window, rec.inside = window, np.zeros(len(T), dtype=bool)
+        rec.inside[mesh.triangles[window]] = True
     sol = op.solve()
-    inside = op.node_active
-    # the nodes of window triangles that touch a wrapped node are inside too
-    if state is not None:
-        inside = np.zeros(len(T), dtype=bool)
-        inside[mesh.triangles[active]] = True
-    return op, sol, np.where(inside, sol.t_top, background), active
+    return op, sol, np.where(rec.inside, sol.t_top, background), rec.window
 
 
 def _equilibrium_velocity(cfg: RunConfig) -> float:

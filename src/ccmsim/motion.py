@@ -53,6 +53,8 @@ class MotionState:
     strip_nodes: np.ndarray    # all strip node ids
     c0: np.ndarray             # as-generated axis ordinate per strip node
     tri_code: np.ndarray       # role code per triangle (int8)
+    corner_nodes: np.ndarray   # (k, 3) first nodes of the distinct corner-row triples
+    tri_rows: np.ndarray       # of the band triangles; per triangle its triple, k off it
     seams: list[Seam] = field(default_factory=list)
     displacement: float = 0.0
     n_slips: int = 0
@@ -145,11 +147,23 @@ def init_motion(mesh: Mesh, direction) -> MotionState:
 
     codes = {rid: ROLE_CODE[role] for rid, role in mesh.region_roles.items()}
     tri_code = np.array([codes[int(r)] for r in mesh.tri_region], dtype=np.int8)
+    # the band triangles' corner rows, one key per distinct sorted triple
+    row_of = np.full(mesh.n_nodes, -1)
+    row_of[np.concatenate(s.rows)] = np.repeat(np.arange(L), [len(r) for r in s.rows])
+    band = (tri_code == ROLE_CODE["strip"]) | (tri_code == ROLE_CODE["virtual"])
+    rows = np.sort(row_of[mesh.triangles[band]], axis=1)
+    if np.any(rows < 0):
+        raise ValueError("a band triangle has a corner off the strip rows")
+    keys, kind = np.unique((rows[:, 0] * L + rows[:, 1]) * L + rows[:, 2], return_inverse=True)
+    corner_rows = np.stack([keys // L**2, keys // L % L, keys % L], axis=1)     # (k, 3)
+    tri_rows = np.full(mesh.n_triangles, len(keys))
+    tri_rows[band] = kind
 
     state = MotionState(axis=axis, sign=sign, h_row=h, w_lo=w_lo, w_hi=w_hi,
                         circumference=L * h, n_lines=L, n_phys=n_phys,
                         ell0=ell0, grace=h, strip_nodes=strip_nodes, c0=c0,
-                        tri_code=tri_code)
+                        tri_code=tri_code, tri_rows=tri_rows,
+                        corner_nodes=np.array([r[0] for r in s.rows])[corner_rows])
     state.seams = _discover_seams(mesh, state)
     _rebuild_zippers(mesh, state)   # normalize to the canonical pattern
     return state
@@ -268,17 +282,16 @@ def active_elements(mesh: Mesh, state: MotionState) -> np.ndarray:
 
     Static and zipper triangles are always on.  Strip bands are on iff they
     are not torn across the ring wrap and strictly intersect the window
-    interior; the role label records the initial state only, so both
-    'strip' and 'virtual' bands are judged geometrically.
+    interior.  The role label records the initial state only, so both
+    'strip' and 'virtual' bands are judged geometrically, by their corner
+    rows: each row is taken as the line of its own nodes, at the ordinate of
+    its first node, and the mask is computed once per distinct triple.
     """
-    act = np.ones(mesh.n_triangles, dtype=bool)
-    geo = (state.tri_code == 1) | (state.tri_code == 3)
-    conn = mesh.triangles[geo]
-    c = mesh.nodes[:, state.axis][conn]
+    c = mesh.nodes[state.corner_nodes, state.axis]                        # (k, 3)
     cmax = c.max(axis=1)
     cmin = c.min(axis=1)
     torn = (cmax - cmin) > state.circumference / 2
     eps = 1e-9 * state.h_row
     inside = (cmax > state.w_lo + eps) & (cmin < state.w_hi - eps)
-    act[geo] = ~torn & inside
-    return act
+    # the last entry serves the triangles outside the band
+    return np.append(~torn & inside, True)[state.tri_rows]

@@ -65,23 +65,22 @@ true slab residual.  (Plain iterative refinement ``x += K^-1 (b - A x)``
 contracts more slowly the further a step shears the zipper; GMRES does not
 depend on that contraction.)
 
-The run's plan holds its last LU together with the structure of the slab
-it was made for: the active-element mask, the zipper connectivity and the
-fixed (Dirichlet or idle) nodes.  The driver assembles each slab on the
-window mask of the band's new position (see
-:func:`ccmsim.driver.slab_step`), so a slip changes the mask and the
-zipper of its own slab only.  (That takes a band of three or more
-virtual rows, as in the bundled meshes.  With two, the rows that wrap at
-a slip land next to the window and keep the entering row out of the slip
-slab, so the next slab has a new structure too.)  Between two slips the
-band only translates, so the slabs that follow a slip keep its structure
-and only the values of ``lambda M' + N'`` change (the band's
-displacement, the zipper's shear).  Such a slab is not factored: the held
-LU preconditions GMRES, which corrects the changed values as it corrects
-what the zipper fit misses.  A slab of another structure frees the held LU
-before it is assembled and is factored anew, and so is a slab whose GMRES
-does not converge with the held LU.  A bare :class:`SlabProblem` has a
-one-off plan, so it is always factored.
+The plan also holds the current structure, a :class:`SlabStructure`:
+the slab's active mask, its active and fixed (Dirichlet or idle) nodes, the
+zipper connectivity, the rigid sums that depend on the mask alone, and the
+LU made for it.  The driver assembles each slab on the window mask of the
+band's new position (see :func:`ccmsim.driver.slab_step`), so a slip
+changes the structure of its own slab only (with a band of three or more
+virtual rows, as in the bundled meshes; with two, the rows that wrap at a
+slip keep the entering row out of the slip slab, so the next one changes
+too).  Between two slips the band only translates: the slabs after a slip
+keep its structure, and only ``U dt`` and the zipper's shear change.  Such
+a slab is not factored: the held LU preconditions GMRES, which corrects the
+changed values as it corrects what the zipper fit misses.  A slab of
+another structure lets the held one go before it is assembled and is
+factored anew, and so is a slab whose GMRES does not converge with the
+held LU.  A bare :class:`SlabProblem` has a one-off plan, so it is always
+factored.
 """
 
 from __future__ import annotations
@@ -217,15 +216,13 @@ class SlabPlan:
     product with a vector of per-element factors.  The four share one
     index structure.
 
-    The plan also holds the run's last LU of ``lambda M' + N'`` in ``lu``,
-    and in ``lu_structure`` the structure of the slab it was made for: its
-    active-element mask, zipper connectivity and fixed nodes (see
-    :meth:`SlabOperator.solve`).
+    The plan also holds, in ``structure``, the :class:`SlabStructure` of
+    the run's last slab, with its LU once one is made.
     """
 
     def __init__(self, n, conn, shapes, zipper):
         self.n = n
-        self.lu = self.lu_structure = None
+        self.structure = None
         self.zipper = np.asarray(zipper, dtype=bool)
         self.rigid = np.flatnonzero(~self.zipper)
         rconn = conn[self.rigid]
@@ -280,6 +277,36 @@ class SlabPlan:
         return cls(len(p.coords_old), p.conn, xo, ~rigid)
 
 
+class SlabStructure:
+    """What the slabs of one mask ``active``, connectivity ``conn`` (both
+    kept as they are) and set of Dirichlet nodes share: the active and fixed
+    nodes, the zipper connectivity ``zc`` and its COO indices, the rigid
+    sums of the mask alone (the data of ``M'`` on the plan's pattern, also as
+    the CSC ``jump``, and that of ``dt alpha K' / 2``, made again when ``dt
+    alpha`` changes), the LU, and from :func:`ccmsim.driver.slab_step` the
+    window mask and its nodes.
+    """
+
+    def __init__(self, plan, active, conn, dirichlet_nodes):
+        n = plan.n
+        self.active, self.conn = active, conn
+        self.dirichlet_nodes = np.array(dirichlet_nodes)
+        self.node_active = np.zeros(n, dtype=bool)
+        self.node_active[conn] = True
+        # Dirichlet nodes fix both time levels; so do nodes of no active
+        # element, at their previous value
+        self.idle = ~self.node_active
+        self.fixed = self.idle.copy()
+        self.fixed[dirichlet_nodes] = True
+        self.zc = zc = conn[plan.zipper[active]]
+        dof = np.concatenate([zc, zc + n], axis=1)                            # (nz, 6)
+        self.zipper_index = (np.repeat(dof, 6, axis=1).ravel(), np.tile(dof, (1, 6)).ravel())
+        self.w = active[plan.rigid].astype(float)
+        self.mass = plan.mass @ self.w
+        self.jump = sp.csc_matrix((self.mass, plan.indices, plan.indptr), shape=(n, n))
+        self.half_dt_alpha = self.diffusion = self.lu = self.window = self.inside = None
+
+
 @dataclass
 class SlabProblem:
     coords_old: np.ndarray            # (n, 2) node positions at t_n
@@ -290,8 +317,8 @@ class SlabProblem:
     t_prev: np.ndarray                # (n,) trace carried over from last slab
     dirichlet_nodes: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
     dirichlet_values: np.ndarray = field(default_factory=lambda: np.empty(0))
-    # the run's plan and the mask of its elements that ``conn`` lists, in
-    # order; without a plan the slab builds a one-off plan of ``conn``
+    # the run's plan and the mask of its elements that ``conn`` lists, in order
+    # (neither changed in place later); without a plan, a one-off plan of conn
     plan: SlabPlan | None = None
     active: np.ndarray | None = None
 
@@ -323,38 +350,33 @@ class SlabOperator:
             plan, active = SlabPlan.of_problem(p), np.ones(len(p.conn), dtype=bool)
         else:
             plan, active = p.plan, p.active
-        self._plan = plan
         n = plan.n
-        self.node_active = np.zeros(n, dtype=bool)
-        self.node_active[p.conn] = True
-
-        # Dirichlet nodes fix both time levels; so do nodes of no active
-        # element, at their previous value
-        idle = ~self.node_active
-        self._fixed = idle.copy()
-        self._fixed[p.dirichlet_nodes] = True
-        zc = p.conn[plan.zipper[active]]
-        self._structure = (active.copy(), zc, self._fixed)
-        if not self._holds_factor():
-            # free the factor of another structure before this slab's
-            # assembly and factorization need the memory
-            plan.lu = plan.lu_structure = None
+        rec = plan.structure
+        # the held structure is this slab's if the slab lists its very arrays
+        if rec is None or not (active is rec.active and p.conn is rec.conn and np.array_equal(
+                p.dirichlet_nodes, rec.dirichlet_nodes)):
+            plan.structure = None           # let it and its LU go before this assembly
+            rec = plan.structure = SlabStructure(plan, active, p.conn, p.dirichlet_nodes)
+        if rec.half_dt_alpha != (dta := 0.5 * p.dt * p.alpha):
+            rec.half_dt_alpha, rec.diffusion = dta, plan.diffusion @ (dta * rec.w)
+        self.structure = rec
+        self.node_active = rec.node_active
+        self._fixed = rec.fixed
 
         # rigid elements: M' + i N' summed into the plan's pattern, each
         # element weighted by whether it is active in this slab
-        w = active[plan.rigid].astype(float)
+        w = rec.w
         rc = plan.rconn
         dx, dy = ((c[rc[0]] + c[rc[1]] + c[rc[2]]) / 3.0
                   for c in np.ascontiguousarray((p.coords_new - p.coords_old).T))
-        mass = plan.mass @ w
-        stiff = (plan.diffusion @ ((0.5 * p.dt * p.alpha) * w)
-                 - plan.grad_x @ (w * dx / 6.0) - plan.grad_y @ (w * dy / 6.0))
+        stiff = rec.diffusion - plan.grad_x @ (w * dx / 6.0) - plan.grad_y @ (w * dy / 6.0)
         # the jump load: each element's bottom-face mass times t_prev
-        rhs = sp.csc_matrix((mass, plan.indices, plan.indptr), shape=(n, n)) @ p.t_prev
+        rhs = rec.jump @ p.t_prev
 
         # shearing elements: full 6 x 6 blocks from the time quadrature, plus
         # the jump coupling (bottom-face mass on the old coordinates), applied
         # as one 2n x 2n COO; a factored slab fits them in _lhs
+        zc = rec.zc
         xo = p.coords_old[zc]
         e1 = xo[:, 1] - xo[:, 0]
         e2 = xo[:, 2] - xo[:, 0]
@@ -363,14 +385,12 @@ class SlabOperator:
         ke[:, :3, :3] += jump
         rhs += np.bincount(zc.ravel(), np.einsum("eab,eb->ea", jump, p.t_prev[zc]).ravel(),
                            minlength=n)
-        self._zc, self._zke = zc, ke
+        self._zke = ke
         self._zipper = None
         if len(zc):
-            dof = np.concatenate([zc, zc + n], axis=1)                        # (nz, 6)
-            self._zipper = sp.coo_matrix(
-                (ke.ravel(), (np.repeat(dof, 6, axis=1).ravel(), np.tile(dof, (1, 6)).ravel())),
-                shape=(2 * n, 2 * n))
-        self._mn = sp.csc_matrix((mass + 1j * stiff, plan.indices, plan.indptr), shape=(n, n))
+            self._zipper = sp.coo_matrix((ke.ravel(), rec.zipper_index), shape=(2 * n, 2 * n))
+        self._mn = sp.csc_matrix((rec.mass + 1j * stiff, plan.indices, plan.indptr),
+                                 shape=(n, n))
         # A x of the solution solve returned, formed by its last residual check
         self._product = None
 
@@ -378,15 +398,9 @@ class SlabOperator:
         self._rhs_raw[0] = rhs
         self._rhs = self._rhs_raw.copy()
         self._rhs[:, p.dirichlet_nodes] = p.dirichlet_values
-        self._rhs[:, idle] = p.t_prev[idle]
+        self._rhs[:, rec.idle] = p.t_prev[rec.idle]
 
     # -- the factor -----------------------------------------------------------
-
-    def _holds_factor(self):
-        """Whether the plan's LU was made for a slab of this one's structure."""
-        held = self._plan.lu_structure
-        return held is not None and all(
-            np.array_equal(a, b) for a, b in zip(held, self._structure))
 
     def _lhs(self):
         """``lambda M' + N'``, the zipper blocks by their fit, with identity
@@ -395,7 +409,7 @@ class SlabOperator:
         Adding the zipper COO to the pattern drops the entries that sum to
         zero (those of inactive elements).
         """
-        zc = self._zc
+        zc = self.structure.zc
         rows, cols = np.repeat(zc, 3, axis=1).ravel(), np.tile(zc, (1, 3)).ravel()
         x_e, y_e = _zipper_fit(self._zke)
         n = self._mn.shape[0]
@@ -405,18 +419,17 @@ class SlabOperator:
         return a + sp.diags(self._fixed.astype(float), format="csc")
 
     def _factor(self):
-        """Factor this slab's ``lambda M' + N'`` and hold the LU in the plan."""
-        plan = self._plan
-        plan.lu = plan.lu_structure = None          # freed before the new one is made
+        """Factor this slab's ``lambda M' + N'`` and hold the LU in its structure."""
+        rec = self.structure
+        rec.lu = None                               # freed before the new one is made
         try:
             # The pattern is nearly symmetric (only the Dirichlet identity
             # rows break it), so a minimum-degree ordering of A^T + A keeps
             # far less LU fill than the default COLAMD.
-            plan.lu = spla.splu(self._lhs(), permc_spec="MMD_AT_PLUS_A",
-                                panel_size=PANEL_SIZE, relax=RELAX)
+            rec.lu = spla.splu(self._lhs(), permc_spec="MMD_AT_PLUS_A",
+                               panel_size=PANEL_SIZE, relax=RELAX)
         except RuntimeError as exc:
             raise NumericalError("sparse factorization failed: %s" % exc)
-        plan.lu_structure = self._structure
 
     # -- exact operator and its preconditioner --------------------------------
 
@@ -485,18 +498,19 @@ class SlabOperator:
     # -- solve ---------------------------------------------------------------
 
     def solve(self) -> SlabSolution:
-        """Solve with the plan's LU if it was made for a slab of this
-        structure (see the module docstring), else with a new one.
+        """Solve with the LU of this slab's structure if it holds one (see
+        the module docstring), else with a new one.
 
         If GMRES with the held LU does not reach REFINE_TOL, or its result
         misses SOLVER_TOL, the slab is factored and solved anew.
         """
-        if self._holds_factor():
-            x, ax, res, passes, reached = self._solve_with(self._plan.lu)
+        rec = self.structure
+        if rec.lu is not None:
+            x, ax, res, passes, reached = self._solve_with(rec.lu)
             if reached and res <= SOLVER_TOL:
                 return self._solution(x, ax, res, passes, factored=False)
         self._factor()
-        x, ax, res, passes, _ = self._solve_with(self._plan.lu)
+        x, ax, res, passes, _ = self._solve_with(rec.lu)
         if not res <= SOLVER_TOL:
             raise NumericalError("slab solve residual %.3e exceeds %.1e after %d refinement "
                                  "passes" % (res, SOLVER_TOL, passes))

@@ -306,3 +306,23 @@ def write_vtk_by_line(path, coords, conn, temperature, active_mask) -> None:
         f.write("SCALARS active int\nLOOKUP_TABLE default\n")
         for a in active_mask:
             f.write(f"{int(a)}\n")
+
+
+# ---------------------------------------------------------------------------
+# the band's active mask, triangle by triangle
+
+def active_elements_by_triangle(mesh, state):
+    """Active-triangle mask from each band triangle's own three corner nodes;
+    the reference for :func:`ccmsim.motion.active_elements`, which reads
+    each row's ordinate once."""
+    act = np.ones(mesh.n_triangles, dtype=bool)
+    geo = (state.tri_code == 1) | (state.tri_code == 3)
+    conn = mesh.triangles[geo]
+    c = mesh.nodes[:, state.axis][conn]
+    cmax = c.max(axis=1)
+    cmin = c.min(axis=1)
+    torn = (cmax - cmin) > state.circumference / 2
+    eps = 1e-9 * state.h_row
+    inside = (cmax > state.w_lo + eps) & (cmin < state.w_hi - eps)
+    act[geo] = ~torn & inside
+    return act

@@ -344,6 +344,28 @@ def test_sweep_overflowing_the_closure_exits_2_before_the_first_slab(
     assert not (tmp_path / "sw").exists()
 
 
+@pytest.mark.parametrize("section, key, value", [("material.solid", "rho", "1e-120"),
+                                                 ("material.solid", "rho", "1e200"),
+                                                 ("material.liquid", "kappa", "1e-120")])
+def test_extreme_material_value_exits_2_before_the_first_slab(
+        tmp_path, fixture_dir, capsys, monkeypatch, section, key, value):
+    # the closure's divisor underflows to zero, its cube overflows, or U_eq
+    # underflows to zero: the message names the value, not the source
+    ini = configparser.ConfigParser()
+    ini.optionxform = str
+    ini.read(os.path.join(fixture_dir, "probe_temperature.ini"))
+    ini[section][key] = value
+    ini["mesh"]["path"] = os.path.join(fixture_dir, "probe.mesh")
+    ini["output"]["directory"] = str(tmp_path / "out")
+    with open(tmp_path / "case.ini", "w") as f:
+        ini.write(f)
+    forbid_slabs(monkeypatch)
+    assert main(["run", "--config", str(tmp_path / "case.ini")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: [{section}] {key}: ") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_bogus_log_level_is_a_usage_error(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("CCMSIM_LOG", "chatty")
     assert main(["run", "--config", make_config(tmp_path)]) == 2

@@ -1,4 +1,7 @@
+import copy
+import functools
 import math
+import os
 
 import numpy as np
 import numpy.testing as npt
@@ -7,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccmsim import meshgen, motion
-from ccmsim.mesh import tri_areas
+from ccmsim.mesh import load_mesh, tri_areas
+
+from oracles import active_elements_by_triangle
 
 H_ROW = 0.1         # row height of make_strip_square(10)
 
@@ -199,3 +204,33 @@ def test_zipper_triangles_modulo_wrap():
     # consecutive shifts move every pairing by one ring node
     t1 = motion.zipper_triangles(stat, ring, j0=1, flip=False)
     assert t1[0, 1] == ring[1]
+
+
+@functools.lru_cache(maxsize=None)
+def band_mesh(name, fixture_dir):
+    """Mesh and motion state of a strip square (by its virtual rows) or of a
+    bundled mesh, in the as-generated position."""
+    if name.startswith("strip"):
+        mesh = meshgen.make_strip_square(10, n_virt=int(name[-1]))
+        return mesh, motion.init_motion(mesh, (0.0, -1.0))
+    mesh = load_mesh(os.path.join(fixture_dir, name + ".mesh"))
+    return mesh, motion.init_motion(mesh, (1.0, 0.0) if name == "hotwire" else (0.0, -1.0))
+
+
+@pytest.mark.parametrize("name", ["strip_2", "strip_3", "probe", "ramp", "hotwire"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_row_mask_matches_the_triangle_oracle(fixture_dir, name, data):
+    # displacements on a row line (where the window's end rows touch its
+    # edges), one ulp short of it, and anywhere, over two turns of the ring
+    mesh, state = band_mesh(name, fixture_dir)
+    h = state.h_row
+    k = data.draw(st.integers(1, 2 * state.n_lines), label="rows")
+    d = data.draw(st.sampled_from([0.0, k * h, float(np.nextafter(k * h, 0.0))])
+                  | st.floats(0.0, 2.0 * state.circumference), label="displacement")
+    # the band's position at displacement d, as motion.advance sets it
+    moved = copy.copy(mesh)
+    moved.nodes = mesh.nodes.copy()
+    moved.nodes[state.strip_nodes, state.axis] = motion._embed(state, state.c0, d)
+    npt.assert_array_equal(motion.active_elements(moved, state),
+                           active_elements_by_triangle(moved, state))

@@ -498,7 +498,8 @@ def test_band_factors_only_slabs_of_a_new_structure(monkeypatch):
     # a slip land next to the window and keep the entering row out of the
     # slip slab, so it joins one slab later, a second new structure.  The
     # step never lands a slip on a row line, where the end rows of the
-    # window touch it without crossing it and so drop out for one slab
+    # window touch it without crossing it and so drop out for one slab.  The
+    # plan's SlabStructure is made for exactly the slabs of a new structure
     mesh = meshgen.make_strip_square(8, n_virt=3)
     state = motion.init_motion(mesh, (0.0, -1.0))
     plan = driver.slab_plan(mesh, state)
@@ -506,9 +507,11 @@ def test_band_factors_only_slabs_of_a_new_structure(monkeypatch):
     flanks = np.unique(mesh.tagged_edges(("left", "right")))
     T = background.copy()
     calls = counted_splu(monkeypatch)
+    made, make = [], stfem.SlabStructure
+    monkeypatch.setattr(stfem, "SlabStructure", lambda *args: made.append(args) or make(*args))
     held, factored = None, []
     for _ in range(16):
-        before = len(calls)
+        before, made_before = len(calls), len(made)
         op, sol, T, _ = driver.slab_step(
             mesh, state, T, 0.35 / 8, plan=plan, dt=0.37, alpha=1.7,
             dirichlet_nodes=flanks, dirichlet_values=background[flanks], background=background)
@@ -520,11 +523,68 @@ def test_band_factors_only_slabs_of_a_new_structure(monkeypatch):
         changed = held is None or not all(map(np.array_equal, structure, held))
         held = structure
         assert sol.factored == changed
-        assert len(calls) - before == int(changed)
+        assert len(calls) - before == len(made) - made_before == int(changed)
         assert_matches_fresh_solve(prob, sol)
         factored.append(changed)
     assert state.n_slips >= 3
     assert factored.count(True) == state.n_slips + 1
+
+
+def test_structure_made_anew_every_step_gives_the_same_run(fixture_dir, tmp_path,
+                                                           monkeypatch):
+    # the oracle of the held structure: every slab lists a connectivity taken
+    # anew from the mesh and gets a structure of its own, which takes the
+    # last one's LU if their masks, zipper connectivity and fixed nodes are
+    # equal.  The temperatures (VTK snapshots), tip fluxes (run.csv) and the
+    # solver's work are the same, bit for bit, as with the held structure
+    cfg = driver.load_config(os.path.join(fixture_dir, "power_3kw.ini"))
+    cfg = dataclasses.replace(cfg, n_steps=40, vtk_every=5)
+    work = []
+    solve = stfem.SlabOperator.solve
+
+    def solved(op):
+        sol = solve(op)
+        work.append((sol.factored, sol.refinements))
+        return sol
+
+    def outputs(name):
+        work.clear()
+        out = tmp_path / name
+        report = driver.run(dataclasses.replace(cfg, out_dir=str(out)))
+        assert report.records[-1].slip_count >= 3
+        return list(work), {f: (out / f).read_bytes() for f in sorted(os.listdir(out))}
+
+    monkeypatch.setattr(stfem.SlabOperator, "solve", solved)
+    held = outputs("held")
+
+    meshes, last = [], []
+    load, problem, structure = driver.load_mesh, driver.SlabProblem, stfem.SlabStructure
+
+    def loaded(path):
+        meshes.append(load(path))
+        return meshes[-1]
+
+    def anew(coords_old, coords_new, conn, **kwargs):
+        active = kwargs.pop("active").copy()
+        return problem(coords_old, coords_new, meshes[-1].triangles[active], active=active,
+                       **kwargs)
+
+    def made(plan, active, conn, dirichlet_nodes):
+        rec = structure(plan, active, conn, dirichlet_nodes)
+        if last and all(np.array_equal(getattr(rec, a), getattr(last[-1], a))
+                        for a in ("active", "zc", "fixed")):
+            rec.lu = last[-1].lu
+        last.append(rec)
+        return rec
+
+    monkeypatch.setattr(driver, "load_mesh", loaded)
+    monkeypatch.setattr(driver, "SlabProblem", anew)
+    monkeypatch.setattr(stfem, "SlabStructure", made)
+    anew_each_step = outputs("anew")
+    assert len(last) == cfg.n_steps
+    assert len(held[0]) == cfg.n_steps and 1 < sum(f for f, _ in held[0]) < cfg.n_steps
+    assert anew_each_step[0] == held[0]
+    assert len(held[1]) == 9 and anew_each_step[1] == held[1]
 
 
 @pytest.mark.parametrize("case", ["strip_square", "power_3kw"])
@@ -653,6 +713,23 @@ def test_factor_is_checked_when_the_slab_is_solved(monkeypatch):
     for prob, sol in solved:
         assert sol.factored and sol.refinements == 0
         assert_matches_fresh_solve(prob, sol)
+
+
+def test_new_dirichlet_nodes_make_a_new_structure(monkeypatch):
+    # without a band slab_step passes the held mask and connectivity on, so
+    # only the Dirichlet nodes tell the third slab's structure from the held one
+    mesh = meshgen.make_unit_square(8)
+    plan = driver.slab_plan(mesh, None)
+    T = np.linspace(0.0, 1.0, mesh.n_nodes)
+    calls = counted_splu(monkeypatch)
+    for edges, factored in (("right", True), ("right", False), (("right", "top"), True)):
+        nodes = np.unique(mesh.tagged_edges(edges))
+        before = len(calls)
+        op, sol, _, _ = driver.slab_step(
+            mesh, None, T, 0.0, plan=plan, dt=0.1, alpha=1.0, dirichlet_nodes=nodes,
+            dirichlet_values=np.zeros(len(nodes)), background=T)
+        assert sol.factored == factored and len(calls) - before == int(factored)
+        assert_matches_fresh_solve(op.problem, sol)
 
 
 def test_held_factor_that_does_not_converge_is_replaced(monkeypatch):
