@@ -13,10 +13,12 @@ the ``run_seconds`` of ``BENCHMARK.json`` as T.  Pair i uses seed
 ``--seed0`` + i; pick seeds no run used before.  Even pairs run the parent
 first, odd pairs the change; the workloads take turns, so host drift falls
 on both sides alike.  The file written, ``BENCH_<name>.json`` in the
-change's root, holds per pair the end-to-end metrics of ``BENCHMARK.json``
-and stepbench's raw wall figures, and per workload and metric the medians,
-the inclusive quartiles, the number of pairs the change won and its
-relative change of the median against the metric's bound.
+change's root, holds the host (CPU count, machine type and the Python,
+NumPy and SciPy versions), per pair the end-to-end metrics of
+``BENCHMARK.json`` and stepbench's raw wall figures, and per workload and
+metric the medians, the inclusive quartiles, the number of pairs the
+change won and its relative change of the median against the metric's
+bound.
 
 The script writes nothing but that file; each ``stepbench/run.py`` keeps
 its own report in its checkout's ``stepbench/out``.
@@ -27,10 +29,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import re
 import statistics
 import subprocess
 import sys
+from importlib.metadata import version
 from pathlib import Path
 
 RAW = re.compile(r"untraced raw wall figures (.*)$", re.MULTILINE)
@@ -57,6 +61,13 @@ def commit(checkout):
                               text=True, check=False).stdout.strip()
     return {"commit": git("rev-parse", "HEAD") or None,
             "dirty": bool(git("status", "--porcelain", "--untracked-files=no"))}
+
+
+def host():
+    """The machine and the versions every run of the pairs uses."""
+    return {"cpus": os.cpu_count(), "machine": platform.machine(),
+            "python": platform.python_version(), "numpy": version("numpy"),
+            "scipy": version("scipy")}
 
 
 def run_once(checkout, workload, seed, seconds, metrics):
@@ -119,6 +130,7 @@ def main(argv=None):
     result = {
         "command": "python3 stepbench/run.py --workload <w> --seed <s> --seconds "
                    f"{seconds:g} --trace 0",
+        "host": host(),
         "order": "pairs alternate which side runs first (even index: parent first); "
                  "the workloads take turns: " + ", ".join(workloads),
         "quartiles": "statistics.quantiles(n=4, method='inclusive')",

@@ -497,41 +497,29 @@ def slab_step(mesh: Mesh, state, T: np.ndarray, distance: float, *, plan: SlabPl
     assembled from ``plan`` (see :func:`slab_plan`) on the triangles active
     in the new position, less those touching a node that wrapped round the
     ring.  Wrapped nodes are reseeded in ``T`` from the nodal field
-    ``background`` before the solve; nodes outside the new active mask take
+    ``background`` before the solve; nodes of no active triangle take
     ``background`` after it, the value at which a row entering the window
-    joins the slab.  It keeps the plan's structure, passed on as its very
-    mask and connectivity, if the band (moved only here) did not slip, which
-    alone rewires the zipper, and both masks, the window's and the slab's,
-    are the held ones.
-    Returns ``(operator, solution, T_new, active_new)``.
+    joins the slab.  The operator keeps the plan's structure when this
+    slab's has the same mask, zipper connectivity and Dirichlet nodes.
+    Returns ``(operator, solution, T_new, window)``, ``window`` the mask of
+    the triangles in the band's new window (all of them without a band).
     """
-    held, coords_old, slips = plan.structure, mesh.nodes, 0
+    coords_old, conn = mesh.nodes, mesh.triangles
     window = act = np.ones(mesh.n_triangles, dtype=bool)
     if state is not None:
         coords_old = mesh.nodes.copy()
-        moved = motion.advance(mesh, state, distance)
-        wrapped, slips = moved.wrapped_nodes, moved.slips
+        wrapped = motion.advance(mesh, state, distance).wrapped_nodes
         T[wrapped] = background[wrapped]
         window = act = motion.active_elements(mesh, state)
         if wrapped.size:
             act = window & ~np.isin(mesh.triangles, wrapped).any(axis=1)
-    if (held is not None and not slips and np.array_equal(window, held.window)
-            and np.array_equal(act, held.active)):
-        window, act, conn = held.window, held.active, held.conn
-    else:
         conn = mesh.triangles[act]
-    held = None     # a slab of another structure lets the held one and its LU go
     prob = SlabProblem(coords_old, mesh.nodes, conn, dt=dt, alpha=alpha, t_prev=T,
                        dirichlet_nodes=dirichlet_nodes, dirichlet_values=dirichlet_values,
                        plan=plan, active=act)
     op = SlabOperator(prob)
-    rec = op.structure
-    if rec.inside is None:
-        # the nodes of window triangles that touch a wrapped node are inside too
-        rec.window, rec.inside = window, np.zeros(len(T), dtype=bool)
-        rec.inside[mesh.triangles[window]] = True
     sol = op.solve()
-    return op, sol, np.where(rec.inside, sol.t_top, background), rec.window
+    return op, sol, np.where(op.node_active, sol.t_top, background), window
 
 
 def _equilibrium_velocity(cfg: RunConfig) -> float:

@@ -68,17 +68,21 @@ depend on that contraction.)
 The plan also holds the current structure, a :class:`SlabStructure`:
 the slab's active mask, its active and fixed (Dirichlet or idle) nodes, the
 zipper connectivity, the rigid sums that depend on the mask alone, and the
-LU made for it.  The driver assembles each slab on the window mask of the
-band's new position (see :func:`ccmsim.driver.slab_step`), so a slip
-changes the structure of its own slab only (with a band of three or more
-virtual rows, as in the bundled meshes; with two, the rows that wrap at a
-slip keep the entering row out of the slip slab, so the next one changes
-too).  Between two slips the band only translates: the slabs after a slip
-keep its structure, and only ``U dt`` and the zipper's shear change.  Such
-a slab is not factored: the held LU preconditions GMRES, which corrects the
-changed values as it corrects what the zipper fit misses.  A slab of
-another structure lets the held one go before it is assembled and is
-factored anew, and so is a slab whose GMRES does not converge with the
+LU made for it.  Connectivity inside the band never changes and only a slip
+rewires the zipper, so the mask, the zipper connectivity and the Dirichlet
+nodes fix the slab's pattern: :class:`SlabOperator` keeps the held
+structure when the three equal the held ones, and makes a new one
+otherwise.  The driver assembles each slab on the window mask of the band's
+new position (see :func:`ccmsim.driver.slab_step`), so a slip changes the
+structure of its own slab only (with a band of three or more virtual rows,
+as in the bundled meshes; with two, the rows that wrap next to the window
+keep the entering row out of the slab for one more step, so a second slab
+changes too).  Between two slips the band only translates: the slabs after
+a slip keep its structure, and only ``U dt`` and the zipper's shear change.
+Such a slab is not factored: the held LU preconditions GMRES, which
+corrects the changed values as it corrects what the zipper fit misses.  A
+slab of another structure lets the held one go before it is assembled and
+is factored anew, and so is a slab whose GMRES does not converge with the
 held LU.  A bare :class:`SlabProblem` has a one-off plan, so it is always
 factored.
 """
@@ -278,18 +282,17 @@ class SlabPlan:
 
 
 class SlabStructure:
-    """What the slabs of one mask ``active``, connectivity ``conn`` (both
-    kept as they are) and set of Dirichlet nodes share: the active and fixed
-    nodes, the zipper connectivity ``zc`` and its COO indices, the rigid
-    sums of the mask alone (the data of ``M'`` on the plan's pattern, also as
-    the CSC ``jump``, and that of ``dt alpha K' / 2``, made again when ``dt
-    alpha`` changes), the LU, and from :func:`ccmsim.driver.slab_step` the
-    window mask and its nodes.
+    """What the slabs of one mask ``active``, zipper connectivity ``zc`` and
+    set of Dirichlet nodes share, the three arrays it keeps and is known by:
+    the active and fixed nodes of the slab's triangles ``conn``, the COO
+    indices of the zipper blocks, the rigid sums of the mask alone (the data
+    of ``M'`` on the plan's pattern, also as the CSC ``jump``, and that of
+    ``dt alpha K' / 2``, made again when ``dt alpha`` changes) and the LU.
     """
 
-    def __init__(self, plan, active, conn, dirichlet_nodes):
+    def __init__(self, plan, active, conn, zc, dirichlet_nodes):
         n = plan.n
-        self.active, self.conn = active, conn
+        self.active, self.zc = active.copy(), zc
         self.dirichlet_nodes = np.array(dirichlet_nodes)
         self.node_active = np.zeros(n, dtype=bool)
         self.node_active[conn] = True
@@ -298,13 +301,13 @@ class SlabStructure:
         self.idle = ~self.node_active
         self.fixed = self.idle.copy()
         self.fixed[dirichlet_nodes] = True
-        self.zc = zc = conn[plan.zipper[active]]
-        dof = np.concatenate([zc, zc + n], axis=1)                            # (nz, 6)
+        # in scipy's index type, which the zipper COO takes without a scan or a copy
+        dof = np.concatenate([zc, zc + n], axis=1).astype(plan.indices.dtype)   # (nz, 6)
         self.zipper_index = (np.repeat(dof, 6, axis=1).ravel(), np.tile(dof, (1, 6)).ravel())
         self.w = active[plan.rigid].astype(float)
         self.mass = plan.mass @ self.w
         self.jump = sp.csc_matrix((self.mass, plan.indices, plan.indptr), shape=(n, n))
-        self.half_dt_alpha = self.diffusion = self.lu = self.window = self.inside = None
+        self.half_dt_alpha = self.diffusion = self.lu = None
 
 
 @dataclass
@@ -317,8 +320,8 @@ class SlabProblem:
     t_prev: np.ndarray                # (n,) trace carried over from last slab
     dirichlet_nodes: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
     dirichlet_values: np.ndarray = field(default_factory=lambda: np.empty(0))
-    # the run's plan and the mask of its elements that ``conn`` lists, in order
-    # (neither changed in place later); without a plan, a one-off plan of conn
+    # the run's plan and the mask of its elements that ``conn`` lists, in
+    # order; without a plan, a one-off plan of conn
     plan: SlabPlan | None = None
     active: np.ndarray | None = None
 
@@ -351,12 +354,14 @@ class SlabOperator:
         else:
             plan, active = p.plan, p.active
         n = plan.n
+        zc = p.conn[plan.zipper[active]]
         rec = plan.structure
-        # the held structure is this slab's if the slab lists its very arrays
-        if rec is None or not (active is rec.active and p.conn is rec.conn and np.array_equal(
-                p.dirichlet_nodes, rec.dirichlet_nodes)):
-            plan.structure = None           # let it and its LU go before this assembly
-            rec = plan.structure = SlabStructure(plan, active, p.conn, p.dirichlet_nodes)
+        # the held structure is this slab's if its mask, zipper connectivity
+        # and Dirichlet nodes are equal to this slab's
+        if rec is None or not (np.array_equal(active, rec.active) and np.array_equal(zc, rec.zc)
+                               and np.array_equal(p.dirichlet_nodes, rec.dirichlet_nodes)):
+            rec = plan.structure = None     # let it and its LU go before this assembly
+            rec = plan.structure = SlabStructure(plan, active, p.conn, zc, p.dirichlet_nodes)
         if rec.half_dt_alpha != (dta := 0.5 * p.dt * p.alpha):
             rec.half_dt_alpha, rec.diffusion = dta, plan.diffusion @ (dta * rec.w)
         self.structure = rec
@@ -376,7 +381,6 @@ class SlabOperator:
         # shearing elements: full 6 x 6 blocks from the time quadrature, plus
         # the jump coupling (bottom-face mass on the old coordinates), applied
         # as one 2n x 2n COO; a factored slab fits them in _lhs
-        zc = rec.zc
         xo = p.coords_old[zc]
         e1 = xo[:, 1] - xo[:, 0]
         e2 = xo[:, 2] - xo[:, 0]

@@ -5,9 +5,12 @@ import os
 import weakref
 
 import numpy as np
+import numpy.testing as npt
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ccmsim import driver, meshgen, motion, stfem, verify
 from ccmsim.cbf import FluxResult, recover_flux
@@ -320,6 +323,43 @@ def test_every_slab_is_built_by_the_step_core(tmp_path, monkeypatch, loop):
     else:
         verify.run_meshupdate_case(0.25, n_steps=3)
     assert len(built) == len(stepped) == 3
+
+
+@settings(max_examples=20, deadline=None)
+@given(n_virt=st.sampled_from([2, 3]),
+       rows=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=8))
+@example(n_virt=2, rows=[0.5, 0.6, 0.6])
+@example(n_virt=3, rows=[1.0, 0.6, 0.6])
+def test_slab_step_returns_the_solved_nodes_and_the_window(n_virt, rows):
+    # per step: the solution on the nodes of the slab's active triangles,
+    # ``background`` elsewhere (on the wrapped nodes too), and the mask of
+    # the band's new window
+    mesh = meshgen.make_strip_square(8, n_virt=n_virt)
+    state = motion.init_motion(mesh, (0.0, -1.0))
+    plan = driver.slab_plan(mesh, state)
+    rng = np.random.default_rng(14)
+    background = rng.uniform(-1.0, 2.0, mesh.n_nodes)
+    T = rng.uniform(-1.0, 2.0, mesh.n_nodes)
+    flanks = np.unique(mesh.tagged_edges(("left", "right")))
+    moved, advance = [], motion.advance
+
+    def recorded(*args):
+        moved.append(advance(*args))
+        return moved[-1]
+
+    motion.advance = recorded
+    try:
+        for r in rows:
+            op, sol, T, window = driver.slab_step(
+                mesh, state, T, r * state.h_row, plan=plan, dt=0.37, alpha=1.7,
+                dirichlet_nodes=flanks, dirichlet_values=background[flanks],
+                background=background)
+            npt.assert_array_equal(T, np.where(op.node_active, sol.t_top, background))
+            wrapped = moved[-1].wrapped_nodes
+            npt.assert_array_equal(T[wrapped], background[wrapped])
+            npt.assert_array_equal(window, motion.active_elements(mesh, state))
+    finally:
+        motion.advance = advance
 
 
 def seam_band(mesh, state):

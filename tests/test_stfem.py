@@ -530,13 +530,27 @@ def test_band_factors_only_slabs_of_a_new_structure(monkeypatch):
     assert factored.count(True) == state.n_slips + 1
 
 
+@pytest.mark.parametrize("h, factored, error", [(0.05, 4, 0.005864535820984752),
+                                                (0.025, 8, 0.0026400930573970307)])
+def test_slab_whose_window_alone_changes_keeps_the_factor(monkeypatch, h, factored, error):
+    # two virtual rows: on the step after a slip the rows that wrap land
+    # next to the window, which gains the entering row while the slab drops
+    # its triangles (they touch the wrapped nodes).  That slab has the mask,
+    # zipper connectivity and Dirichlet nodes of the slip slab, so it keeps
+    # the slip slab's factor, with the error, bit for bit, of a run that
+    # factors it anew
+    calls = counted_splu(monkeypatch)
+    assert verify.run_meshupdate_case(h) == error
+    assert len(calls) == factored
+
+
 def test_structure_made_anew_every_step_gives_the_same_run(fixture_dir, tmp_path,
                                                            monkeypatch):
-    # the oracle of the held structure: every slab lists a connectivity taken
-    # anew from the mesh and gets a structure of its own, which takes the
-    # last one's LU if their masks, zipper connectivity and fixed nodes are
-    # equal.  The temperatures (VTK snapshots), tip fluxes (run.csv) and the
-    # solver's work are the same, bit for bit, as with the held structure
+    # the oracle of the held structure: every slab drops the plan's
+    # structure and gets one of its own, which takes the last one's LU if
+    # their masks, zipper connectivity and fixed nodes are equal.  The
+    # temperatures (VTK snapshots), tip fluxes (run.csv) and the solver's
+    # work are the same, bit for bit, as with the held structure
     cfg = driver.load_config(os.path.join(fixture_dir, "power_3kw.ini"))
     cfg = dataclasses.replace(cfg, n_steps=40, vtk_every=5)
     work = []
@@ -557,28 +571,22 @@ def test_structure_made_anew_every_step_gives_the_same_run(fixture_dir, tmp_path
     monkeypatch.setattr(stfem.SlabOperator, "solve", solved)
     held = outputs("held")
 
-    meshes, last = [], []
-    load, problem, structure = driver.load_mesh, driver.SlabProblem, stfem.SlabStructure
+    last = []
+    operator, structure = driver.SlabOperator, stfem.SlabStructure
 
-    def loaded(path):
-        meshes.append(load(path))
-        return meshes[-1]
+    def anew(problem):
+        problem.plan.structure = None
+        return operator(problem)
 
-    def anew(coords_old, coords_new, conn, **kwargs):
-        active = kwargs.pop("active").copy()
-        return problem(coords_old, coords_new, meshes[-1].triangles[active], active=active,
-                       **kwargs)
-
-    def made(plan, active, conn, dirichlet_nodes):
-        rec = structure(plan, active, conn, dirichlet_nodes)
+    def made(*args):
+        rec = structure(*args)
         if last and all(np.array_equal(getattr(rec, a), getattr(last[-1], a))
                         for a in ("active", "zc", "fixed")):
             rec.lu = last[-1].lu
         last.append(rec)
         return rec
 
-    monkeypatch.setattr(driver, "load_mesh", loaded)
-    monkeypatch.setattr(driver, "SlabProblem", anew)
+    monkeypatch.setattr(driver, "SlabOperator", anew)
     monkeypatch.setattr(stfem, "SlabStructure", made)
     anew_each_step = outputs("anew")
     assert len(last) == cfg.n_steps
@@ -690,10 +698,11 @@ def test_zipper_rewired_under_the_same_mask_is_factored_anew(monkeypatch):
 
 
 def test_factor_is_checked_when_the_slab_is_solved(monkeypatch):
-    # right is built while the plan holds a factor of its structure, then
-    # corner (Dirichlet data on the top edge too) replaces that factor
-    # before right is solved: right must not take corner's factor for its
-    # own (GMRES would reach the tolerance with it, in 17 steps)
+    # right is built while the plan holds a factor of its structure, so it
+    # keeps that structure and its factor; then corner (Dirichlet data on
+    # the top edge too) replaces the plan's structure before right is
+    # solved: right must not take corner's factor for its own (GMRES would
+    # reach the tolerance with it, in 17 steps), but solve with its own
     mesh = meshgen.make_unit_square(8)
     plan = driver.slab_plan(mesh, None)
     t_prev = np.linspace(0.0, 1.0, mesh.n_nodes)
@@ -708,16 +717,18 @@ def test_factor_is_checked_when_the_slab_is_solved(monkeypatch):
     calls = counted_splu(monkeypatch)
     assert SlabOperator(problem("right")).solve().factored
     right, corner = SlabOperator(problem("right")), SlabOperator(problem(("right", "top")))
+    assert right.structure is not corner.structure
     solved = [(op.problem, op.solve()) for op in (corner, right)]
-    assert len(calls) == 3
-    for prob, sol in solved:
-        assert sol.factored and sol.refinements == 0
+    assert len(calls) == 2
+    for (prob, sol), factored in zip(solved, (True, False)):
+        assert sol.factored == factored and sol.refinements == 0
         assert_matches_fresh_solve(prob, sol)
 
 
 def test_new_dirichlet_nodes_make_a_new_structure(monkeypatch):
-    # without a band slab_step passes the held mask and connectivity on, so
-    # only the Dirichlet nodes tell the third slab's structure from the held one
+    # without a band every slab has the same mask and zipper connectivity,
+    # so only the Dirichlet nodes tell the third slab's structure from the
+    # held one
     mesh = meshgen.make_unit_square(8)
     plan = driver.slab_plan(mesh, None)
     T = np.linspace(0.0, 1.0, mesh.n_nodes)
