@@ -18,7 +18,10 @@ NumPy and SciPy versions), per pair the end-to-end metrics of
 ``BENCHMARK.json`` and stepbench's raw wall figures, and per workload and
 metric the medians, the inclusive quartiles, the number of pairs the
 change won and its relative change of the median against the metric's
-bound.
+bound.  Two verdicts sit beside them: ``gain_shown``, the change won at
+least 9 of the 10 pairs and beat the parent's median by more than the
+parent's interquartile range; and ``beyond_bound``, the change is worse
+than the parent's median by more than the metric's bound.
 
 The script writes nothing but that file; each ``stepbench/run.py`` keeps
 its own report in its checkout's ``stepbench/out``.
@@ -97,9 +100,9 @@ def quartiles(values):
 
 
 def summarise(pairs, spec):
-    """Medians, quartiles, wins and the relative change of the median, per
-    end-to-end metric; ``change_worse_by`` is positive when the change is
-    worse."""
+    """Medians, quartiles, wins, the relative change of the median and the
+    two verdicts, per end-to-end metric; ``change_worse_by`` is positive
+    when the change is worse."""
     out = {}
     for m in spec:
         name, lower = m["name"], m["better"] == "lower"
@@ -109,12 +112,15 @@ def summarise(pairs, spec):
         pa, pb = statistics.median(a), statistics.median(b)
         worse = ((pb - pa) if lower else (pa - pb)) / abs(pa) if pa else 0.0
         qa = quartiles(a)
+        beyond_iqr = ((pa - pb) if lower else (pb - pa)) > qa[1] - qa[0]
         out[name] = {
             "parent_median": pa, "parent_quartiles": qa,
             "change_median": pb, "change_quartiles": quartiles(b),
             "change_wins": f"{wins}/{len(pairs)}", "change_worse_by": worse,
             "bound": m["bound"],
-            "better_beyond_parent_iqr": ((pa - pb) if lower else (pb - pa)) > qa[1] - qa[0],
+            "better_beyond_parent_iqr": beyond_iqr,
+            "gain_shown": wins >= 0.9 * len(pairs) and beyond_iqr,
+            "beyond_bound": worse > m["bound"],
         }
     return out
 

@@ -38,6 +38,7 @@ from .stfem import SlabOperator, SlabPlan, SlabProblem
 __all__ = [
     "RunConfig",
     "RunReport",
+    "SensorLocator",
     "StepRecord",
     "check_values",
     "load_config",
@@ -316,6 +317,13 @@ _PARAM_KEYS = {
 }
 
 
+def _closure_key(cfg: RunConfig) -> str:
+    """The key of the closure input furthest from 1, the one a closure that
+    over- or underflows, or gives an absurd U, fails on."""
+    return _PARAM_KEYS[max((f for f in _PARAM_KEYS if getattr(cfg, f) is not None),
+                           key=lambda f: abs(math.log10(abs(getattr(cfg, f)) or 1.0)))]
+
+
 def check_values(cfg: RunConfig) -> None:
     """Check the physical values of a built config; ConfigError names the key."""
     if cfg.tip_area is not None and not cfg.tip_area > 0.0:
@@ -331,9 +339,7 @@ def check_values(cfg: RunConfig) -> None:
     except ValueError as exc:
         field = str(exc).partition(" ")[0].removeprefix("CcmParams.")
         raise ConfigError(f"{_PARAM_KEYS[field]}: {exc}") from exc
-    # a closure that over- or underflows fails on the input furthest from 1
-    key = _PARAM_KEYS[max((f for f in _PARAM_KEYS if getattr(cfg, f) is not None),
-                          key=lambda f: abs(math.log10(abs(getattr(cfg, f)) or 1.0)))]
+    key = _closure_key(cfg)
     try:
         velocities = _velocities(cfg)
     except (OverflowError, ZeroDivisionError) as exc:
@@ -371,22 +377,13 @@ def write_vtk(path, coords, conn, temperature, active_mask) -> None:
         f.write(format_rows("%d\n", active_mask))
 
 
-def sample_sensors(mesh: Mesh, active, T: np.ndarray, sensors) -> np.ndarray:
-    """Interpolate T at fixed spatial points over the ``active`` triangles.
-
-    One vectorized barycentric scan over the active triangles.  A point on
-    a shared edge goes to the lowest triangle index; its barycentric
-    weights are clipped to [0, 1] and renormalised.  Points outside the
-    active domain (inside the source hole, or in the deactivated part of
-    the band) yield NaN — a data gap, not an error.
-    """
-    if not sensors:
-        return np.empty(0)
-    tol = 1e-10
-    tri = mesh.triangles[active]
+def _barycentric(mesh: Mesh, idx, q):
+    """``(hit, l0, l1, l2)`` of the points ``q`` in the triangles ``idx``,
+    each (points, triangles): whether the point lies in the triangle, and
+    its barycentric coordinates there."""
+    tri = mesh.triangles[idx]
     p0, p1, p2 = (mesh.nodes[tri[:, i]] for i in range(3))
-    q = np.asarray(sensors, dtype=float)
-    rx = q[:, 0, None] - p0[:, 0]                       # (sensors, triangles)
+    rx = q[:, 0, None] - p0[:, 0]                       # (points, triangles)
     ry = q[:, 1, None] - p0[:, 1]
     d = ((p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1])
          - (p2[:, 0] - p0[:, 0]) * (p1[:, 1] - p0[:, 1]))
@@ -394,8 +391,77 @@ def sample_sensors(mesh: Mesh, active, T: np.ndarray, sensors) -> np.ndarray:
         l1 = ((p2[:, 1] - p0[:, 1]) * rx - (p2[:, 0] - p0[:, 0]) * ry) / d
         l2 = (-(p1[:, 1] - p0[:, 1]) * rx + (p1[:, 0] - p0[:, 0]) * ry) / d
     l0 = 1.0 - l1 - l2
-    hit = (d > 0) & (l0 >= -tol) & (l1 >= -tol) & (l2 >= -tol)
-    out = np.full(len(sensors), np.nan)
+    tol = 1e-10      # a point this fraction of the triangle's size outside still lies in it
+    return (d > 0) & (l0 >= -tol) & (l1 >= -tol) & (l2 >= -tol), l0, l1, l2
+
+
+class SensorLocator:
+    """A run's sensor points and the triangles that can hold them.
+
+    Static triangles never move, so the ones that hold a point are found
+    once, when the locator is made.  A moving triangle can hold a point
+    only while its corners bracket the point's ordinate along the motion
+    axis.  A band triangle's corners lie on its corner rows, so the band's
+    row table (``corner_nodes``, ``tri_rows``) gives the band triangles at
+    the present displacement, a few row triples at a time; a zipper
+    triangle shears, and is judged by its own corners.  Each bracket is
+    widened by 1e-6 of its span, far more than the hit test's 1e-10 and
+    the 1e-9 of a row to which rows are lines.  Without a band (``state``
+    None) every triangle is static.
+    """
+
+    def __init__(self, mesh: Mesh, state, points):
+        self.mesh, self.state = mesh, state
+        self.points = np.asarray(points, dtype=float).reshape(-1, 2)
+        static = np.arange(mesh.n_triangles)
+        if state is not None:
+            code = state.tri_code
+            static = np.flatnonzero(code == motion.ROLE_CODE["static"])
+            self._zipper = np.flatnonzero(code == motion.ROLE_CODE["update"])
+            # the band triangles grouped by their row triple, in index order
+            self._band = np.argsort(state.tri_rows, kind="stable")
+            self._start = np.searchsorted(state.tri_rows[self._band],
+                                          np.arange(len(state.corner_nodes) + 1))
+        self._static = static[_barycentric(mesh, static, self.points)[0].any(axis=0)]
+
+    def candidates(self, active) -> np.ndarray:
+        """Indices, ascending, of the ``active`` triangles that may hold a point."""
+        idx, st = self._static, self.state
+        if st is not None:
+            # corner ordinates of the zipper triangles, then of the row triples
+            nz = len(self._zipper)
+            c = self.mesh.nodes[np.concatenate([self.mesh.triangles[self._zipper],
+                                                st.corner_nodes]), st.axis]
+            # column by column: numpy reduces along a length-3 axis ten times slower
+            lo = np.minimum(np.minimum(c[:, 0], c[:, 1]), c[:, 2])
+            hi = np.maximum(np.maximum(c[:, 0], c[:, 1]), c[:, 2])
+            pad = 1e-6 * (hi - lo)
+            s = self.points[:, st.axis, None]
+            near = ((lo - pad <= s) & (s <= hi + pad)).any(axis=0)
+            band = [self._band[self._start[k]:self._start[k + 1]]
+                    for k in np.flatnonzero(near[nz:])]
+            idx = np.sort(np.concatenate([idx, self._zipper[near[:nz]], *band]))
+        return idx[active[idx]]
+
+
+def sample_sensors(sensors: SensorLocator, active, T: np.ndarray) -> np.ndarray:
+    """Interpolate T at the sensor points over the ``active`` triangles.
+
+    Only the candidates of :meth:`SensorLocator.candidates` are tested, in
+    ascending index, by the barycentric test that a scan of every active
+    triangle would make, so the result is the scan's to the bit.  A point
+    on a shared edge or vertex goes to the lowest triangle index; its
+    barycentric weights are clipped to [0, 1] and renormalised.  Points
+    outside the active domain (inside the source hole, or in the
+    deactivated part of the band) yield NaN, a data gap, not an error.
+    """
+    q = sensors.points
+    if not len(q):
+        return np.empty(0)
+    idx = sensors.candidates(active)
+    hit, l0, l1, l2 = _barycentric(sensors.mesh, idx, q)
+    tri = sensors.mesh.triangles[idx]
+    out = np.full(len(q), np.nan)
     for k in np.flatnonzero(hit.any(axis=1)):
         j = np.argmax(hit[k])
         lam = np.clip(np.array([l0[k, j], l1[k, j], l2[k, j]]), 0.0, 1.0)
@@ -428,9 +494,10 @@ class _Outputs(contextlib.ExitStack):
     """A run's CSV files, VTK snapshots, abort dump and sensor arrays.  Both
     CSV paths are checked before either file is truncated."""
 
-    def __init__(self, cfg: RunConfig, mesh: Mesh):
+    def __init__(self, cfg: RunConfig, mesh: Mesh, state):
         super().__init__()
         self._cfg, self._mesh = cfg, mesh
+        self._locator = SensorLocator(mesh, state, cfg.sensors) if cfg.sensors else None
         run_path = output_path(cfg.out_dir, cfg.csv_name, "[output] directory")
         sensor_path = (output_path(cfg.out_dir, "sensors.csv", "[output] directory")
                        if cfg.sensors else None)
@@ -449,7 +516,7 @@ class _Outputs(contextlib.ExitStack):
         _write_row(self._run, row)
         if cfg.sensors:
             t = row[0] + cfg.dt
-            values = sample_sensors(mesh, active, T, cfg.sensors)
+            values = sample_sensors(self._locator, active, T)
             self._rows.append(values)
             self._times.append(t)
             _write_row(self._sensors, [t, *values])
@@ -560,6 +627,13 @@ def _set_up(cfg: RunConfig):
     log.info("equilibrium velocity U_eq = %.6e m/s", U_eq)
     warnings: list[str] = []
     if state is not None and U_max * cfg.dt >= state.circumference / 2:
+        if cfg.alpha_s / U_max < np.spacing(state.circumference):
+            # no step is short enough to resolve a diffusion length below
+            # the rounding of the ring's coordinates: the closure is at fault
+            raise ConfigError(f"{_closure_key(cfg)}: the melt closure gives U up to "
+                              f"{U_max:.6g} m/s, at which the solid's diffusion length "
+                              f"alpha/U = {cfg.alpha_s / U_max:.6g} m is below the rounding "
+                              f"of the band's ring ({np.spacing(state.circumference):.6g} m)")
         raise ConfigError(f"[time] dt: U*dt can reach {U_max * cfg.dt:.6g} m per step; half "
                           f"the band's ring circumference is {state.circumference / 2:.6g} m; "
                           f"use dt < {state.circumference / (2 * U_max):.6g} s")
@@ -613,7 +687,7 @@ def run(config: RunConfig) -> RunReport:
     records: list[StepRecord] = []
     far_warned = False
 
-    with _Outputs(cfg, mesh) as out:
+    with _Outputs(cfg, mesh, state) as out:
         step = -1
         try:
             for step in range(cfg.n_steps):

@@ -36,11 +36,17 @@ entry goes in it.  A run builds one plan before its first slab; a bare
 :class:`SlabProblem` gets a one-off plan of its own triangles.  Each slab
 then sums the rigid part of ``M' + i N'`` straight into the pattern, each
 element weighted by whether it is active (1 or 0), and puts the zipper
-blocks into one small 2n x 2n COO matrix.  Nodes of no active element
-become identity rows.  The exact slab operator, the rigid
-``P (x) M' + D (x) N'`` plus the zipper matrix, is never assembled whole;
-it is applied matrix-free, for the solve and for the weak residual that
-flux recovery reads.  The solve's last residual check forms that product
+blocks into one small 2n x 2n COO matrix.  A slab pays only for what moves:
+the mesh-velocity sum of a displacement component is formed only if that
+component is nonzero at some node (a band forms the one along its axis, a
+static slab neither), and a slab without zipper triangles runs no time
+quadrature, jump or COO for them.  A static slab's ``M' + i N'`` is then the
+structure's held sums alone, and each left-out term would have been an
+exact zero, so the values are those of the full assembly to the bit.
+Nodes of no active element become identity rows.  The exact slab
+operator, the rigid ``P (x) M' + D (x) N'`` plus the zipper matrix, is
+never assembled whole; it is applied matrix-free, for the solve and for
+the weak residual that flux recovery reads.  The solve's last residual check forms that product
 for the solution it returns, and the residual reuses it.
 
 Only the LU needs the zipper blocks in the ``P (x) X_e + D (x) Y_e`` form:
@@ -369,29 +375,31 @@ class SlabOperator:
         self._fixed = rec.fixed
 
         # rigid elements: M' + i N' summed into the plan's pattern, each
-        # element weighted by whether it is active in this slab
-        w = rec.w
+        # element weighted by whether it is active in this slab; a
+        # displacement component zero at every node would add +0.0 throughout
+        stiff = rec.diffusion
         rc = plan.rconn
-        dx, dy = ((c[rc[0]] + c[rc[1]] + c[rc[2]]) / 3.0
-                  for c in np.ascontiguousarray((p.coords_new - p.coords_old).T))
-        stiff = rec.diffusion - plan.grad_x @ (w * dx / 6.0) - plan.grad_y @ (w * dy / 6.0)
+        for grad, c in zip((plan.grad_x, plan.grad_y),
+                           np.ascontiguousarray((p.coords_new - p.coords_old).T)):
+            if c.any():
+                stiff = stiff - grad @ (rec.w * ((c[rc[0]] + c[rc[1]] + c[rc[2]]) / 3.0) / 6.0)
         # the jump load: each element's bottom-face mass times t_prev
         rhs = rec.jump @ p.t_prev
 
         # shearing elements: full 6 x 6 blocks from the time quadrature, plus
         # the jump coupling (bottom-face mass on the old coordinates), applied
         # as one 2n x 2n COO; a factored slab fits them in _lhs
-        xo = p.coords_old[zc]
-        e1 = xo[:, 1] - xo[:, 0]
-        e2 = xo[:, 2] - xo[:, 0]
-        jump = (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])[:, None, None] * _M
-        ke = _theta_blocks(xo, p.coords_new[zc], p.dt, p.alpha)
-        ke[:, :3, :3] += jump
-        rhs += np.bincount(zc.ravel(), np.einsum("eab,eb->ea", jump, p.t_prev[zc]).ravel(),
-                           minlength=n)
-        self._zke = ke
+        self._zke = np.empty((0, 6, 6))
         self._zipper = None
         if len(zc):
+            xo = p.coords_old[zc]
+            e1 = xo[:, 1] - xo[:, 0]
+            e2 = xo[:, 2] - xo[:, 0]
+            jump = (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])[:, None, None] * _M
+            self._zke = ke = _theta_blocks(xo, p.coords_new[zc], p.dt, p.alpha)
+            ke[:, :3, :3] += jump
+            rhs += np.bincount(zc.ravel(), np.einsum("eab,eb->ea", jump, p.t_prev[zc]).ravel(),
+                               minlength=n)
             self._zipper = sp.coo_matrix((ke.ravel(), rec.zipper_index), shape=(2 * n, 2 * n))
         self._mn = sp.csc_matrix((rec.mass + 1j * stiff, plan.indices, plan.indptr),
                                  shape=(n, n))

@@ -18,6 +18,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import solve_banded
 
+from ccmsim import stfem
 from ccmsim.mesh import ROLES, Mesh, MeshFormatError, StripLayout, validate_mesh
 
 
@@ -326,3 +327,94 @@ def active_elements_by_triangle(mesh, state):
     inside = (cmax > state.w_lo + eps) & (cmin < state.w_hi - eps)
     act[geo] = ~torn & inside
     return act
+
+
+# ---------------------------------------------------------------------------
+# a slab assembled with every term
+
+class SlabOperatorEveryTerm(stfem.SlabOperator):
+    """A slab operator whose assembly forms every term: both mesh-velocity
+    products, and the zipper's quadrature, jump, jump load and COO even on
+    an empty zipper; the reference for :class:`ccmsim.stfem.SlabOperator`,
+    which leaves out the terms that the motion makes zero."""
+
+    def __init__(self, problem):
+        self.problem = p = problem
+        if p.plan is None:
+            plan, active = stfem.SlabPlan.of_problem(p), np.ones(len(p.conn), dtype=bool)
+        else:
+            plan, active = p.plan, p.active
+        n = plan.n
+        zc = p.conn[plan.zipper[active]]
+        rec = plan.structure
+        if rec is None or not (np.array_equal(active, rec.active) and np.array_equal(zc, rec.zc)
+                               and np.array_equal(p.dirichlet_nodes, rec.dirichlet_nodes)):
+            rec = plan.structure = None
+            rec = plan.structure = stfem.SlabStructure(plan, active, p.conn, zc,
+                                                       p.dirichlet_nodes)
+        if rec.half_dt_alpha != (dta := 0.5 * p.dt * p.alpha):
+            rec.half_dt_alpha, rec.diffusion = dta, plan.diffusion @ (dta * rec.w)
+        self.structure = rec
+        self.node_active = rec.node_active
+        self._fixed = rec.fixed
+
+        w = rec.w
+        rc = plan.rconn
+        dx, dy = ((c[rc[0]] + c[rc[1]] + c[rc[2]]) / 3.0
+                  for c in np.ascontiguousarray((p.coords_new - p.coords_old).T))
+        stiff = rec.diffusion - plan.grad_x @ (w * dx / 6.0) - plan.grad_y @ (w * dy / 6.0)
+        rhs = rec.jump @ p.t_prev
+
+        xo = p.coords_old[zc]
+        e1 = xo[:, 1] - xo[:, 0]
+        e2 = xo[:, 2] - xo[:, 0]
+        jump = (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])[:, None, None] * stfem._M
+        ke = stfem._theta_blocks(xo, p.coords_new[zc], p.dt, p.alpha)
+        ke[:, :3, :3] += jump
+        rhs += np.bincount(zc.ravel(), np.einsum("eab,eb->ea", jump, p.t_prev[zc]).ravel(),
+                           minlength=n)
+        self._zke = ke
+        self._zipper = None
+        if len(zc):
+            self._zipper = sp.coo_matrix((ke.ravel(), rec.zipper_index), shape=(2 * n, 2 * n))
+        self._mn = sp.csc_matrix((rec.mass + 1j * stiff, plan.indices, plan.indptr),
+                                 shape=(n, n))
+        self._product = None
+
+        self._rhs_raw = np.zeros((2, n))
+        self._rhs_raw[0] = rhs
+        self._rhs = self._rhs_raw.copy()
+        self._rhs[:, p.dirichlet_nodes] = p.dirichlet_values
+        self._rhs[:, rec.idle] = p.t_prev[rec.idle]
+
+
+# ---------------------------------------------------------------------------
+# sensors by a scan of every active triangle
+
+def sample_sensors_by_scan(mesh, active, T, sensors):
+    """Interpolate T at fixed points by one barycentric scan over all the
+    ``active`` triangles; the reference for :func:`ccmsim.driver.sample_sensors`,
+    which tests only the triangles that the band's row table leaves.  A
+    point on a shared edge goes to the lowest triangle index; points in no
+    active triangle give NaN."""
+    if not sensors:
+        return np.empty(0)
+    tol = 1e-10
+    tri = mesh.triangles[active]
+    p0, p1, p2 = (mesh.nodes[tri[:, i]] for i in range(3))
+    q = np.asarray(sensors, dtype=float)
+    rx = q[:, 0, None] - p0[:, 0]                       # (sensors, triangles)
+    ry = q[:, 1, None] - p0[:, 1]
+    d = ((p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1])
+         - (p2[:, 0] - p0[:, 0]) * (p1[:, 1] - p0[:, 1]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        l1 = ((p2[:, 1] - p0[:, 1]) * rx - (p2[:, 0] - p0[:, 0]) * ry) / d
+        l2 = (-(p1[:, 1] - p0[:, 1]) * rx + (p1[:, 0] - p0[:, 0]) * ry) / d
+    l0 = 1.0 - l1 - l2
+    hit = (d > 0) & (l0 >= -tol) & (l1 >= -tol) & (l2 >= -tol)
+    out = np.full(len(sensors), np.nan)
+    for k in np.flatnonzero(hit.any(axis=1)):
+        j = np.argmax(hit[k])
+        lam = np.clip(np.array([l0[k, j], l1[k, j], l2[k, j]]), 0.0, 1.0)
+        out[k] = float(np.dot(T[tri[j]], lam / lam.sum()))
+    return out

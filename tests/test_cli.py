@@ -386,3 +386,27 @@ def test_module_entry_point_runs_without_warning():
     assert proc.returncode == 0
     assert "usage" in proc.stdout.lower()
     assert "RuntimeWarning" not in proc.stderr
+
+
+@pytest.mark.parametrize("section, key, value, named", [
+    ("material.liquid", "mu", "1e-200", "[material.liquid] mu"),  # an absurd U: the closure
+    ("time", "dt", "1e5", "[time] dt"),                          # a sane U, a long step
+])
+def test_step_overrunning_the_ring_names_the_input_at_fault(
+        tmp_path, fixture_dir, capsys, monkeypatch, section, key, value, named):
+    # U*dt reaches half the ring either way; when the solid's diffusion
+    # length alpha/U is below the rounding of the ring's coordinates, no dt
+    # could help, so the closure's input furthest from 1 is named
+    ini = configparser.ConfigParser()
+    ini.optionxform = str
+    ini.read(os.path.join(fixture_dir, "probe_temperature.ini"))
+    ini[section][key] = value
+    ini["mesh"]["path"] = os.path.join(fixture_dir, "probe.mesh")
+    ini["output"]["directory"] = str(tmp_path / "out")
+    with open(tmp_path / "case.ini", "w") as f:
+        ini.write(f)
+    forbid_slabs(monkeypatch)
+    assert main(["run", "--config", str(tmp_path / "case.ini")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {named}: ") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccmsim import meshgen
-from ccmsim.driver import sample_sensors
+from ccmsim import meshgen, motion
+from ccmsim.driver import SensorLocator, sample_sensors
 from ccmsim.mesh import (
     Mesh,
     MeshFormatError,
@@ -21,7 +21,7 @@ from ccmsim.mesh import (
 )
 
 from conftest import _BUILDERS, FIXTURE_DIR
-from oracles import load_mesh_by_line
+from oracles import load_mesh_by_line, sample_sensors_by_scan
 
 
 def test_unit_square_counts_and_tags():
@@ -168,22 +168,23 @@ def test_point_location_and_interpolation():
     T = 2.0 * m.nodes[:, 0] - 3.0 * m.nodes[:, 1] + 0.5
     everywhere = np.ones(m.n_triangles, dtype=bool)
     pts = [(0.33, 0.61), (0.0, 0.0), (0.25, 0.5), (0.999, 0.123)]
-    values = sample_sensors(m, everywhere, T, pts)
+    values = sample_sensors(SensorLocator(m, None, pts), everywhere, T)
     # linear fields interpolate exactly
     npt.assert_allclose(values, [2.0 * x - 3.0 * y + 0.5 for x, y in pts],
                         rtol=0, atol=1e-13)
-    outside = sample_sensors(m, everywhere, T, [(1.7, 0.5), (0.5, -0.2)])
+    outside = sample_sensors(SensorLocator(m, None, [(1.7, 0.5), (0.5, -0.2)]), everywhere, T)
     assert np.all(np.isnan(outside))
 
 
 def test_point_location_respects_active_mask():
     m = meshgen.make_unit_square(4)
     T = np.ones(m.n_nodes)
-    assert np.isnan(sample_sensors(m, np.zeros(m.n_triangles, dtype=bool), T,
-                                   [(0.5, 0.5)])[0])
+    assert np.isnan(sample_sensors(SensorLocator(m, None, [(0.5, 0.5)]),
+                                   np.zeros(m.n_triangles, dtype=bool), T)[0])
     # only the right half is active: a point on the left is a gap
     right = m.nodes[m.triangles].mean(axis=1)[:, 0] > 0.5
-    left_pt, right_pt = sample_sensors(m, right, T, [(0.2, 0.3), (0.8, 0.3)])
+    left_pt, right_pt = sample_sensors(
+        SensorLocator(m, None, [(0.2, 0.3), (0.8, 0.3)]), right, T)
     assert np.isnan(left_pt) and right_pt == pytest.approx(1.0, abs=1e-14)
 
 
@@ -200,8 +201,98 @@ def test_point_on_shared_edge_same_from_either_side():
     for tris in ([t0], [t1], [t0, t1]):
         active = np.zeros(m.n_triangles, dtype=bool)
         active[tris] = True
-        values.append(sample_sensors(m, active, T, pt)[0])
+        values.append(sample_sensors(SensorLocator(m, None, pt), active, T)[0])
     npt.assert_allclose(values, 0.3 * T[a] + 0.7 * T[b], rtol=0, atol=1e-14)
+
+
+_BAND_MESHES = {
+    "strip_square, 2 virtual rows": (lambda: meshgen.make_strip_square(8), (0.0, -1.0)),
+    "strip_square, 3 virtual rows": (lambda: meshgen.make_strip_square(8, n_virt=3),
+                                     (0.0, -1.0)),
+    "probe.mesh": (lambda: load_mesh(os.path.join(FIXTURE_DIR, "probe.mesh")), (0.0, -1.0)),
+    "ramp.mesh": (lambda: load_mesh(os.path.join(FIXTURE_DIR, "ramp.mesh")), (0.0, -1.0)),
+    "hotwire.mesh": (lambda: load_mesh(os.path.join(FIXTURE_DIR, "hotwire.mesh")), (1.0, 0.0)),
+}
+
+
+def sensor_points(mesh, state, picks):
+    """Points for drawn ``(kind, u, v)``: a node ("vertex"), a point on a
+    triangle's edge ("edge"), the centroid of the source's nodes ("hole",
+    a box point on a mesh without a source), or a point of the bounding box
+    widened by a row ("box", which takes in the static region, the band's
+    rows beyond the window and the outside)."""
+    lo, hi = mesh.nodes.min(axis=0) - state.h_row, mesh.nodes.max(axis=0) + state.h_row
+    source = [t for t in ("tip", "side", "nose") if t in mesh.boundary_tags]
+    points = []
+    for kind, u, v in picks:
+        if kind == "vertex":
+            p = mesh.nodes[int(u * mesh.n_nodes)]
+        elif kind == "edge":
+            tri, e = mesh.triangles[int(u * mesh.n_triangles)], int(3 * v)
+            a, b = mesh.nodes[tri[e]], mesh.nodes[tri[(e + 1) % 3]]
+            p = a + (3 * v - e) * (b - a)
+        elif kind == "hole" and source:
+            p = mesh.nodes[np.unique(mesh.tagged_edges(tuple(source)))].mean(axis=0)
+        else:
+            p = lo + np.array([u, v]) * (hi - lo)
+        points.append(tuple(p))
+    return points
+
+
+point_picks = st.lists(st.tuples(st.sampled_from(["vertex", "edge", "hole", "box"]),
+                                 st.floats(0.0, 1.0, exclude_max=True),
+                                 st.floats(0.0, 1.0, exclude_max=True)), min_size=1, max_size=8)
+
+
+def assert_lookup_matches_scan(name, picks, rows_per_step, seed):
+    """Slide the band of mesh ``name`` two turns round its ring and compare
+    the lookup with the scan of every active triangle at each step."""
+    build, direction = _BAND_MESHES[name]
+    mesh = build()
+    state = motion.init_motion(mesh, direction)
+    points = sensor_points(mesh, state, picks)
+    locator = SensorLocator(mesh, state, points)
+    T = np.random.default_rng(seed).uniform(-1.0, 2.0, mesh.n_nodes)
+    step = rows_per_step * state.h_row
+    for _ in range(int(np.ceil(2 * state.circumference / step)) + 1):
+        active = motion.active_elements(mesh, state)
+        got = sample_sensors(locator, active, T)
+        assert got.tobytes() == sample_sensors_by_scan(mesh, active, T, points).tobytes()
+        motion.advance(mesh, state, step)
+    assert state.displacement >= 2 * state.circumference
+
+
+# The band's row table must leave every triangle that the scan of all active
+# triangles picks: the same values to the bit, the same gaps, and on a shared
+# edge or vertex the same, lowest-index triangle.  A step of a whole or a
+# quarter row brings band vertices and edges back onto the points drawn on
+# them.
+lookup_draws = dict(picks=point_picks,
+                    rows_per_step=st.sampled_from([0.5, 1.0, 1.25, 2.75, 4.0]),
+                    seed=st.integers(0, 2**32 - 1))
+
+
+@pytest.mark.parametrize("name", [n for n in _BAND_MESHES if n.startswith("strip_square")])
+@settings(max_examples=40, deadline=None)
+@given(**lookup_draws)
+def test_sensor_lookup_matches_the_scan_on_strip_squares(name, picks, rows_per_step, seed):
+    assert_lookup_matches_scan(name, picks, rows_per_step, seed)
+
+
+@pytest.mark.parametrize("name", [n for n in _BAND_MESHES if n.endswith(".mesh")])
+@settings(max_examples=6, deadline=None)
+@given(**lookup_draws)
+def test_sensor_lookup_matches_the_scan_on_the_bundled_meshes(fixture_dir, name, picks,
+                                                               rows_per_step, seed):
+    assert_lookup_matches_scan(name, picks, rows_per_step, seed)
+
+
+def test_sensor_in_the_hole_is_a_gap(fixture_dir):
+    mesh = load_mesh(os.path.join(fixture_dir, "probe.mesh"))
+    state = motion.init_motion(mesh, (0.0, -1.0))
+    hole = sensor_points(mesh, state, [("hole", 0.0, 0.0)])
+    assert np.isnan(sample_sensors(SensorLocator(mesh, state, hole),
+                                   motion.active_elements(mesh, state), np.ones(mesh.n_nodes)))
 
 
 def test_fixture_meshes_validate(fixture_dir):

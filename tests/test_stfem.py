@@ -20,7 +20,7 @@ from ccmsim.stfem import (
     solve_slab,
 )
 
-from oracles import prism_amplification, slab_residual
+from oracles import SlabOperatorEveryTerm, prism_amplification, slab_residual
 
 
 def square_problem(n=8, dt=0.1, alpha=1.0, t_prev=None, **kw):
@@ -762,3 +762,56 @@ def test_held_factor_that_does_not_converge_is_replaced(monkeypatch):
     assert sol.factored and sol.refinements == 0
     assert len(calls) == 2
     assert_matches_fresh_solve(doubled, sol)
+
+
+def twin_slabs(case):
+    """One slab problem twice, each on a plan of its own: a static
+    unit-square slab with its right edge fixed, or a strip-square slab whose
+    band slides down 1.4 rows (a slip), with its flanks fixed."""
+    rng = np.random.default_rng(21)
+    if case == "static":
+        mesh, state = meshgen.make_unit_square(8), None
+        fixed = np.unique(mesh.tagged_edges(("right",)))
+    else:
+        mesh = meshgen.make_strip_square(8, n_virt=3)
+        state = motion.init_motion(mesh, (0.0, -1.0))
+        fixed = np.unique(mesh.tagged_edges(("left", "right")))
+    plans = [driver.slab_plan(mesh, state) for _ in range(2)]
+    coords_old = mesh.nodes.copy()
+    act = np.ones(mesh.n_triangles, dtype=bool)
+    if state is not None:
+        motion.advance(mesh, state, 1.4 / 8)
+        act = motion.active_elements(mesh, state)
+    t_prev, values = rng.uniform(-1.0, 2.0, mesh.n_nodes), rng.uniform(-1.0, 2.0, len(fixed))
+    return [SlabProblem(coords_old, mesh.nodes, mesh.triangles[act], dt=0.37, alpha=1.7,
+                        t_prev=t_prev, dirichlet_nodes=fixed, dirichlet_values=values,
+                        plan=plan, active=act) for plan in plans]
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("case", ["static", "band"])
+def test_slab_without_the_terms_its_motion_zeroes_is_the_same_to_the_bit(monkeypatch, case):
+    # the static slab has no displacement and no zipper; the band moves
+    # along y alone.  The left-out mesh-velocity products would be +0.0,
+    # so M' + iN', the load and the solution equal those of the slab that
+    # forms every term.  A product that is formed meets a None
+    prob, ref_prob = twin_slabs(case)
+    prob.plan.grad_x = None
+    if case == "static":
+        prob.plan.grad_y = None
+    called = []
+    theta_blocks = stfem._theta_blocks
+    monkeypatch.setattr(stfem, "_theta_blocks", lambda *a: called.append(a) or theta_blocks(*a))
+    op = SlabOperator(prob)
+    assert len(called) == int(case == "band")
+    ref = SlabOperatorEveryTerm(ref_prob)
+    assert len(called) == 1 + int(case == "band")    # the oracle runs it on any zipper
+    for a, b in ((op._mn.data, ref._mn.data), (op._mn.indices, ref._mn.indices),
+                 (op._mn.indptr, ref._mn.indptr), (op._rhs_raw, ref._rhs_raw)):
+        assert same_bits(a, b)
+    sol, ref_sol = op.solve(), ref.solve()
+    assert same_bits(sol.t_bot, ref_sol.t_bot) and same_bits(sol.t_top, ref_sol.t_top)
+    assert (sol.residual_norm, sol.refinements) == (ref_sol.residual_norm, ref_sol.refinements)
