@@ -1,0 +1,56 @@
+#!/usr/bin/env python3
+"""The solver's work and results on four bundled fixture runs.
+
+    python3 scripts/solver_work.py
+
+Runs probe_temperature (60 steps), power_3kw (180), hotwire (180) and
+power_1kw (60) in a temporary directory, without VTK snapshots, and prints
+for each the number of slabs factored, the GMRES steps summed over all
+slabs, the final displacement and the mean U over the last 10% of the
+steps.  It times nothing, so its numbers are the same on any host; a change
+to the solver compares them with the parent's.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import logging
+import os
+import sys
+import tempfile
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+
+from ccmsim import driver, stfem  # noqa: E402
+
+ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
+RUNS = [("probe_temperature", 60), ("power_3kw", 180), ("hotwire", 180), ("power_1kw", 60)]
+
+
+def main() -> None:
+    work = []
+    solve = stfem.SlabOperator.solve
+
+    def counted(op):
+        sol = solve(op)
+        work.append((sol.factored, sol.refinements))
+        return sol
+
+    stfem.SlabOperator.solve = counted
+    logging.disable(logging.WARNING)         # the runs' own warnings, not the table
+    print(f"{'fixture':<18} {'steps':>5} {'factored':>8} {'gmres':>6} "
+          f"{'displacement (m)':>17} {'mean U (m/s)':>13}")
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, n_steps in RUNS:
+            cfg = driver.load_config(os.path.join(ROOT, "fixtures", name + ".ini"))
+            cfg = dataclasses.replace(cfg, n_steps=n_steps, vtk_every=0,
+                                      out_dir=os.path.join(tmp, name))
+            work.clear()
+            summary = driver.run(cfg).summary
+            print(f"{name:<18} {n_steps:>5} {sum(f for f, _ in work):>8} "
+                  f"{sum(k for _, k in work):>6} {summary.final_displacement:>17.9e} "
+                  f"{summary.mean_velocity_last_10pct:>13.9e}")
+
+
+if __name__ == "__main__":
+    main()

@@ -287,9 +287,10 @@ def active_elements(mesh: Mesh, state: MotionState) -> np.ndarray:
     rows: each row is taken as the line of its own nodes, at the ordinate of
     its first node, and the mask is computed once per distinct triple.
     """
-    c = mesh.nodes[state.corner_nodes, state.axis]                        # (k, 3)
-    cmax = c.max(axis=1)
-    cmin = c.min(axis=1)
+    c0, c1, c2 = mesh.nodes[state.corner_nodes, state.axis].T             # (k,) each
+    # column by column: numpy reduces along a length-3 axis several times slower
+    cmax = np.maximum(np.maximum(c0, c1), c2)
+    cmin = np.minimum(np.minimum(c0, c1), c2)
     torn = (cmax - cmin) > state.circumference / 2
     eps = 1e-9 * state.h_row
     inside = (cmax > state.w_lo + eps) & (cmin < state.w_hi - eps)

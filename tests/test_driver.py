@@ -570,3 +570,35 @@ def test_negative_solid_flux_is_clamped_once_by_the_driver(tmp_path, monkeypatch
     for rec in report.records:
         assert rec.clamped and rec.q_s_avg == 0.0
     assert not [r for r in caplog.records if r.name == "ccmsim.velocity"]
+
+
+def test_band_slabs_start_from_the_last_slabs_trajectory(fixture_dir, tmp_path, monkeypatch):
+    # the warm start changes where a band slab's solve starts, not what it
+    # solves: against a run whose slabs all start cold, the velocities and
+    # displacements agree to the solver's tolerance and the same slabs are
+    # factored, in at least 20% fewer GMRES steps
+    cfg = load_config(os.path.join(fixture_dir, "power_3kw.ini"))
+    cfg = dataclasses.replace(cfg, n_steps=40, vtk_every=0)
+    work = []
+    solve = stfem.SlabOperator.solve
+
+    def solved(op):
+        sol = solve(op)
+        work.append((sol.factored, sol.refinements))
+        return sol
+
+    def outputs(name):
+        work.clear()
+        out = tmp_path / name
+        run(dataclasses.replace(cfg, out_dir=str(out)))
+        rows = np.loadtxt(out / "run.csv", delimiter=",", skiprows=1)
+        return rows[:, 1:3], [f for f, _ in work], sum(k for _, k in work)
+
+    monkeypatch.setattr(stfem.SlabOperator, "solve", solved)
+    warm = outputs("warm")
+    step = driver.slab_step
+    monkeypatch.setattr(driver, "slab_step", lambda *args, rate, **kwargs: step(*args, **kwargs))
+    cold = outputs("cold")
+    npt.assert_allclose(warm[0], cold[0], rtol=1e-9, atol=0.0)
+    assert warm[1] == cold[1] and 1 < sum(warm[1]) < cfg.n_steps
+    assert warm[2] <= 0.8 * cold[2]

@@ -815,3 +815,64 @@ def test_slab_without_the_terms_its_motion_zeroes_is_the_same_to_the_bit(monkeyp
     sol, ref_sol = op.solve(), ref.solve()
     assert same_bits(sol.t_bot, ref_sol.t_bot) and same_bits(sol.t_top, ref_sol.t_top)
     assert (sol.residual_norm, sol.refinements) == (ref_sol.residual_norm, ref_sol.refinements)
+
+
+# -- warm start from the last slab's trajectory ---------------------------------
+
+
+def band_run(warm):
+    """The strip-square band of test_band_factors_only_slabs_of_a_new_structure,
+    16 steps of 0.35 of a row through driver.slab_step, each slab given the
+    last one's rate if ``warm``.  Checks each slab against a fresh solve and
+    returns the solutions."""
+    mesh = meshgen.make_strip_square(8, n_virt=3)
+    state = motion.init_motion(mesh, (0.0, -1.0))
+    plan = driver.slab_plan(mesh, state)
+    background = np.random.default_rng(12).uniform(-1.0, 2.0, mesh.n_nodes)
+    flanks = np.unique(mesh.tagged_edges(("left", "right")))
+    T, last, solutions = background.copy(), None, []
+    for _ in range(16):
+        op, sol, T, _ = driver.slab_step(
+            mesh, state, T, 0.35 / 8, plan=plan, dt=0.37, alpha=1.7,
+            dirichlet_nodes=flanks, dirichlet_values=background[flanks], background=background,
+            rate=last if warm else None)
+        assert_matches_fresh_solve(op.problem, sol)
+        last = np.where(op.node_active, sol.t_top - sol.t_bot, 0.0)
+        solutions.append(sol)
+    assert state.n_slips >= 3
+    return solutions
+
+
+def test_warm_start_changes_where_the_solve_starts_not_what_it_solves():
+    warm, cold = band_run(warm=True), band_run(warm=False)
+    assert [s.factored for s in warm] == [s.factored for s in cold]
+    assert sum(s.refinements for s in warm) < sum(s.refinements for s in cold)
+
+
+def test_slab_without_zipper_ignores_the_rate():
+    # a rigid slab's own LU solves it in one step from the Dirichlet values;
+    # a rate leaves its solve as it is, to the bit
+    prob, ref_prob = twin_slabs("static")
+    prob.rate = np.random.default_rng(22).uniform(-1.0, 1.0, len(prob.t_prev))
+    sol, ref = solve_slab(prob), solve_slab(ref_prob)
+    assert same_bits(sol.t_bot, ref.t_bot) and same_bits(sol.t_top, ref.t_top)
+    assert (sol.residual_norm, sol.refinements) == (ref.residual_norm, ref.refinements)
+
+
+def test_wrong_rate_still_meets_the_tolerance_on_the_dirichlet_start_scale(monkeypatch):
+    # a start far off the solution costs GMRES steps, not accuracy, and the
+    # residual stays scaled by the right-hand side of the equations solved
+    # for, not by the start's residual
+    rng = np.random.default_rng(23)
+    prob = fix_flanks(band_slab(0.4 / 8)[0], rng.uniform(-1.0, 2.0, 76))
+    cold = solve_slab(prob)
+    prob.rate = 1e3 * (cold.t_top - cold.t_bot)
+    sol = solve_slab(prob)
+    assert sol.residual_norm <= stfem.SOLVER_TOL
+    assert free_row_residual(prob, sol) <= 1e-12
+    assert_matches_fresh_solve(prob, sol)
+    monkeypatch.setattr(stfem, "REFINE_TOL", 1e-6)
+    monkeypatch.setattr(stfem, "SOLVER_TOL", 1e-6)
+    sol = solve_slab(prob)
+    assert sol.residual_norm == pytest.approx(free_row_residual(prob, sol), rel=1e-6, abs=0.0)
+    assert 1e-10 < sol.residual_norm <= 1e-6
