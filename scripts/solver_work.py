@@ -6,7 +6,8 @@
 Runs probe_temperature (60 steps), power_3kw (180), hotwire (180) and
 power_1kw (60) in a temporary directory, without VTK snapshots, and prints
 for each the number of slabs factored, the GMRES steps summed over all
-slabs, the final displacement and the mean U over the last 10% of the
+slabs, the full products with a slab operator (``SlabOperator._apply``
+calls), the final displacement and the mean U over the last 10% of the
 steps.  It times nothing, so its numbers are the same on any host; a change
 to the solver compares them with the parent's.
 """
@@ -28,17 +29,22 @@ RUNS = [("probe_temperature", 60), ("power_3kw", 180), ("hotwire", 180), ("power
 
 
 def main() -> None:
-    work = []
-    solve = stfem.SlabOperator.solve
+    work, products = [], []
+    solve, apply = stfem.SlabOperator.solve, stfem.SlabOperator._apply
 
     def counted(op):
         sol = solve(op)
         work.append((sol.factored, sol.refinements))
         return sol
 
+    def applied(op, x):
+        products.append(None)
+        return apply(op, x)
+
     stfem.SlabOperator.solve = counted
+    stfem.SlabOperator._apply = applied
     logging.disable(logging.WARNING)         # the runs' own warnings, not the table
-    print(f"{'fixture':<18} {'steps':>5} {'factored':>8} {'gmres':>6} "
+    print(f"{'fixture':<18} {'steps':>5} {'factored':>8} {'gmres':>6} {'products':>8} "
           f"{'displacement (m)':>17} {'mean U (m/s)':>13}")
     with tempfile.TemporaryDirectory() as tmp:
         for name, n_steps in RUNS:
@@ -46,9 +52,11 @@ def main() -> None:
             cfg = dataclasses.replace(cfg, n_steps=n_steps, vtk_every=0,
                                       out_dir=os.path.join(tmp, name))
             work.clear()
+            products.clear()
             summary = driver.run(cfg).summary
             print(f"{name:<18} {n_steps:>5} {sum(f for f, _ in work):>8} "
-                  f"{sum(k for _, k in work):>6} {summary.final_displacement:>17.9e} "
+                  f"{sum(k for _, k in work):>6} {len(products):>8} "
+                  f"{summary.final_displacement:>17.9e} "
                   f"{summary.mean_velocity_last_10pct:>13.9e}")
 
 

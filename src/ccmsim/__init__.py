@@ -9,8 +9,31 @@ analytical lubrication closures that turn the recovered solid-side heat
 flux into the source's approach velocity.
 """
 
-from . import cbf, driver, mesh, meshgen, motion, stfem, velocity, verify
-from .errors import ConfigError, NumericalError
+import os
+
+# One BLAS thread unless the caller chose otherwise, for this package's own
+# solves only.  OpenBLAS reads its thread count once, when it loads, and
+# SciPy's bundled OpenBLAS (the BLAS under SuperLU) loads with
+# scipy.sparse.linalg during the imports below, even when the caller has
+# imported numpy already.  The variables this import set are removed again
+# afterwards, so child processes and libraries loaded later keep their own
+# defaults.  One effect stays: if numpy was not imported before ccmsim,
+# numpy's own OpenBLAS also loads here and keeps one thread for the process.
+# A second thread buys no wall time on these small slabs and costs CPU
+# time: on a 2-core x86_64 host `python -m ccmsim.cli run --config
+# fixtures/probe_temperature.ini` (200 steps) took 5.3-6.0 s wall and
+# 8.9-10.3 s CPU with OpenBLAS's default threads, and 2.2-2.6 s wall and CPU
+# with one.
+_THREAD_VARS = [v for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+                if v not in os.environ]
+os.environ.update(dict.fromkeys(_THREAD_VARS, "1"))
+try:
+    from . import cbf, driver, mesh, meshgen, motion, stfem, velocity, verify
+    from .errors import ConfigError, NumericalError
+finally:
+    for _var in _THREAD_VARS:
+        os.environ.pop(_var, None)
+    del _THREAD_VARS
 
 __version__ = "0.1.0"
 

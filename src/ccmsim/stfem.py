@@ -41,13 +41,16 @@ the mesh-velocity sum of a displacement component is formed only if that
 component is nonzero at some node (a band forms the one along its axis, a
 static slab neither), and a slab without zipper triangles runs no time
 quadrature, jump or COO for them.  A static slab's ``M' + i N'`` is then the
-structure's held sums alone, and each left-out term would have been an
-exact zero, so the values are those of the full assembly to the bit.
+structure's held complex matrix ``M' + i dt alpha K' / 2`` itself, which
+no slab writes into; a moving slab subtracts ``i`` times its mesh-velocity
+sums from a copy.  Each left-out term would have been an exact zero, so the
+values are those of the full assembly to the bit.
 Nodes of no active element become identity rows.  The exact slab
 operator, the rigid ``P (x) M' + D (x) N'`` plus the zipper matrix, is
 never assembled whole; it is applied matrix-free, for the solve and for
-the weak residual that flux recovery reads.  The solve's last residual check forms that product
-for the solution it returns, and the residual reuses it.
+the weak residual that flux recovery reads.  The solve's last residual
+check forms that product for the solution it returns, and the residual
+reuses it.
 
 Only the LU needs the zipper blocks in the ``P (x) X_e + D (x) Y_e`` form:
 a fixed 2 x 4 matrix (``_PROJ``) fits each block's four 3 x 3 time blocks
@@ -79,13 +82,20 @@ solves it in one step from any start, so a guess would only cost the
 product.  Either way the residual check is scaled by the free rows'
 residual at the Dirichlet values alone, the right-hand side of the
 equations solved for, so SOLVER_TOL means the same whatever the start.
+The Dirichlet values are zero on the free nodes, so that residual reaches
+only the fixed columns: it is formed from their entries alone (a few
+hundred, which the structure lists), to the bit the full product's, and a
+slab started there takes it as its first residual.  A rigid slab solved
+with its own LU thus makes one full product, that of the solution it
+returns, which flux recovery reuses.
 
 The plan also holds the current structure, a :class:`SlabStructure`:
 the slab's active mask, its active and fixed (Dirichlet or idle) nodes, the
-zipper connectivity, the rigid sums that depend on the mask alone, and the
-LU made for it.  Connectivity inside the band never changes and only a slip
-rewires the zipper, so the mask, the zipper connectivity and the Dirichlet
-nodes fix the slab's pattern: :class:`SlabOperator` keeps the held
+zipper connectivity, the rigid sums that depend on the mask alone (and on
+``dt alpha``), the entries of the fixed columns, and the LU made for it.
+Connectivity inside the band never changes and only a slip rewires the
+zipper, so the mask, the zipper connectivity and the Dirichlet nodes fix
+the slab's pattern: :class:`SlabOperator` keeps the held
 structure when the three equal the held ones, and makes a new one
 otherwise.  The driver assembles each slab on the window mask of the band's
 new position (see :func:`ccmsim.driver.slab_step`), so a slip changes the
@@ -301,8 +311,18 @@ class SlabStructure:
     set of Dirichlet nodes share, the three arrays it keeps and is known by:
     the active and fixed nodes of the slab's triangles ``conn``, the COO
     indices of the zipper blocks, the rigid sums of the mask alone (the data
-    of ``M'`` on the plan's pattern, also as the CSC ``jump``, and that of
-    ``dt alpha K' / 2``, made again when ``dt alpha`` changes) and the LU.
+    of ``M'`` on the plan's pattern, also as the CSC ``jump``, and the
+    complex CSC ``mn`` of ``M' + i dt alpha K' / 2``, which :meth:`refresh`
+    makes again when ``dt alpha`` changes and nothing else writes into), the
+    entries of the fixed columns, and the LU.
+
+    A slab starts its solve at the Dirichlet values, zero on the free nodes,
+    so the product of that start with the operator reaches only the fixed
+    columns.  ``fixed_entries`` holds, in the pattern's order, the data
+    positions and columns of the fixed columns' entries of active elements
+    (the others sum to zero), the rows they reach and each entry's slot
+    among those rows; ``zipper_fixed`` holds the same of the zipper COO
+    entries whose column is a fixed DOF.
     """
 
     def __init__(self, plan, active, conn, zc, dirichlet_nodes):
@@ -322,7 +342,22 @@ class SlabStructure:
         self.w = active[plan.rigid].astype(float)
         self.mass = plan.mass @ self.w
         self.jump = sp.csc_matrix((self.mass, plan.indices, plan.indptr), shape=(n, n))
-        self.half_dt_alpha = self.diffusion = self.lu = None
+        columns = np.repeat(np.arange(n), np.diff(plan.indptr))
+        # an entry of active elements has a positive mass
+        pos = np.flatnonzero(self.fixed[columns] & (self.mass != 0.0))
+        self.fixed_entries = (pos, columns[pos], *np.unique(plan.indices[pos],
+                                                            return_inverse=True))
+        rows, cols = self.zipper_index
+        pos = np.flatnonzero(np.concatenate([self.fixed, self.fixed])[cols])
+        self.zipper_fixed = (pos, cols[pos], *np.unique(rows[pos], return_inverse=True))
+        self.half_dt_alpha = self.mn = self.lu = None
+
+    def refresh(self, plan, dt, alpha):
+        """Make ``mn`` for this ``dt alpha`` unless it is made for it."""
+        if self.half_dt_alpha != (dta := 0.5 * dt * alpha):
+            self.half_dt_alpha = dta
+            self.mn = sp.csc_matrix((self.mass + 1j * (plan.diffusion @ (dta * self.w)),
+                                     plan.indices, plan.indptr), shape=(plan.n, plan.n))
 
 
 @dataclass
@@ -380,21 +415,26 @@ class SlabOperator:
                                and np.array_equal(p.dirichlet_nodes, rec.dirichlet_nodes)):
             rec = plan.structure = None     # let it and its LU go before this assembly
             rec = plan.structure = SlabStructure(plan, active, p.conn, zc, p.dirichlet_nodes)
-        if rec.half_dt_alpha != (dta := 0.5 * p.dt * p.alpha):
-            rec.half_dt_alpha, rec.diffusion = dta, plan.diffusion @ (dta * rec.w)
+        rec.refresh(plan, p.dt, p.alpha)
         self.structure = rec
         self.node_active = rec.node_active
         self._fixed = rec.fixed
 
         # rigid elements: M' + i N' summed into the plan's pattern, each
-        # element weighted by whether it is active in this slab; a
-        # displacement component zero at every node would add +0.0 throughout
-        stiff = rec.diffusion
+        # element weighted by whether it is active in this slab.  A slab
+        # whose nodes did not move takes the structure's M' + i dt alpha K' / 2
+        # as it is; a displacement component zero at every node would
+        # subtract +0.0 throughout
+        mn = None
         rc = plan.rconn
         for grad, c in zip((plan.grad_x, plan.grad_y),
                            np.ascontiguousarray((p.coords_new - p.coords_old).T)):
             if c.any():
-                stiff = stiff - grad @ (rec.w * ((c[rc[0]] + c[rc[1]] + c[rc[2]]) / 3.0) / 6.0)
+                if mn is None:
+                    mn = rec.mn.data.copy()
+                mn.imag -= grad @ (rec.w * ((c[rc[0]] + c[rc[1]] + c[rc[2]]) / 3.0) / 6.0)
+        self._mn = (rec.mn if mn is None
+                    else sp.csc_matrix((mn, plan.indices, plan.indptr), shape=(n, n)))
         # the jump load: each element's bottom-face mass times t_prev
         rhs = rec.jump @ p.t_prev
 
@@ -413,8 +453,6 @@ class SlabOperator:
             rhs += np.bincount(zc.ravel(), np.einsum("eab,eb->ea", jump, p.t_prev[zc]).ravel(),
                                minlength=n)
             self._zipper = sp.coo_matrix((ke.ravel(), rec.zipper_index), shape=(2 * n, 2 * n))
-        self._mn = sp.csc_matrix((rec.mass + 1j * stiff, plan.indices, plan.indptr),
-                                 shape=(n, n))
         # A x of the solution solve returned, formed by its last residual check
         self._product = None
 
@@ -464,6 +502,31 @@ class SlabOperator:
         if self._zipper is not None:
             ax += (self._zipper @ x.ravel()).reshape(ax.shape)
         return ax
+
+    def _start_residual(self):
+        """``b - A x_D`` on the free rows (zero on the fixed rows), ``x_D``
+        the Dirichlet values and zero on the free rows, formed from the
+        fixed columns' entries alone.
+
+        Each sum takes the nonzero terms of ``_apply``'s in their order, from
+        the same zero, and leaves out terms that are zero, so the result is
+        that of ``_residual`` at ``x_D`` to the bit.
+        """
+        pos, cols, rows, slot = self.structure.fixed_entries
+        a, xd = self._mn.data[pos], self._rhs[:, cols]
+        q = np.empty((len(rows), 2), dtype=complex)
+        for j in range(2):
+            q.real[:, j] = np.bincount(slot, a.real * xd[j], minlength=len(rows))
+            q.imag[:, j] = np.bincount(slot, a.imag * xd[j], minlength=len(rows))
+        ax = np.zeros_like(self._rhs)
+        ax[:, rows] = _P @ q.real.T + _D @ q.imag.T
+        if self._zipper is not None:
+            pos, cols, rows, slot = self.structure.zipper_fixed
+            ax.ravel()[rows] += np.bincount(slot, self._zke.ravel()[pos] * self._rhs.ravel()[cols],
+                                            minlength=len(rows))
+        r = self._rhs - ax
+        r[:, self._fixed] = 0.0
+        return r
 
     def _precondition(self, lu, r):
         """Solve ``P (x) M' + D (x) N'`` (Dirichlet rows identity) for ``r``,
@@ -551,24 +614,27 @@ class SlabOperator:
 
         The solve starts from ``[t_prev, t_prev + rate]`` on a slab with
         zipper triangles whose problem has a ``rate``, and from the Dirichlet
-        values (zero on the free rows) otherwise: the LU is inexact only
-        where the zipper shears, and a rigid slab's own LU solves it in one
-        step from any start, so there a guess would only cost a product.
-        ``_residual`` sets the fixed rows of either start.  The free rows of
-        ``b - A x`` at the Dirichlet values alone, the right-hand side of the
-        equations solved for, scale the residual check whatever the start.
+        values ``x_D`` (zero on the free rows) otherwise: the LU is inexact
+        only where the zipper shears, and a rigid slab's own LU solves it in
+        one step from any start, so there a guess would only cost a product.
+        ``_residual`` sets the fixed rows of the rate's start.  The free rows
+        of ``b - A x_D``, the right-hand side of the equations solved for,
+        scale the residual check whatever the start; they are formed from the
+        fixed columns alone (``_start_residual``), and they are the first
+        residual of a start at ``x_D``.
 
         Returns the solution (2, n), its product with the exact operator,
         its relative free-row residual, the GMRES steps and whether GMRES
         reached REFINE_TOL.
         """
-        x = np.zeros_like(self._rhs)
-        r, _ = self._residual(x)
+        r = self._start_residual()
         scale = max(np.linalg.norm(r), 1e-300)
         p = self.problem
         if p.rate is not None and self._zipper is not None:
             x = np.stack([p.t_prev, p.t_prev + p.rate])
             r, _ = self._residual(x)
+        else:
+            x = np.where(self._fixed, self._rhs, 0.0)
         x += self._precondition(lu, r)
         r, ax = self._residual(x)
         passes, reached = 0, True

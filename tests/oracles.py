@@ -352,8 +352,7 @@ class SlabOperatorEveryTerm(stfem.SlabOperator):
             rec = plan.structure = None
             rec = plan.structure = stfem.SlabStructure(plan, active, p.conn, zc,
                                                        p.dirichlet_nodes)
-        if rec.half_dt_alpha != (dta := 0.5 * p.dt * p.alpha):
-            rec.half_dt_alpha, rec.diffusion = dta, plan.diffusion @ (dta * rec.w)
+        rec.refresh(plan, p.dt, p.alpha)
         self.structure = rec
         self.node_active = rec.node_active
         self._fixed = rec.fixed
@@ -362,7 +361,7 @@ class SlabOperatorEveryTerm(stfem.SlabOperator):
         rc = plan.rconn
         dx, dy = ((c[rc[0]] + c[rc[1]] + c[rc[2]]) / 3.0
                   for c in np.ascontiguousarray((p.coords_new - p.coords_old).T))
-        stiff = rec.diffusion - plan.grad_x @ (w * dx / 6.0) - plan.grad_y @ (w * dy / 6.0)
+        stiff = rec.mn.data.imag - plan.grad_x @ (w * dx / 6.0) - plan.grad_y @ (w * dy / 6.0)
         rhs = rec.jump @ p.t_prev
 
         xo = p.coords_old[zc]

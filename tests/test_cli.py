@@ -410,3 +410,37 @@ def test_step_overrunning_the_ring_names_the_input_at_fault(
     err = capsys.readouterr().err
     assert err.startswith(f"error: {named}: ") and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="counts threads in /proc")
+def test_package_import_runs_scipys_blas_on_one_thread():
+    # numpy's OpenBLAS is loaded first and has started its own workers;
+    # SciPy's, which loads with ccmsim, starts none unless the caller asked
+    # for more, and the variable is not left behind for child processes
+    code = """if True:
+        import os
+        def threads():
+            with open("/proc/self/status") as f:
+                return next(int(line.split()[1]) for line in f if line.startswith("Threads:"))
+        import numpy
+        before = threads()
+        import ccmsim
+        print(threads() - before, os.environ.get("OPENBLAS_NUM_THREADS"))
+    """
+    seen = {}
+    for preset in (None, "2"):
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src")
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        started, left = proc.stdout.split()
+        seen[preset] = (int(started), left)
+    assert seen[None] == (0, "None")
+    assert seen["2"][1] == "2"
+    if len(os.sched_getaffinity(0)) > 1:
+        # the count does see a worker that SciPy's OpenBLAS starts
+        assert seen["2"][0] > 0

@@ -876,3 +876,126 @@ def test_wrong_rate_still_meets_the_tolerance_on_the_dirichlet_start_scale(monke
     sol = solve_slab(prob)
     assert sol.residual_norm == pytest.approx(free_row_residual(prob, sol), rel=1e-6, abs=0.0)
     assert 1e-10 < sol.residual_norm <= 1e-6
+
+
+# -- the Dirichlet start from the fixed columns; the held M' + iN' ---------------
+
+
+def assert_start_residual_is_the_full_product(op):
+    """The start residual from the fixed columns equals the residual of the
+    full product at the Dirichlet values, bit for bit."""
+    full, _ = op._residual(np.zeros_like(op._rhs))
+    assert np.array_equal(op._start_residual(), full)
+    assert np.any(full)
+
+
+def recorded_operators(monkeypatch):
+    """Record every operator that driver.slab_step builds."""
+    ops, operator = [], driver.SlabOperator
+    monkeypatch.setattr(driver, "SlabOperator",
+                        lambda problem: ops.append(operator(problem)) or ops[-1])
+    return ops
+
+
+def test_start_residual_of_the_cooling_slab(monkeypatch):
+    ops = recorded_operators(monkeypatch)
+    verify.run_cbf_case(h=0.02, dt=0.01, n_steps=2)
+    assert len(ops) == 2
+    for op in ops:
+        assert len(op.structure.fixed_entries[0]) and op._zipper is None
+        assert_start_residual_is_the_full_product(op)
+
+
+def test_start_residual_of_warm_started_band_slabs(monkeypatch):
+    ops = recorded_operators(monkeypatch)
+    band_run(warm=True)
+    warm = [op for op in ops if op.problem.rate is not None and op._zipper is not None]
+    assert len(warm) >= 10
+    for op in ops:
+        assert_start_residual_is_the_full_product(op)
+
+
+def test_start_residual_with_a_dirichlet_node_on_a_shearing_triangle():
+    # the zipper's entries in a fixed column, which no bundled fixture has
+    prob, zipper = band_slab(0.4 / 8)
+    rng = np.random.default_rng(24)
+    prob = fix_flanks(prob, rng.uniform(-1.0, 2.0, len(prob.coords_old)))
+    corner = prob.conn[zipper][0]
+    prob.dirichlet_nodes = np.union1d(prob.dirichlet_nodes, corner)
+    prob.dirichlet_values = rng.uniform(-1.0, 2.0, len(prob.dirichlet_nodes))
+    op = SlabOperator(prob)
+    assert len(op.structure.zipper_fixed[0]) >= 3 * 6
+    assert_start_residual_is_the_full_product(op)
+    sol = op.solve()
+    assert sol.residual_norm <= stfem.SOLVER_TOL
+    assert free_row_residual(prob, sol) <= 1e-12
+
+
+def held_matrix(rec):
+    return rec.mn.data.tobytes(), rec.mn.indices.tobytes(), rec.mn.indptr.tobytes()
+
+
+def test_held_complex_matrix_is_kept_by_static_slabs_and_left_alone_by_moving_ones():
+    # the band stands a tenth of a row off its generated position for two
+    # static slabs, then moves another tenth, which keeps the mask and the
+    # zipper connectivity: all three slabs share one structure.  The static
+    # slabs take its M' + i dt alpha K'/2 as their own; nothing writes into
+    # it, and the moving slab equals one assembled on a fresh plan, to the bit
+    mesh = meshgen.make_strip_square(8, n_virt=3)
+    state = motion.init_motion(mesh, (0.0, -1.0))
+    plan, fresh_plan = driver.slab_plan(mesh, state), driver.slab_plan(mesh, state)
+    rng = np.random.default_rng(25)
+    t_prev = rng.uniform(-1.0, 2.0, mesh.n_nodes)
+    flanks = np.unique(mesh.tagged_edges(("left", "right")))
+    motion.advance(mesh, state, 0.1 / 8)
+    act = motion.active_elements(mesh, state)
+
+    def problem(coords_old, on_plan):
+        return SlabProblem(coords_old, mesh.nodes.copy(), mesh.triangles[act], dt=0.37,
+                           alpha=1.7, t_prev=t_prev, dirichlet_nodes=flanks,
+                           dirichlet_values=t_prev[flanks], plan=on_plan, active=act)
+
+    static = SlabOperator(problem(mesh.nodes.copy(), plan))
+    rec = static.structure
+    held = held_matrix(rec)
+    assert static._mn is rec.mn
+    static._lhs()
+    assert held_matrix(rec) == held
+    assert static.solve().factored
+    assert held_matrix(rec) == held
+    again = SlabOperator(problem(mesh.nodes.copy(), plan))
+    assert again.structure is rec and again._mn is rec.mn
+    assert not again.solve().factored
+
+    coords_old = mesh.nodes.copy()
+    motion.advance(mesh, state, 0.1 / 8)
+    assert np.array_equal(motion.active_elements(mesh, state), act)
+    moving = SlabOperator(problem(coords_old, plan))
+    assert moving.structure is rec and moving._mn is not rec.mn
+    assert held_matrix(rec) == held
+    ref = SlabOperator(problem(coords_old, fresh_plan))
+    assert ref.structure is not rec
+    for a, b in ((moving._mn.data, ref._mn.data), (moving._mn.indices, ref._mn.indices),
+                 (moving._mn.indptr, ref._mn.indptr), (moving._rhs_raw, ref._rhs_raw)):
+        assert same_bits(a, b)
+    moving.solve()
+    assert held_matrix(rec) == held
+
+
+def test_held_complex_matrix_follows_dt_alpha():
+    # a new dt alpha on the same structure makes the held matrix anew, so it
+    # equals a fresh assembly's; the every-term oracle refreshes it through
+    # the same method, so the next operator does not meet a stale one
+    prob, ref_prob = twin_slabs("static")
+    first = SlabOperator(prob)
+    rec = first.structure
+    for dt in (0.74, 0.37):
+        prob, ref_prob = (dataclasses.replace(p, dt=dt) for p in (prob, ref_prob))
+        if dt == 0.37:
+            SlabOperatorEveryTerm(prob)
+        op = SlabOperator(prob)
+        assert op.structure is rec and op._mn is rec.mn
+        assert rec.half_dt_alpha == 0.5 * dt * prob.alpha
+        ref = SlabOperator(ref_prob)
+        assert ref.structure is not rec
+        assert same_bits(op._mn.data, ref._mn.data)
