@@ -21,7 +21,11 @@ change won and its relative change of the median against the metric's
 bound.  Two verdicts sit beside them: ``gain_shown``, the change won at
 least 9 of the 10 pairs and beat the parent's median by more than the
 parent's interquartile range; and ``beyond_bound``, the change is worse
-than the parent's median by more than the metric's bound.
+than the parent's median by more than the metric's bound.  Per workload,
+``raw_summary`` gives the same medians, quartiles and wins of the raw wall
+``setup_s``, ``step_ms.p50``, ``step_ms.p90`` and ``sim_s_per_wall_s``,
+before stepbench scales them to its reference host speed, with no verdict:
+the calibration kernel's own speed can differ between the two sides.
 
 The script writes nothing but that file; each ``stepbench/run.py`` keeps
 its own report in its checkout's ``stepbench/out``.
@@ -41,6 +45,7 @@ from importlib.metadata import version
 from pathlib import Path
 
 RAW = re.compile(r"untraced raw wall figures (.*)$", re.MULTILINE)
+RAW_METRICS = ("setup_s", "step_ms.p50", "step_ms.p90", "sim_s_per_wall_s")
 
 
 PAIRS = 10
@@ -99,6 +104,19 @@ def quartiles(values):
     return [q[0], q[2]]
 
 
+def wins(a, b, lower):
+    """Pairs in which the change's figure ``b`` beats the parent's ``a``."""
+    return sum((y < x) if lower else (y > x) for x, y in zip(a, b))
+
+
+def compare(a, b, lower):
+    """Medians, quartiles and the change's wins of paired figures ``a``
+    (parent) and ``b`` (change)."""
+    return {"parent_median": statistics.median(a), "parent_quartiles": quartiles(a),
+            "change_median": statistics.median(b), "change_quartiles": quartiles(b),
+            "change_wins": f"{wins(a, b, lower)}/{len(a)}"}
+
+
 def summarise(pairs, spec):
     """Medians, quartiles, wins, the relative change of the median and the
     two verdicts, per end-to-end metric; ``change_worse_by`` is positive
@@ -108,21 +126,30 @@ def summarise(pairs, spec):
         name, lower = m["name"], m["better"] == "lower"
         a = [p["parent"][name] for p in pairs]
         b = [p["change"][name] for p in pairs]
-        wins = sum((y < x) if lower else (y > x) for x, y in zip(a, b))
-        pa, pb = statistics.median(a), statistics.median(b)
+        out[name] = s = compare(a, b, lower)
+        pa, pb, qa = s["parent_median"], s["change_median"], s["parent_quartiles"]
         worse = ((pb - pa) if lower else (pa - pb)) / abs(pa) if pa else 0.0
-        qa = quartiles(a)
         beyond_iqr = ((pa - pb) if lower else (pb - pa)) > qa[1] - qa[0]
-        out[name] = {
-            "parent_median": pa, "parent_quartiles": qa,
-            "change_median": pb, "change_quartiles": quartiles(b),
-            "change_wins": f"{wins}/{len(pairs)}", "change_worse_by": worse,
-            "bound": m["bound"],
+        s.update({
+            "change_worse_by": worse, "bound": m["bound"],
             "better_beyond_parent_iqr": beyond_iqr,
-            "gain_shown": wins >= 0.9 * len(pairs) and beyond_iqr,
+            "gain_shown": wins(a, b, lower) >= 0.9 * len(pairs) and beyond_iqr,
             "beyond_bound": worse > m["bound"],
-        }
+        })
     return out
+
+
+def summarise_raw(pairs, spec):
+    """Medians, quartiles and wins of stepbench's raw wall figures, the
+    uncalibrated times beside the calibrated metrics, with no verdict;
+    over the pairs whose two runs both printed them."""
+    lower = {m["name"]: m["better"] == "lower" for m in spec}
+    pairs = [p for p in pairs if "raw" in p["parent"] and "raw" in p["change"]]
+    if not pairs:
+        return {}
+    return {name: compare([p["parent"]["raw"][name] for p in pairs],
+                          [p["change"]["raw"][name] for p in pairs], lower[name])
+            for name in RAW_METRICS}
 
 
 def main(argv=None):
@@ -156,7 +183,9 @@ def main(argv=None):
             print(f"pair {i} {w}: step_ms.p50 parent {p50[0]:.3f} change {p50[1]:.3f}",
                   flush=True)
     for w in workloads:
-        result["workloads"][w]["summary"] = summarise(result["workloads"][w]["pairs"], spec)
+        pairs = result["workloads"][w]["pairs"]
+        result["workloads"][w]["summary"] = summarise(pairs, spec)
+        result["workloads"][w]["raw_summary"] = summarise_raw(pairs, spec)
     out = sides["change"] / f"BENCH_{args.name}.json"
     out.write_text(json.dumps(result, indent=1) + "\n")
     print(f"wrote {out}")

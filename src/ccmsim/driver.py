@@ -462,10 +462,14 @@ def sample_sensors(sensors: SensorLocator, active, T: np.ndarray) -> np.ndarray:
     hit, l0, l1, l2 = _barycentric(sensors.mesh, idx, q)
     tri = sensors.mesh.triangles[idx]
     out = np.full(len(q), np.nan)
-    for k in np.flatnonzero(hit.any(axis=1)):
-        j = np.argmax(hit[k])
-        lam = np.clip(np.array([l0[k, j], l1[k, j], l2[k, j]]), 0.0, 1.0)
-        out[k] = float(np.dot(T[tri[j]], lam / lam.sum()))
+    k = np.flatnonzero(hit.any(axis=1))
+    if not k.size:
+        return out
+    j = np.argmax(hit[k], axis=1)
+    lam = np.clip(np.stack([l0[k, j], l1[k, j], l2[k, j]], axis=1), 0.0, 1.0)
+    # a stack of 1x3 by 3x1 products gives each point's np.dot of its two
+    # 3-vectors to the bit; a product summed along the rows rounds otherwise
+    out[k] = (T[tri[j]][:, None, :] @ (lam / lam.sum(axis=1, keepdims=True))[:, :, None])[:, 0, 0]
     return out
 
 

@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 ROLES = ("static", "strip", "update", "virtual")
+ROLE_CODE = {role: code for code, role in enumerate(ROLES)}
 
 
 class MeshFormatError(Exception):
@@ -82,11 +83,15 @@ class Mesh:
     def n_triangles(self) -> int:
         return self.triangles.shape[0]
 
-    def tri_role(self) -> np.ndarray:
-        """Role name per triangle (array of str)."""
+    def tri_role_code(self) -> np.ndarray:
+        """Role code per triangle (int8, see ROLE_CODE), -1 for a region
+        with no role, looked up in a table of the region ids."""
         ids = np.array(sorted(self.region_roles), dtype=np.int64)
-        names = np.array([self.region_roles[int(r)] for r in ids])
-        return names[np.searchsorted(ids, self.tri_region)]
+        codes = np.array([ROLE_CODE[self.region_roles[r]] for r in ids.tolist()] + [-1],
+                         dtype=np.int8)
+        at = np.searchsorted(ids, self.tri_region)
+        # a region between or past the listed ids takes the -1 at the end
+        return codes[np.where(np.append(ids, 0)[at] == self.tri_region, at, len(ids))]
 
     def tagged_edges(self, tags) -> np.ndarray:
         """Node pairs (E, 2) of the boundary edges whose tag is in ``tags``."""
@@ -266,7 +271,7 @@ def load_mesh(path) -> Mesh:
                 if rest and rest[0] == "V":
                     virt[k] = True
                     rest = rest[1:]
-                rows.append(np.array([int(p) for p in rest], dtype=np.int64))
+                rows.append(np.array(list(map(int, rest)), dtype=np.int64))
                 pos += 1
             strip = StripLayout(h_row, rows, virt)
         expect(pos == len(lines), pos - 1, "trailing content after line %d")
@@ -294,11 +299,13 @@ def validate_mesh(mesh: Mesh, tol: float = 1e-12) -> None:
     n = mesh.n_nodes
     _expect(mesh.triangles.min(initial=0) >= 0 and mesh.triangles.max(initial=-1) < n,
             "triangle node index out of range")
-    for rid in np.unique(mesh.tri_region):
-        _expect(int(rid) in mesh.region_roles, "region %d has no role" % rid)
+    for role in mesh.region_roles.values():
+        _expect(role in ROLE_CODE, "unknown role %r" % role)
+    code = mesh.tri_role_code()
+    if np.any(code < 0):
+        raise MeshFormatError("region %d has no role" % mesh.tri_region[code < 0].min())
 
-    role = mesh.tri_role()
-    real = role != "virtual"
+    real = code != ROLE_CODE["virtual"]
     areas = tri_areas(mesh.nodes, mesh.triangles)
     bad = np.where(real & (areas <= tol))[0]
     _expect(bad.size == 0,
@@ -307,11 +314,12 @@ def validate_mesh(mesh: Mesh, tol: float = 1e-12) -> None:
     # each listed boundary edge must be an edge of exactly one non-virtual
     # triangle: count the sorted node pairs of all their edges
     tri = mesh.triangles[real]
-    edges = np.sort(np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]]), axis=1)
+    nxt = tri[:, [1, 2, 0]]
+    lo, hi = np.minimum(tri, nxt), np.maximum(tri, nxt)
     listed = np.sort(mesh.boundary_edges, axis=1)
     base = max(n, int(listed.max(initial=-1)) + 1)
     keys = listed[:, 0] * base + listed[:, 1]
-    pairs, count = np.unique(edges[:, 0] * base + edges[:, 1], return_counts=True)
+    pairs, count = np.unique((lo * base + hi).ravel(), return_counts=True)
     pairs, count = np.append(pairs, base * base), np.append(count, 0)    # sentinel
     at = np.searchsorted(pairs, keys)
     k = np.where(pairs[at] == keys, count[at], 0)
@@ -325,16 +333,26 @@ def validate_mesh(mesh: Mesh, tol: float = 1e-12) -> None:
     if mesh.strip is not None:
         s = mesh.strip
         _expect(s.n_rows >= 2, "strip needs at least two rows")
+        sizes = np.array([len(row) for row in s.rows])
+        start = np.cumsum(sizes) - sizes
         all_ids = s.all_nodes()
-        _expect(len(np.unique(all_ids)) == len(all_ids), "strip rows overlap")
-        # row ordinates must advance by h_row along one axis
-        ords = []
-        axis = _strip_axis(mesh, s)
-        for row in s.rows:
-            c = mesh.nodes[row, axis]
-            _expect(np.ptp(c) <= tol * max(1.0, abs(c[0])) + tol,
-                    "strip row not aligned on a line")
-            ords.append(c[0])
+        empty = np.flatnonzero(sizes == 0)
+        if empty.size:
+            raise MeshFormatError("strip row %d has no nodes" % empty[0])
+        bad = np.flatnonzero((all_ids < 0) | (all_ids >= n))
+        if bad.size:
+            i = bad[0]
+            raise MeshFormatError("strip row %d: node %d out of range"
+                                  % (np.searchsorted(start, i, side="right") - 1, all_ids[i]))
+        _expect(np.count_nonzero(np.bincount(all_ids, minlength=n)) == len(all_ids),
+                "strip rows overlap")
+        # row ordinates must advance by h_row along one axis: every row's
+        # spread, in one reduction over the rows laid end to end
+        c = mesh.nodes[all_ids, _strip_axis(mesh, s)]
+        ords = c[start]
+        spread = np.maximum.reduceat(c, start) - np.minimum.reduceat(c, start)
+        _expect(np.all(spread <= tol * np.maximum(1.0, np.abs(ords)) + tol),
+                "strip row not aligned on a line")
         d = np.diff(ords)
         _expect(np.allclose(d, s.h_row, rtol=1e-9, atol=1e-12),
                 "strip rows are not spaced h_row apart")

@@ -30,13 +30,19 @@ STRIP_MIN_ROWS = 4      # fewest rows per side of make_strip_square
 
 
 class _Builder:
-    """Accumulates nodes/triangles/edges and compacts unused nodes at the end."""
+    """Accumulates nodes/triangles/edges and compacts unused nodes at the end.
+
+    Nodes and triangles are kept as one array block per lattice or zipper,
+    in the order they are added.
+    """
 
     def __init__(self):
-        self.pts: list[tuple[float, float]] = []
-        self.tris: list[tuple[int, int, int, int]] = []   # a, b, c, region
+        self.n_pts = 0
+        self.pts: list[np.ndarray] = []       # (k, 2) float blocks
+        self.tris: list[np.ndarray] = []      # (k, 3) int64 blocks
+        self.regions: list[np.ndarray] = []   # (k,) int64, region per triangle
         self.edges: list[tuple[int, int, str]] = []
-        self.rows: list[list[int]] = []
+        self.rows: list[np.ndarray] = []
         self.virtual_rows: list[bool] = []
         self.h_row: float | None = None
 
@@ -49,70 +55,67 @@ class _Builder:
         cell (iu, iv) or -1 to omit it.  ``ring=True`` appends the wrap
         band joining the last u-line back to the first.  ``record_rows``
         registers each u-line as a strip row (ring order = ascending u).
+        Nodes run u-line by u-line; each kept cell adds two triangles, cells
+        in the order of their u-band, then of v.
         Returns the (len(us), len(vs)) array of node ids.
         """
         us = np.asarray(us, dtype=float)
         vs = np.asarray(vs, dtype=float)
-        base = len(self.pts)
-        gid = base + np.arange(len(us) * len(vs)).reshape(len(us), len(vs))
-        for u in us:
-            for v in vs:
-                self.pts.append((u, v) if axis == 0 else (v, u))
-        n_bands = len(us) - 1 + (1 if ring else 0)
-        for iu in range(n_bands):
-            nxt = (iu + 1) % len(us)
-            for iv in range(len(vs) - 1):
-                reg = region_fn(iu, iv)
-                if reg < 0:
-                    continue
-                n00 = gid[iu, iv]
-                nu = gid[nxt, iv]       # u-neighbour
-                nv = gid[iu, iv + 1]    # v-neighbour
-                n11 = gid[nxt, iv + 1]
-                if axis == 0:
-                    self.tris.append((n00, nu, n11, reg))
-                    self.tris.append((n00, n11, nv, reg))
-                else:
-                    self.tris.append((n00, nv, n11, reg))
-                    self.tris.append((n00, n11, nu, reg))
+        nu, nv = len(us), len(vs)
+        gid = self.n_pts + np.arange(nu * nv).reshape(nu, nv)
+        uv = (np.repeat(us, nv), np.tile(vs, nu))
+        self.pts.append(np.column_stack(uv if axis == 0 else uv[::-1]))
+        self.n_pts += nu * nv
+        n_bands = nu - 1 + (1 if ring else 0)
+        reg = np.array([[region_fn(iu, iv) for iv in range(nv - 1)] for iu in range(n_bands)],
+                        dtype=np.int64).reshape(n_bands, nv - 1)
+        keep = reg >= 0
+        lo, hi = gid[:n_bands], gid[(np.arange(n_bands) + 1) % nu]   # u-line and its neighbour
+        n00, n01, n10, n11 = lo[:, :-1][keep], lo[:, 1:][keep], hi[:, :-1][keep], hi[:, 1:][keep]
+        tris = np.empty((2 * len(n00), 3), dtype=np.int64)
+        if axis == 0:
+            tris[0::2] = np.column_stack([n00, n10, n11])
+            tris[1::2] = np.column_stack([n00, n11, n01])
+        else:
+            tris[0::2] = np.column_stack([n00, n01, n11])
+            tris[1::2] = np.column_stack([n00, n11, n10])
+        self.tris.append(tris)
+        self.regions.append(np.repeat(reg[keep], 2))
         if record_rows:
             self.h_row = float(us[1] - us[0])
-            for iu in range(len(us)):
-                self.rows.append([int(n) for n in gid[iu]])
-                self.virtual_rows.append(iu in virtual_lines)
+            self.rows.extend(gid)
+            self.virtual_rows.extend(iu in virtual_lines for iu in range(nu))
         return gid
 
     def zipper(self, static_col, ring_col, ell0):
         """Stitch a static column to a strip edge column (ring order)."""
-        pts = np.array(self.pts)
         trial = zipper_triangles(static_col, ring_col, ell0, flip=False)
-        flip = bool(tri_areas(pts, trial[:1])[0] <= 0)
-        for a, b, c in zipper_triangles(static_col, ring_col, ell0, flip):
-            self.tris.append((int(a), int(b), int(c), UPDATE))
+        flip = bool(tri_areas(np.concatenate(self.pts), trial[:1])[0] <= 0)
+        tris = zipper_triangles(static_col, ring_col, ell0, flip)
+        self.tris.append(tris)
+        self.regions.append(np.full(len(tris), UPDATE, dtype=np.int64))
 
     def edge(self, a, b, tag):
         self.edges.append((int(a), int(b), tag))
 
     def edge_run(self, ids, tag):
-        for a, b in zip(ids[:-1], ids[1:]):
-            self.edge(a, b, tag)
+        ids = np.asarray(ids).tolist()
+        self.edges.extend(zip(ids[:-1], ids[1:], [tag] * (len(ids) - 1)))
 
     def finish(self) -> Mesh:
-        pts = np.array(self.pts, dtype=float)
-        tris = np.array([t[:3] for t in self.tris], dtype=np.int64)
-        region = np.array([t[3] for t in self.tris], dtype=np.int64)
+        pts = np.concatenate(self.pts)
+        tris = np.concatenate(self.tris)
+        region = np.concatenate(self.regions)
         used = np.zeros(len(pts), dtype=bool)
         used[tris.ravel()] = True
         remap = -np.ones(len(pts), dtype=np.int64)
         remap[used] = np.arange(used.sum())
         tris = remap[tris]
-        edges = np.array([[remap[a], remap[b]] for a, b, _ in self.edges],
-                         dtype=np.int64).reshape(-1, 2)
+        edges = remap[np.array([e[:2] for e in self.edges], dtype=np.int64).reshape(-1, 2)]
         tags = [t for _, _, t in self.edges]
         strip = None
         if self.rows:
-            rows = [np.array(sorted(remap[n] for n in row if used[n]),
-                             dtype=np.int64) for row in self.rows]
+            rows = [np.sort(remap[row[used[row]]]) for row in self.rows]
             strip = StripLayout(self.h_row, rows,
                                 np.array(self.virtual_rows, dtype=bool))
         roles = {int(r): _ROLES[int(r)] for r in np.unique(region)}

@@ -25,9 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mesh import Mesh, tri_areas
-
-ROLE_CODE = {"static": 0, "strip": 1, "update": 2, "virtual": 3}
+from .mesh import ROLE_CODE, Mesh, tri_areas
 
 
 @dataclass
@@ -131,7 +129,10 @@ def init_motion(mesh: Mesh, direction) -> MotionState:
         raise ValueError("the band slides along {0} (its rows are lines of constant {0}); "
                          "direction {1} is along {2}"
                          .format("xy"[1 - axis], tuple(d.tolist()), "xy"[axis]))
-    row_pos = np.array([mesh.nodes[r, axis][0] for r in s.rows])
+    strip_nodes = s.all_nodes()
+    sizes = [len(r) for r in s.rows]
+    first = strip_nodes[np.cumsum(sizes) - sizes]            # each row's first node
+    row_pos = mesh.nodes[first, axis]
     phys = ~s.virtual_rows
     w_lo = row_pos[phys].min()
     w_hi = row_pos[phys].max()
@@ -142,14 +143,12 @@ def init_motion(mesh: Mesh, direction) -> MotionState:
         raise ValueError("strip needs at least two virtual row bands")
     ell0 = int(np.argmin(np.abs(row_pos - w_lo)))
 
-    strip_nodes = s.all_nodes()
-    c0 = mesh.nodes[strip_nodes, axis].copy()
+    c0 = mesh.nodes[strip_nodes, axis]
 
-    codes = {rid: ROLE_CODE[role] for rid, role in mesh.region_roles.items()}
-    tri_code = np.array([codes[int(r)] for r in mesh.tri_region], dtype=np.int8)
+    tri_code = mesh.tri_role_code()
     # the band triangles' corner rows, one key per distinct sorted triple
     row_of = np.full(mesh.n_nodes, -1)
-    row_of[np.concatenate(s.rows)] = np.repeat(np.arange(L), [len(r) for r in s.rows])
+    row_of[strip_nodes] = np.repeat(np.arange(L), sizes)
     band = (tri_code == ROLE_CODE["strip"]) | (tri_code == ROLE_CODE["virtual"])
     rows = np.sort(row_of[mesh.triangles[band]], axis=1)
     if np.any(rows < 0):
@@ -163,7 +162,7 @@ def init_motion(mesh: Mesh, direction) -> MotionState:
                         circumference=L * h, n_lines=L, n_phys=n_phys,
                         ell0=ell0, grace=h, strip_nodes=strip_nodes, c0=c0,
                         tri_code=tri_code, tri_rows=tri_rows,
-                        corner_nodes=np.array([r[0] for r in s.rows])[corner_rows])
+                        corner_nodes=first[corner_rows])
     state.seams = _discover_seams(mesh, state)
     _rebuild_zippers(mesh, state)   # normalize to the canonical pattern
     return state
@@ -185,13 +184,13 @@ def _discover_seams(mesh: Mesh, state: MotionState) -> list[Seam]:
     if upd.size == 0:
         return []
     tv = 1 - state.axis
-    # group update triangles by the transverse position of their static nodes
-    tri_static_v = np.full(upd.size, np.nan)
-    for i, t in enumerate(upd):
-        ns = [n for n in mesh.triangles[t] if not in_strip[n]]
-        if not ns:
-            raise ValueError("update triangle %d has no static node" % t)
-        tri_static_v[i] = mesh.nodes[ns[0], tv]
+    # group update triangles by the transverse position of their first static node
+    corners = mesh.triangles[upd]
+    static = ~in_strip[corners]
+    lone = np.flatnonzero(~static.any(axis=1))
+    if lone.size:
+        raise ValueError("update triangle %d has no static node" % upd[lone[0]])
+    tri_static_v = mesh.nodes[corners[np.arange(upd.size), np.argmax(static, axis=1)], tv]
     seams = []
     for v in np.unique(np.round(tri_static_v, 9)):
         sel = upd[np.abs(tri_static_v - v) < 1e-8]

@@ -224,6 +224,25 @@ def _theta_blocks(xo, xn, dt, alpha):
     return ke
 
 
+def _sort_entries(keys, n):
+    """One stable sort of the entry keys ``column * n + row``: the order of
+    the sorted entries, the CSC ``indices`` and ``indptr`` of the distinct
+    keys on an n x n pattern (columns in turn, rows ascending), and where
+    each distinct key's run starts in the sorted order, closed by the
+    number of entries (in the pattern's index type)."""
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    new = np.empty(len(keys), dtype=bool)
+    new[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    pairs = keys[new]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(pairs // n, minlength=n), out=indptr[1:])
+    pattern = sp.csc_matrix((np.ones(len(pairs)), pairs % n, indptr), shape=(n, n))
+    start = np.append(np.flatnonzero(new), len(keys)).astype(pattern.indices.dtype)
+    return order, pattern.indices, pattern.indptr, start
+
+
 class SlabPlan:
     """Run-constant element data on one fixed CSC pattern over ``n`` nodes.
 
@@ -244,6 +263,15 @@ class SlabPlan:
     ``M_e``, ``K_e`` and the two components of ``G_e``: each sum is one
     product with a vector of per-element factors.  The four share one
     index structure.
+
+    Element ``e``'s entry ``(a, b)``, number ``9e + 3a + b``, goes to row
+    ``conn[e, a]`` and column ``conn[e, b]``, whose key is
+    ``column * n + row``.  One stable sort of these keys builds everything:
+    the distinct keys in sorted order are the pattern, column by column
+    with rows ascending (``indptr`` counts them per column), a new key
+    starts a new slot, and the sorted entry numbers, grouped by slot,
+    are the elements-to-pattern CSR.  The values are gathered from
+    the element arrays by entry number.
 
     The plan also holds, in ``structure``, the :class:`SlabStructure` of
     the run's last slab, with its LU once one is made.
@@ -266,26 +294,34 @@ class SlabPlan:
         gx = np.stack([e1[:, 1] - e2[:, 1], e2[:, 1], -e1[:, 1]], axis=1)    # (r, 3)
         gy = np.stack([e2[:, 0] - e1[:, 0], -e2[:, 0], e1[:, 0]], axis=1)
         r = len(self.rigid)
-        # int N_a d.grad(N_b) = d.(gx_b, gy_b)/6 is the same in every row a
-        grads = [np.broadcast_to(g[:, None, :], (r, 3, 3)) for g in (gx, gy)]
 
-        # entry (a, b) of element e sits in row conn[e, a], column conn[e, b]
-        keys = (np.tile(rconn, (1, 3)) * n + np.repeat(rconn, 3, axis=1)).ravel()
-        pairs, slot = np.unique(keys, return_inverse=True)
-        pattern = sp.csc_matrix((np.ones(len(pairs)), pairs % n,
-                                 np.searchsorted(pairs // n, np.arange(n + 1))), shape=(n, n))
-        self.indices, self.indptr = pattern.indices, pattern.indptr
-        # the element entries in the order of their slots, as CSR from the
-        # elements to the pattern's data
-        order = np.argsort(slot, kind="stable")
-        elem = (order // 9).astype(self.indices.dtype)
-        start = np.searchsorted(slot[order], np.arange(len(pairs) + 1)).astype(elem.dtype)
+        order, self.indices, self.indptr, start = _sort_entries(
+            (n * rconn[:, None, :] + rconn[:, :, None]).ravel(), n)
+        # sorted entry 9e + 3a + b: its element e, and the flat indices
+        # 3e + a and 3e + b of its corners in the (r, 3) gradient arrays.
+        # Each array goes once it is used, and products are formed in
+        # place: every megabyte more at the peak is some 250 page faults.
+        e = order // 9
+        at_a = order // 3
+        at_b = order - 3 * at_a
+        at_b += 3 * e
+        mass = _M.ravel()[order - 9 * e]
+        del order
+        d = det2[e]
+        mass *= d
+        elem = e.astype(start.dtype)
+        del e
+        # int N_a d.grad(N_b) = d.(gx_b, gy_b)/6 is the same in every row a
+        gxb, gyb = gx.ravel()[at_b], gy.ravel()[at_b]
+        diffusion = gx.ravel()[at_a]
+        diffusion *= gxb
+        gya_gyb = gy.ravel()[at_a]
+        gya_gyb *= gyb
+        diffusion += gya_gyb
+        diffusion /= d
         self.mass, self.diffusion, self.grad_x, self.grad_y = (
-            sp.csr_matrix((np.ravel(v)[order], elem, start), shape=(len(pairs), r))
-            for v in (det2[:, None, None] * _M,
-                      (gx[:, :, None] * gx[:, None, :] + gy[:, :, None] * gy[:, None, :])
-                      / det2[:, None, None],
-                      *grads))
+            sp.csr_matrix((v, elem, start), shape=(len(start) - 1, r))
+            for v in (mass, diffusion, gxb, gyb))
 
     @classmethod
     def of_problem(cls, problem):

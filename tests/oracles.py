@@ -8,7 +8,10 @@ bug.  Expensive references were run once at high resolution and their
 outputs frozen as literals in the test modules; the functions below are
 cheap enough to run live.  The file readers and writers at the end work one
 line at a time, the plain loops that the package's block parser and block
-writers must match byte for byte.
+writers must match byte for byte; likewise the role lookup and mesh builder
+work one triangle and one node at a time, and the slab plan sorts its keys
+twice, the versions that the package's whole-array set-up must match bit for
+bit.
 """
 
 from __future__ import annotations
@@ -18,8 +21,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import solve_banded
 
-from ccmsim import stfem
-from ccmsim.mesh import ROLES, Mesh, MeshFormatError, StripLayout, validate_mesh
+from ccmsim import meshgen, stfem
+from ccmsim.mesh import ROLES, Mesh, MeshFormatError, StripLayout, tri_areas, validate_mesh
+from ccmsim.motion import zipper_triangles
 
 
 def cn_cooling(nx: int = 801, dt: float = 5e-5, t_end: float = 0.25):
@@ -310,6 +314,17 @@ def write_vtk_by_line(path, coords, conn, temperature, active_mask) -> None:
 
 
 # ---------------------------------------------------------------------------
+# role codes, triangle by triangle
+
+def tri_code_by_lookup(mesh):
+    """Role code per triangle from a dict lookup of each triangle's region;
+    the reference for :meth:`ccmsim.mesh.Mesh.tri_role_code`, which looks
+    the region ids up in a table."""
+    codes = {rid: ROLES.index(role) for rid, role in mesh.region_roles.items()}
+    return np.array([codes[int(r)] for r in mesh.tri_region], dtype=np.int8)
+
+
+# ---------------------------------------------------------------------------
 # the band's active mask, triangle by triangle
 
 def active_elements_by_triangle(mesh, state):
@@ -327,6 +342,144 @@ def active_elements_by_triangle(mesh, state):
     inside = (cmax > state.w_lo + eps) & (cmin < state.w_hi - eps)
     act[geo] = ~torn & inside
     return act
+
+
+# ---------------------------------------------------------------------------
+# the mesh generators' builder, one node and one triangle at a time
+
+class BuilderByLoop:
+    """A mesh builder that adds nodes, triangles and rows one at a time in
+    Python loops; the reference for :class:`ccmsim.meshgen._Builder`, which
+    builds each lattice block as arrays.  Patched in for ``meshgen._Builder``,
+    it makes the generators build their meshes its way."""
+
+    def __init__(self):
+        self.pts: list[tuple[float, float]] = []
+        self.tris: list[tuple[int, int, int, int]] = []   # a, b, c, region
+        self.edges: list[tuple[int, int, str]] = []
+        self.rows: list[list[int]] = []
+        self.virtual_rows: list[bool] = []
+        self.h_row: float | None = None
+
+    def lattice(self, us, vs, axis, region_fn, ring=False, record_rows=False,
+                virtual_lines=()):
+        """Add a block of nodes on the tensor grid us x vs.
+
+        ``axis`` maps (u, v) to physical coordinates: axis=0 means x=u,
+        axis=1 means y=u.  ``region_fn(iu, iv)`` gives the region id of
+        cell (iu, iv) or -1 to omit it.  ``ring=True`` appends the wrap
+        band joining the last u-line back to the first.  ``record_rows``
+        registers each u-line as a strip row (ring order = ascending u).
+        Returns the (len(us), len(vs)) array of node ids.
+        """
+        us = np.asarray(us, dtype=float)
+        vs = np.asarray(vs, dtype=float)
+        base = len(self.pts)
+        gid = base + np.arange(len(us) * len(vs)).reshape(len(us), len(vs))
+        for u in us:
+            for v in vs:
+                self.pts.append((u, v) if axis == 0 else (v, u))
+        n_bands = len(us) - 1 + (1 if ring else 0)
+        for iu in range(n_bands):
+            nxt = (iu + 1) % len(us)
+            for iv in range(len(vs) - 1):
+                reg = region_fn(iu, iv)
+                if reg < 0:
+                    continue
+                n00 = gid[iu, iv]
+                nu = gid[nxt, iv]       # u-neighbour
+                nv = gid[iu, iv + 1]    # v-neighbour
+                n11 = gid[nxt, iv + 1]
+                if axis == 0:
+                    self.tris.append((n00, nu, n11, reg))
+                    self.tris.append((n00, n11, nv, reg))
+                else:
+                    self.tris.append((n00, nv, n11, reg))
+                    self.tris.append((n00, n11, nu, reg))
+        if record_rows:
+            self.h_row = float(us[1] - us[0])
+            for iu in range(len(us)):
+                self.rows.append([int(n) for n in gid[iu]])
+                self.virtual_rows.append(iu in virtual_lines)
+        return gid
+
+    def zipper(self, static_col, ring_col, ell0):
+        """Stitch a static column to a strip edge column (ring order)."""
+        pts = np.array(self.pts)
+        trial = zipper_triangles(static_col, ring_col, ell0, flip=False)
+        flip = bool(tri_areas(pts, trial[:1])[0] <= 0)
+        for a, b, c in zipper_triangles(static_col, ring_col, ell0, flip):
+            self.tris.append((int(a), int(b), int(c), meshgen.UPDATE))
+
+    def edge(self, a, b, tag):
+        self.edges.append((int(a), int(b), tag))
+
+    def edge_run(self, ids, tag):
+        for a, b in zip(ids[:-1], ids[1:]):
+            self.edge(a, b, tag)
+
+    def finish(self) -> Mesh:
+        pts = np.array(self.pts, dtype=float)
+        tris = np.array([t[:3] for t in self.tris], dtype=np.int64)
+        region = np.array([t[3] for t in self.tris], dtype=np.int64)
+        used = np.zeros(len(pts), dtype=bool)
+        used[tris.ravel()] = True
+        remap = -np.ones(len(pts), dtype=np.int64)
+        remap[used] = np.arange(used.sum())
+        tris = remap[tris]
+        edges = np.array([[remap[a], remap[b]] for a, b, _ in self.edges],
+                         dtype=np.int64).reshape(-1, 2)
+        tags = [t for _, _, t in self.edges]
+        strip = None
+        if self.rows:
+            rows = [np.array(sorted(remap[n] for n in row if used[n]),
+                             dtype=np.int64) for row in self.rows]
+            strip = StripLayout(self.h_row, rows,
+                                np.array(self.virtual_rows, dtype=bool))
+        roles = {int(r): meshgen._ROLES[int(r)] for r in np.unique(region)}
+        mesh = Mesh(pts[used], tris, region, edges, tags, roles, strip)
+        validate_mesh(mesh)
+        return mesh
+
+
+# ---------------------------------------------------------------------------
+# the slab plan by np.unique
+
+class SlabPlanByUnique(stfem.SlabPlan):
+    """A slab plan whose pattern and slots come from ``np.unique`` of the
+    entry keys, and whose element-to-pattern CSR from a second sort of the
+    slots; the reference for :class:`ccmsim.stfem.SlabPlan`, which sorts
+    the keys once."""
+
+    def __init__(self, n, conn, shapes, zipper):
+        self.n = n
+        self.structure = None
+        self.zipper = np.asarray(zipper, dtype=bool)
+        self.rigid = np.flatnonzero(~self.zipper)
+        rconn = conn[self.rigid]
+        self.rconn = np.ascontiguousarray(rconn.T)
+        x = shapes[self.rigid]
+        e1 = x[:, 1] - x[:, 0]
+        e2 = x[:, 2] - x[:, 0]
+        det2 = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+        gx = np.stack([e1[:, 1] - e2[:, 1], e2[:, 1], -e1[:, 1]], axis=1)
+        gy = np.stack([e2[:, 0] - e1[:, 0], -e2[:, 0], e1[:, 0]], axis=1)
+        r = len(self.rigid)
+        grads = [np.broadcast_to(g[:, None, :], (r, 3, 3)) for g in (gx, gy)]
+        keys = (np.tile(rconn, (1, 3)) * n + np.repeat(rconn, 3, axis=1)).ravel()
+        pairs, slot = np.unique(keys, return_inverse=True)
+        pattern = sp.csc_matrix((np.ones(len(pairs)), pairs % n,
+                                 np.searchsorted(pairs // n, np.arange(n + 1))), shape=(n, n))
+        self.indices, self.indptr = pattern.indices, pattern.indptr
+        order = np.argsort(slot, kind="stable")
+        elem = (order // 9).astype(self.indices.dtype)
+        start = np.searchsorted(slot[order], np.arange(len(pairs) + 1)).astype(elem.dtype)
+        self.mass, self.diffusion, self.grad_x, self.grad_y = (
+            sp.csr_matrix((np.ravel(v)[order], elem, start), shape=(len(pairs), r))
+            for v in (det2[:, None, None] * stfem._M,
+                      (gx[:, :, None] * gx[:, None, :] + gy[:, :, None] * gy[:, None, :])
+                      / det2[:, None, None],
+                      *grads))
 
 
 # ---------------------------------------------------------------------------

@@ -274,6 +274,25 @@ def test_run_corrupt_mesh_exits_2(tmp_path, capsys, content, match):
     assert "[mesh] path" in err and match in err
 
 
+@pytest.mark.parametrize("ids, match", [
+    ("", "strip row 3 has no nodes"),
+    ("-1", "strip row 3: node -1 out of range"),
+    ("99999", "strip row 3: node 99999 out of range"),
+], ids=["empty", "negative", "past-the-last-node"])
+def test_run_bad_strip_row_exits_2(tmp_path, capsys, ids, match):
+    # STRIP row 3 of a strip square holds only ``ids``
+    cfg = make_config(tmp_path)
+    save_mesh(meshgen.make_strip_square(6), tmp_path / "m.mesh")
+    lines = (tmp_path / "m.mesh").read_text().splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("STRIP ")) + 4
+    assert lines[at].startswith("3 ")
+    lines[at] = f"3 {ids}"
+    (tmp_path / "m.mesh").write_text("\n".join(lines) + "\n")
+    assert main(["run", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert f"[mesh] path: cannot load {tmp_path / 'm.mesh'}: {match}" in err
+
+
 def test_sweep_temperature(tmp_path, capsys):
     cfg = make_config(tmp_path)
     assert main(["sweep", "--config", cfg, "--key", "source.T_w",

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from ccmsim import meshgen, motion
 from ccmsim.driver import SensorLocator, sample_sensors
 from ccmsim.mesh import (
+    ROLE_CODE,
+    ROLES,
     Mesh,
     MeshFormatError,
     load_mesh,
@@ -21,7 +23,7 @@ from ccmsim.mesh import (
 )
 
 from conftest import _BUILDERS, FIXTURE_DIR
-from oracles import load_mesh_by_line, sample_sensors_by_scan
+from oracles import BuilderByLoop, load_mesh_by_line, sample_sensors_by_scan
 
 
 def test_unit_square_counts_and_tags():
@@ -39,9 +41,9 @@ def test_unit_square_counts_and_tags():
 
 def test_all_triangles_positively_oriented():
     for m in (meshgen.make_unit_square(5), meshgen.make_strip_square(8)):
-        role = m.tri_role()
+        code = m.tri_role_code()
         areas = tri_areas(m.nodes, m.triangles)
-        assert np.all(areas[role != "virtual"] > 0)
+        assert np.all(areas[code != ROLE_CODE["virtual"]] > 0)
 
 
 def test_tagged_edges_returns_node_pairs():
@@ -140,7 +142,7 @@ def test_validate_counts_boundary_edges_like_a_loop():
     # node pair that is no edge (0); the first wrong edge is the one named
     m = meshgen.make_strip_square(8)
     role = [m.region_roles[int(r)] for r in m.tri_region]
-    assert m.tri_role().tolist() == role
+    assert [ROLES[c] for c in m.tri_role_code()] == role
     count = {}
     for tri, r in zip(m.triangles.tolist(), role):
         for e in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
@@ -160,6 +162,52 @@ def test_validate_rejects_uneven_strip_rows():
     m = meshgen.make_strip_square(8)
     m.strip.h_row *= 1.5
     with pytest.raises(MeshFormatError, match="h_row"):
+        validate_mesh(m)
+
+
+def edit_strip_row(path, k, edit):
+    """make_strip_square(6) saved to ``path`` with the node ids of its STRIP
+    row ``k`` replaced by ``edit(ids, n_nodes)``; returns the mesh."""
+    mesh = meshgen.make_strip_square(6)
+    save_mesh(mesh, path)
+    lines = Path(path).read_text().splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("STRIP ")) + 1 + k
+    head, *ids = lines[at].split()
+    assert head == str(k) and ids[0] != "V"
+    lines[at] = " ".join([head, *edit(ids, mesh.n_nodes)])
+    Path(path).write_text("\n".join(lines) + "\n")
+    return mesh
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda ids, n: [], "strip row 3 has no nodes"),
+    (lambda ids, n: ids[:-1] + [str(n)], "strip row 3: node {n} out of range"),
+    (lambda ids, n: ["-1"] + ids[1:], "strip row 3: node -1 out of range"),
+], ids=["empty", "past-the-last-node", "negative"])
+def test_bad_strip_row_is_named(tmp_path, edit, message):
+    mesh = edit_strip_row(tmp_path / "m.mesh", 3, edit)
+    with pytest.raises(MeshFormatError, match="^%s$" % message.format(n=mesh.n_nodes)):
+        load_mesh(tmp_path / "m.mesh")
+
+
+def test_validate_rejects_strip_row_off_its_line():
+    m = meshgen.make_strip_square(8)
+    m.nodes[m.strip.rows[3][2], 1] += 0.1 * m.strip.h_row
+    with pytest.raises(MeshFormatError, match="^strip row not aligned on a line$"):
+        validate_mesh(m)
+
+
+def test_validate_rejects_overlapping_strip_rows():
+    m = meshgen.make_strip_square(8)
+    m.strip.rows[3] = np.append(m.strip.rows[3], m.strip.rows[2][0])
+    with pytest.raises(MeshFormatError, match="^strip rows overlap$"):
+        validate_mesh(m)
+
+
+def test_validate_names_the_lowest_region_without_a_role():
+    m = meshgen.make_strip_square(8)
+    del m.region_roles[3], m.region_roles[1]
+    with pytest.raises(MeshFormatError, match="^region 1 has no role$"):
         validate_mesh(m)
 
 
@@ -351,6 +399,22 @@ def test_block_parser_matches_the_line_reader_on_drawn_meshes(n, strip, n_virt, 
         loaded = load_mesh(path)
         assert_same_mesh(loaded, load_mesh_by_line(path))
         assert_same_mesh(loaded, mesh)
+
+
+def built_by_loop(build, *args):
+    """``build(*args)`` with the generators' builder swapped for the loop-built one."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(meshgen, "_Builder", BuilderByLoop)
+        return build(*args)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 16), n_virt=st.integers(2, 5))
+def test_generators_match_the_loop_builder(n, n_virt):
+    assert_same_mesh(meshgen.make_unit_square(n), built_by_loop(meshgen.make_unit_square, n))
+    if n >= meshgen.STRIP_MIN_ROWS:
+        assert_same_mesh(meshgen.make_strip_square(n, n_virt),
+                         built_by_loop(meshgen.make_strip_square, n, n_virt))
 
 
 def corrupt(tmp_path, edit):

@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccmsim import meshgen, motion
-from ccmsim.mesh import load_mesh, tri_areas
+from ccmsim.mesh import load_mesh, tri_areas, validate_mesh
 
-from oracles import active_elements_by_triangle
+from oracles import active_elements_by_triangle, tri_code_by_lookup
 
 H_ROW = 0.1         # row height of make_strip_square(10)
 
@@ -30,7 +30,7 @@ def make_state(n=10, n_virt=2):
 def test_init_active_equals_physical():
     mesh, state = make_state()
     act = motion.active_elements(mesh, state)
-    npt.assert_array_equal(act, mesh.tri_role() != "virtual")
+    npt.assert_array_equal(act, mesh.tri_role_code() != motion.ROLE_CODE["virtual"])
 
 
 def test_init_rejects_bad_direction():
@@ -48,6 +48,35 @@ def test_init_rejects_static_mesh():
 def test_init_needs_two_virtual_bands():
     mesh = meshgen.make_strip_square(10, n_virt=1)
     with pytest.raises(ValueError, match="virtual"):
+        motion.init_motion(mesh, (0.0, -1.0))
+
+
+@settings(max_examples=25, deadline=None)
+@given(ids=st.lists(st.integers(-10**9, 10**9), min_size=4, max_size=4, unique=True))
+def test_role_codes_of_sparse_region_ids(ids):
+    # regions renumbered to drawn ids, such as 0, 5, 9 and 12: the codes are
+    # those of a lookup of each triangle's region in the roles, and the state
+    # is the one of the mesh as generated
+    mesh = meshgen.make_strip_square(8)
+    ref = motion.init_motion(copy.deepcopy(mesh), (0.0, -1.0))
+    mesh.tri_region = np.array(ids)[mesh.tri_region]
+    mesh.region_roles = {ids[r]: role for r, role in mesh.region_roles.items()}
+    validate_mesh(mesh)
+    state = motion.init_motion(mesh, (0.0, -1.0))
+    assert state.tri_code.dtype == np.int8
+    npt.assert_array_equal(state.tri_code, tri_code_by_lookup(mesh))
+    npt.assert_array_equal(state.tri_code, ref.tri_code)
+    npt.assert_array_equal(state.tri_rows, ref.tri_rows)
+
+
+def test_zipper_triangle_without_a_static_corner_is_named():
+    # two update triangles rewired onto strip triangles: the lower one is named
+    mesh = meshgen.make_strip_square(8)
+    code = tri_code_by_lookup(mesh)
+    upd = np.flatnonzero(code == motion.ROLE_CODE["update"])
+    strip = np.flatnonzero(code == motion.ROLE_CODE["strip"])
+    mesh.triangles[upd[[7, 3]]] = mesh.triangles[strip[[0, 1]]]
+    with pytest.raises(ValueError, match="^update triangle %d has no static node$" % upd[3]):
         motion.init_motion(mesh, (0.0, -1.0))
 
 
@@ -103,7 +132,7 @@ def test_static_nodes_never_move():
 def test_zipper_areas_preserved_through_slips(steps):
     mesh, state = make_state(n=10)
     assert state.h_row == pytest.approx(H_ROW)
-    upd = mesh.tri_role() == "update"
+    upd = mesh.tri_role_code() == motion.ROLE_CODE["update"]
     ref = tri_areas(mesh.nodes, mesh.triangles[upd])
     assert np.all(ref > 0)
     for d in steps:
@@ -146,7 +175,7 @@ def test_full_cycle_restores_geometry(steps):
     assert ring_dist.max() < 1e-9
     npt.assert_array_equal(mesh.triangles, tris1)           # zipper back home
     act = motion.active_elements(mesh, state)
-    npt.assert_array_equal(act, mesh.tri_role() != "virtual")
+    npt.assert_array_equal(act, mesh.tri_role_code() != motion.ROLE_CODE["virtual"])
 
 
 @settings(max_examples=30, deadline=None)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from ccmsim import driver, meshgen, motion, stfem, verify
 from ccmsim.errors import NumericalError
-from ccmsim.mesh import tri_areas
+from ccmsim.mesh import load_mesh, tri_areas
 from ccmsim.stfem import (
     SlabOperator,
     SlabProblem,
@@ -20,7 +20,7 @@ from ccmsim.stfem import (
     solve_slab,
 )
 
-from oracles import SlabOperatorEveryTerm, prism_amplification, slab_residual
+from oracles import SlabOperatorEveryTerm, SlabPlanByUnique, prism_amplification, slab_residual
 
 
 def square_problem(n=8, dt=0.1, alpha=1.0, t_prev=None, **kw):
@@ -419,6 +419,61 @@ def test_inverted_prism_raises():
                        alpha=1.0, t_prev=np.zeros(mesh.n_nodes))
     with pytest.raises(NumericalError, match="inverted"):
         SlabOperator(prob)
+
+
+def assert_same_plan(a, b):
+    # every array of the two plans: equal dtypes, shapes and values
+    for name in ("indices", "indptr", "rigid", "rconn"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.shape == y.shape and np.array_equal(x, y), name
+    for name in ("mass", "diffusion", "grad_x", "grad_y"):
+        assert getattr(a, name).shape == getattr(b, name).shape, name
+        for part in ("data", "indices", "indptr"):
+            x, y = (getattr(getattr(plan, name), part) for plan in (a, b))
+            assert x.dtype == y.dtype and np.array_equal(x, y), (name, part)
+
+
+def assert_run_plan_matches_unique(mesh, state):
+    """The run's plan against the one the np.unique plan makes of the same
+    mesh and band."""
+    plan = driver.slab_plan(mesh, state)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(driver, "SlabPlan", SlabPlanByUnique)
+        ref = driver.slab_plan(mesh, state)
+    assert type(ref) is SlabPlanByUnique
+    assert_same_plan(plan, ref)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 14), n_virt=st.integers(2, 4), rows=st.floats(0.0, 2.9))
+def test_one_sort_plan_matches_the_unique_plan(n, n_virt, rows):
+    # a unit square, and a strip square whose band has slid ``rows`` rows
+    assert_run_plan_matches_unique(meshgen.make_unit_square(n), None)
+    if n >= meshgen.STRIP_MIN_ROWS:
+        mesh = meshgen.make_strip_square(n, n_virt)
+        state = motion.init_motion(mesh, (0.0, -1.0))
+        motion.advance(mesh, state, rows * state.h_row)
+        assert_run_plan_matches_unique(mesh, state)
+
+
+@settings(max_examples=25, deadline=None)
+@given(distance=st.floats(0.0, 0.2), **slab_draws)
+def test_one_sort_plan_of_a_problem_matches_the_unique_plan(distance, n, frac, dt, alpha, seed):
+    # one-off plans: a square whose interior nodes move (sheared elements)
+    # and a band slab (translating, static and zipper elements)
+    mesh, prob = square_problem(n=n, dt=dt, alpha=alpha)
+    prob.coords_new, _ = moved_interior(mesh, n, frac, np.random.default_rng(seed))
+    prob_band, _ = band_slab(distance)
+    for p in (prob, prob_band):
+        assert_same_plan(stfem.SlabPlan.of_problem(p), SlabPlanByUnique.of_problem(p))
+
+
+@pytest.mark.parametrize("name, direction", [("probe.mesh", (0.0, -1.0)),
+                                             ("ramp.mesh", (0.0, -1.0)),
+                                             ("hotwire.mesh", (1.0, 0.0))])
+def test_one_sort_plan_matches_the_unique_plan_on_the_fixtures(fixture_dir, name, direction):
+    mesh = load_mesh(os.path.join(fixture_dir, name))
+    assert_run_plan_matches_unique(mesh, motion.init_motion(mesh, direction))
 
 
 def test_unreachable_solver_tolerance_raises(monkeypatch):
