@@ -23,7 +23,12 @@ import os
 # time: on a 2-core x86_64 host `python -m ccmsim.cli run --config
 # fixtures/probe_temperature.ini` (200 steps) took 5.3-6.0 s wall and
 # 8.9-10.3 s CPU with OpenBLAS's default threads, and 2.2-2.6 s wall and CPU
-# with one.
+# with one.  The policy holds only if this import is what loads SciPy's
+# OpenBLAS: a caller that loaded it first (by importing scipy.sparse.linalg,
+# say) keeps OpenBLAS's default thread count unless it set
+# OPENBLAS_NUM_THREADS=1 itself.  On the same host the hotwire case on a mesh
+# with rows twice as fine took 42-43 ms per step that way, against 19 ms on
+# one thread.
 _THREAD_VARS = [v for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
                 if v not in os.environ]
 os.environ.update(dict.fromkeys(_THREAD_VARS, "1"))

@@ -11,8 +11,9 @@ Stage A is :func:`slab_step`, the step core shared by all three loops:
 and an equilibrium run applies the closed-form velocity from the first
 step on.
 
-Configuration is a flat INI file; every section and key is validated
-against ``_SCHEMA`` below (unknown sections and keys are errors).
+Configuration is a flat INI file; every section and key is declared once,
+in a row of ``_KEYS`` below that parses it, gives its default and names it
+in errors (unknown sections and keys are errors).
 Outputs: a per-step CSV, an optional sensor-trace CSV, and periodic VTK
 snapshots of the deformed mesh with an element activity mask.
 """
@@ -24,7 +25,7 @@ import contextlib
 import logging
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -52,23 +53,10 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-_SCHEMA = {
-    "material.solid": {"rho", "cp", "kappa", "T_s"},
-    "material.liquid": {"rho", "cp", "kappa", "mu"},
-    "melting": {"h_m", "T_m"},
-    "source": {"mode", "coupling", "T_w", "q_h", "F_ex", "mass", "gravity",
-               "R", "tip_tags", "side_tags", "tip_area"},
-    "time": {"dt", "n_steps"},
-    "mesh": {"path", "direction", "farfield_tags"},
-    "output": {"directory", "vtk_every", "csv", "sensors"},
-}
-_REQUIRED_SECTIONS = ["material.solid", "material.liquid", "melting", "source",
-                      "time", "mesh", "output"]
-
-
 @dataclass
 class RunConfig:
-    """Validated, fully-resolved configuration of one simulation run."""
+    """Validated, fully-resolved configuration of one simulation run; the
+    INI key and default of each field are in ``_KEYS``."""
 
     # solid
     rho_s: float
@@ -84,8 +72,8 @@ class RunConfig:
     h_m: float
     T_m: float
     # source
-    mode: str                   # temperature | power
-    coupling: str               # equilibrium | transient
+    mode: str
+    coupling: str
     T_w: float | None
     q_h: float | None
     F_ex: float
@@ -101,10 +89,10 @@ class RunConfig:
     direction: tuple | None
     farfield_tags: tuple | None  # None = every tag not in tip/side
     # output
-    out_dir: str = "out"
-    vtk_every: int = 10
-    csv_name: str = "run.csv"
-    sensors: tuple = ()
+    out_dir: str
+    vtk_every: int
+    csv_name: str
+    sensors: tuple
 
     @property
     def ccm_params(self) -> vel.CcmParams:
@@ -148,57 +136,93 @@ class RunReport:
 # configuration
 
 
-def _cfg_float(cp, section, key, default=None, required=False):
-    if not cp.has_option(section, key):
-        if required:
-            raise ConfigError(f"[{section}] {key}: required key missing")
-        return default
-    raw = cp.get(section, key)
+def _float(raw: str) -> float:
     try:
         value = float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key}: not a number: {raw!r}") from exc
+    except ValueError:
+        raise ValueError(f"not a number: {raw!r}") from None
     if not math.isfinite(value):
-        raise ConfigError(f"[{section}] {key}: not finite: {raw!r}")
+        raise ValueError(f"not finite: {raw!r}")
     return value
 
 
-def _cfg_int(cp, section, key, default=None, required=False):
-    value = _cfg_float(cp, section, key, default=default, required=required)
-    if value is None:
-        return None
+def _int(raw: str) -> int:
+    value = _float(raw)
     if value != int(value):
-        raise ConfigError(f"[{section}] {key}: not an integer: {value!r}")
+        raise ValueError(f"not an integer: {value!r}")
     return int(value)
 
 
-def _cfg_tags(cp, section, key, default=None):
-    if not cp.has_option(section, key):
-        return default
-    return tuple(t.strip() for t in cp.get(section, key).split(",") if t.strip())
+def _tags(raw: str) -> tuple:
+    return tuple(t.strip() for t in raw.split(",") if t.strip())
 
 
-def _parse_sensors(raw: str):
-    sensors = []
-    for chunk in raw.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        parts = [p for p in chunk.replace(",", " ").split() if p]
-        if len(parts) != 2:
-            raise ConfigError(f"[output] sensors: expected 'x,y; x,y; ...', got {chunk!r}")
-        try:
-            sensors.append((float(parts[0]), float(parts[1])))
-        except ValueError as exc:
-            raise ConfigError(f"[output] sensors: not a coordinate pair: {chunk!r}") from exc
-    return tuple(sensors)
+def _point(raw: str) -> tuple:
+    parts = raw.replace(",", " ").split()
+    if len(parts) != 2:
+        raise ValueError(f"expected two components 'x,y', got {raw.strip()!r}")
+    return _float(parts[0]), _float(parts[1])
+
+
+def _points(raw: str) -> tuple:
+    return tuple(_point(chunk) for chunk in raw.split(";") if chunk.strip())
+
+
+def _choice(*options):
+    def parse(raw: str) -> str:
+        if raw not in options:
+            raise ValueError("must be " + " or ".join(map(repr, options)))
+        return raw
+    return parse
+
+
+_REQUIRED = object()    # the default of a key that must be given, and not empty
+
+# (section, key, RunConfig field, parser, default): every key of the INI
+# file.  mass and gravity are not fields; load_config turns them into F_ex.
+_KEYS = [
+    ("material.solid", "rho", "rho_s", _float, _REQUIRED),
+    ("material.solid", "cp", "cp_s", _float, _REQUIRED),
+    ("material.solid", "kappa", "kappa_s", _float, _REQUIRED),
+    ("material.solid", "T_s", "T_s", _float, _REQUIRED),
+    ("material.liquid", "rho", "rho_l", _float, _REQUIRED),
+    ("material.liquid", "cp", "cp_l", _float, _REQUIRED),
+    ("material.liquid", "kappa", "kappa_l", _float, _REQUIRED),
+    ("material.liquid", "mu", "mu_l", _float, _REQUIRED),
+    ("melting", "h_m", "h_m", _float, _REQUIRED),
+    ("melting", "T_m", "T_m", _float, _REQUIRED),
+    ("source", "mode", "mode", _choice("temperature", "power"), _REQUIRED),
+    ("source", "coupling", "coupling", _choice("equilibrium", "transient"), _REQUIRED),
+    ("source", "T_w", "T_w", _float, None),
+    ("source", "q_h", "q_h", _float, None),
+    ("source", "F_ex", "F_ex", _float, None),
+    ("source", "mass", "mass", _float, None),
+    ("source", "gravity", "gravity", _float, None),
+    ("source", "R", "R", _float, _REQUIRED),
+    ("source", "tip_tags", "tip_tags", _tags, _REQUIRED),
+    ("source", "side_tags", "side_tags", _tags, ()),
+    ("source", "tip_area", "tip_area", _float, None),
+    ("time", "dt", "dt", _float, _REQUIRED),
+    ("time", "n_steps", "n_steps", _int, _REQUIRED),
+    ("mesh", "path", "mesh_path", str, _REQUIRED),
+    ("mesh", "direction", "direction", _point, None),
+    ("mesh", "farfield_tags", "farfield_tags", _tags, None),
+    ("output", "directory", "out_dir", str, _REQUIRED),
+    ("output", "vtk_every", "vtk_every", _int, 10),
+    ("output", "csv", "csv_name", str, "run.csv"),
+    ("output", "sensors", "sensors", _points, ()),
+]
+# each section's keys (the sections in the table's order), each field's key
+_SECTIONS = {section: {k for s, k, *_ in _KEYS if s == section} for section, *_ in _KEYS}
+_KEY_OF = {name: f"[{section}] {key}" for section, key, name, *_ in _KEYS}
 
 
 def load_config(path) -> RunConfig:
     """Parse and validate a run configuration, resolving all defaults."""
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # no interpolation: a '%' in a value is the character itself
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     cp.optionxform = str  # keys are case-sensitive (T_w vs t_w)
     try:
         with open(path, encoding="utf-8") as f:
@@ -206,122 +230,67 @@ def load_config(path) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError(f"config parse error in {path}: {exc}") from exc
 
-    for section in cp.sections():
-        if section not in _SCHEMA:
+    given = {section: dict(cp.items(section)) for section in cp.sections()}
+    for section, keys in given.items():
+        if section not in _SECTIONS:
             raise ConfigError(f"[{section}]: unknown section")
-        for key in cp.options(section):
-            if key not in _SCHEMA[section]:
+        for key in keys:
+            if key not in _SECTIONS[section]:
                 raise ConfigError(f"[{section}] {key}: unknown key")
-    for section in _REQUIRED_SECTIONS:
-        if not cp.has_section(section):
+    for section in _SECTIONS:
+        if section not in given:
             raise ConfigError(f"[{section}]: required section missing")
 
-    mode = cp.get("source", "mode", fallback=None)
-    if mode not in ("temperature", "power"):
-        raise ConfigError("[source] mode: must be 'temperature' or 'power'")
-    coupling = cp.get("source", "coupling", fallback=None)
-    if coupling not in ("equilibrium", "transient"):
-        raise ConfigError("[source] coupling: must be 'equilibrium' or 'transient'")
+    values = {}
+    for section, key, name, parse, default in _KEYS:
+        raw = given[section].get(key)
+        if not raw and default is _REQUIRED:
+            raise ConfigError(f"[{section}] {key}: required key missing")
+        try:
+            values[name] = default if raw is None else parse(raw)
+        except ValueError as exc:
+            raise ConfigError(f"[{section}] {key}: {exc}") from exc
+    mass, gravity = values.pop("mass"), values.pop("gravity")
+    cfg = RunConfig(**values)
 
-    T_w = _cfg_float(cp, "source", "T_w")
-    q_h = _cfg_float(cp, "source", "q_h")
-    if T_w is not None and q_h is not None:
+    if cfg.T_w is not None and cfg.q_h is not None:
         raise ConfigError("[source] T_w, q_h: exactly one of the two may be set")
-    if mode == "temperature" and T_w is None:
+    if cfg.mode == "temperature" and cfg.T_w is None:
         raise ConfigError("[source] T_w: required in temperature mode")
-    if mode == "power" and q_h is None:
+    if cfg.mode == "power" and cfg.q_h is None:
         raise ConfigError("[source] q_h: required in power mode")
-
-    F_ex = _cfg_float(cp, "source", "F_ex")
-    mass = _cfg_float(cp, "source", "mass")
-    gravity = _cfg_float(cp, "source", "gravity")
-    if F_ex is not None and (mass is not None or gravity is not None):
+    if cfg.F_ex is not None and (mass is not None or gravity is not None):
         raise ConfigError("[source] F_ex, mass/gravity: set either F_ex or the pair, not both")
-    if F_ex is None:
+    if cfg.F_ex is None:
         if mass is None or gravity is None:
             raise ConfigError("[source] F_ex: set F_ex, or both mass and gravity")
-        F_ex = vel.external_force(mass, gravity)
-
-    tip_tags = _cfg_tags(cp, "source", "tip_tags")
-    if not tip_tags:
-        raise ConfigError("[source] tip_tags: required key missing")
-    side_tags = _cfg_tags(cp, "source", "side_tags", default=())
-
-    dt = _cfg_float(cp, "time", "dt", required=True)
-    n_steps = _cfg_int(cp, "time", "n_steps", required=True)
-    if not (dt > 0.0 and n_steps > 0):
+        cfg.F_ex = vel.external_force(mass, gravity)
+    if not (cfg.dt > 0.0 and cfg.n_steps > 0):
         raise ConfigError("[time] dt, n_steps: dt * n_steps must be positive")
-
-    mesh_path = cp.get("mesh", "path", fallback=None)
-    if not mesh_path:
-        raise ConfigError("[mesh] path: required key missing")
-    if not os.path.isabs(mesh_path):
+    if cfg.vtk_every < 0:
+        raise ConfigError("[output] vtk_every: must be >= 0 (0 disables snapshots)")
+    if os.path.normpath(cfg.csv_name) == "sensors.csv":
+        raise ConfigError("[output] csv: sensors.csv is the sensor trace's file")
+    if not os.path.isabs(cfg.mesh_path):
         # relative mesh paths are anchored at the config file, not the CWD,
         # so bundled fixture configs work from anywhere
-        mesh_path = os.path.normpath(
-            os.path.join(os.path.dirname(os.path.abspath(path)), mesh_path))
-    direction = None
-    if cp.has_option("mesh", "direction"):
-        parts = [p for p in cp.get("mesh", "direction").replace(",", " ").split() if p]
-        if len(parts) != 2:
-            raise ConfigError("[mesh] direction: expected two components, e.g. '0,-1'")
-        try:
-            direction = (float(parts[0]), float(parts[1]))
-        except ValueError as exc:
-            raise ConfigError("[mesh] direction: not numeric") from exc
-    farfield = _cfg_tags(cp, "mesh", "farfield_tags", default=None)
-
-    vtk_every = _cfg_int(cp, "output", "vtk_every", default=10)
-    if vtk_every < 0:
-        raise ConfigError("[output] vtk_every: must be >= 0 (0 disables snapshots)")
-    out_dir = cp.get("output", "directory", fallback=None)
-    if not out_dir:
-        raise ConfigError("[output] directory: required key missing")
-    sensors = _parse_sensors(cp.get("output", "sensors", fallback=""))
-
-    cfg = RunConfig(
-        rho_s=_cfg_float(cp, "material.solid", "rho", required=True),
-        cp_s=_cfg_float(cp, "material.solid", "cp", required=True),
-        kappa_s=_cfg_float(cp, "material.solid", "kappa", required=True),
-        T_s=_cfg_float(cp, "material.solid", "T_s", required=True),
-        rho_l=_cfg_float(cp, "material.liquid", "rho", required=True),
-        cp_l=_cfg_float(cp, "material.liquid", "cp", required=True),
-        kappa_l=_cfg_float(cp, "material.liquid", "kappa", required=True),
-        mu_l=_cfg_float(cp, "material.liquid", "mu", required=True),
-        h_m=_cfg_float(cp, "melting", "h_m", required=True),
-        T_m=_cfg_float(cp, "melting", "T_m", required=True),
-        mode=mode, coupling=coupling, T_w=T_w, q_h=q_h, F_ex=F_ex,
-        R=_cfg_float(cp, "source", "R", required=True),
-        tip_tags=tip_tags, side_tags=side_tags,
-        tip_area=_cfg_float(cp, "source", "tip_area"),
-        dt=dt, n_steps=n_steps,
-        mesh_path=mesh_path, direction=direction, farfield_tags=farfield,
-        out_dir=out_dir, vtk_every=vtk_every,
-        csv_name=cp.get("output", "csv", fallback="run.csv"),
-        sensors=sensors,
-    )
+        cfg.mesh_path = os.path.normpath(
+            os.path.join(os.path.dirname(os.path.abspath(path)), cfg.mesh_path))
     check_values(cfg)
     for name, value in vars(cfg).items():
         log.info("config %s = %r", name, value)
     return cfg
 
 
-# the config key of each input of the melt closures (the CcmParams fields,
-# T_w and q_h), named by a ConfigError
-_PARAM_KEYS = {
-    "rho_s": "[material.solid] rho", "cp_s": "[material.solid] cp",
-    "T_s": "[material.solid] T_s", "rho_l": "[material.liquid] rho",
-    "cp_l": "[material.liquid] cp", "kappa_l": "[material.liquid] kappa",
-    "mu_l": "[material.liquid] mu", "h_m": "[melting] h_m", "T_m": "[melting] T_m",
-    "R": "[source] R", "F_ex": "[source] F_ex", "T_w": "[source] T_w", "q_h": "[source] q_h",
-}
+# the inputs of the melt closures
+_CLOSURE_INPUTS = [f.name for f in fields(vel.CcmParams)] + ["T_w", "q_h"]
 
 
 def _closure_key(cfg: RunConfig) -> str:
     """The key of the closure input furthest from 1, the one a closure that
     over- or underflows, or gives an absurd U, fails on."""
-    return _PARAM_KEYS[max((f for f in _PARAM_KEYS if getattr(cfg, f) is not None),
-                           key=lambda f: abs(math.log10(abs(getattr(cfg, f)) or 1.0)))]
+    return _KEY_OF[max((f for f in _CLOSURE_INPUTS if getattr(cfg, f) is not None),
+                       key=lambda f: abs(math.log10(abs(getattr(cfg, f)) or 1.0)))]
 
 
 def check_values(cfg: RunConfig) -> None:
@@ -337,8 +306,8 @@ def check_values(cfg: RunConfig) -> None:
     try:
         cfg.ccm_params  # triggers physical-parameter validation
     except ValueError as exc:
-        field = str(exc).partition(" ")[0].removeprefix("CcmParams.")
-        raise ConfigError(f"{_PARAM_KEYS[field]}: {exc}") from exc
+        name = str(exc).partition(" ")[0].removeprefix("CcmParams.")
+        raise ConfigError(f"{_KEY_OF[name]}: {exc}") from exc
     key = _closure_key(cfg)
     try:
         velocities = _velocities(cfg)

@@ -136,6 +136,20 @@ def test_verify_case_check_keeps_an_earlier_csv(tmp_path, capsys, monkeypatch,
     assert earlier.read_text() == "h,dt,error,runtime\n0.25,1,0.5,0\n"
 
 
+def test_percent_in_a_value_is_the_character_itself(tmp_path, capsys):
+    # values are not interpolated: '%' is neither a syntax error nor a traceback
+    cfg = make_config(tmp_path)
+    ini = tmp_path / "case.ini"
+    ini.write_text(ini.read_text().replace(str(tmp_path / "out"), str(tmp_path / "out%x")))
+    assert main(["run", "--config", cfg]) == 0
+    assert (tmp_path / "out%x" / "run.csv").exists()
+    ini.write_text(ini.read_text().replace("tip_tags = left", "tip_tags = ti%p"))
+    assert main(["run", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [source] tip_tags: ") and "'ti%p'" in err
+    assert "Traceback" not in err
+
+
 def test_run_missing_config(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.ini")]) == 2
     assert "error:" in capsys.readouterr().err

@@ -3,8 +3,9 @@
 The CLI's contract is exit 0 on success, 2 for bad input (before step 0)
 and 3 for a numerical failure, which leaves ``abort_state.vtk`` behind;
 never a Python traceback.  These properties perturb the numeric keys of
-the ramp and hotwire fixtures, their mode and time step, and the options
-of ``verify`` and ``sweep``, over short runs.
+the ramp and hotwire fixtures, their mode and time step, their string keys
+with characters an INI file may treat specially, and the options of
+``verify`` and ``sweep``, over short runs.
 """
 
 import configparser
@@ -28,6 +29,11 @@ NUMERIC_KEYS = (
     ("source", None),                   # T_w or q_h, whichever the mode has
 )
 NOT_NUMBERS = ("nan", "inf", "-inf", "0", "-1", "x", "")
+# string keys and the value each is perturbed from (None: the fixture's); the
+# output directory is relative to the test's temporary directory, and the
+# sensor point lies in both meshes
+STRING_KEYS = {("output", "directory"): "out", ("source", "tip_tags"): None,
+               ("source", "side_tags"): None, ("output", "sensors"): "0.05,0.05"}
 
 
 def scale():
@@ -37,7 +43,7 @@ def scale():
 @st.composite
 def configs(draw):
     """Sections of a perturbed ramp or hotwire config, 2-6 steps long."""
-    ini = configparser.ConfigParser()
+    ini = configparser.ConfigParser(interpolation=None)
     ini.optionxform = str
     ini.read(os.path.join(FIXTURE_DIR, draw(st.sampled_from(["power_3kw", "hotwire"])) + ".ini"))
     cfg = {name: dict(ini[name]) for name in ini.sections()}
@@ -58,6 +64,12 @@ def configs(draw):
     cfg["time"]["dt"] = repr(float(cfg["time"]["dt"]) * 10.0 ** draw(st.floats(-3.0, 2.0)))
     cfg["time"]["n_steps"] = str(draw(st.integers(2, 6)))
     cfg["mesh"]["path"] = os.path.join(FIXTURE_DIR, cfg["mesh"]["path"])
+    cfg["output"]["directory"] = "out"
+    for (section, key), base in draw(st.lists(st.sampled_from(list(STRING_KEYS.items())),
+                                              max_size=2, unique=True)):
+        value = base or cfg[section][key]
+        at = draw(st.integers(0, len(value)))
+        cfg[section][key] = value[:at] + draw(st.text("%;,#=", min_size=1, max_size=3)) + value[at:]
     return cfg
 
 
@@ -86,9 +98,8 @@ def assert_exit_contract(code, err, out_dir=None):
                        max_size=2))
 def test_run_and_sweep_end_in_an_exit_code(cfg, command, values):
     with tempfile.TemporaryDirectory() as tmp:
-        out = os.path.join(tmp, "out")
-        cfg["output"]["directory"] = out
-        ini = configparser.ConfigParser()
+        out = cfg["output"]["directory"] = os.path.join(tmp, cfg["output"]["directory"])
+        ini = configparser.ConfigParser(interpolation=None)
         ini.optionxform = str
         ini.read_dict(cfg)
         path = os.path.join(tmp, "case.ini")

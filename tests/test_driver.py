@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import logging
 import os
+import re
 import weakref
 
 import numpy as np
@@ -143,6 +144,10 @@ CONFIG_ERRORS = [
     ("negative-power",
      lambda s: s["source"].update(mode="power", q_h=-5.0) or s["source"].pop("T_w"),
      r"\[source\] q_h"),
+    ("csv-is-the-sensor-trace", _set("output", "csv", "./sensors.csv"), r"\[output\] csv: "),
+    ("nan-sensor", _set("output", "sensors", "nan,1.07"), r"\[output\] sensors: not finite"),
+    ("infinite-sensor", _set("output", "sensors", "0.85,0.4; inf,inf"),
+     r"\[output\] sensors: not finite"),
 ]
 
 
@@ -153,6 +158,20 @@ def test_config_errors_name_the_offending_key(tmp_path, mutate, match):
     path = write_config(tmp_path, mutate)
     with pytest.raises(ConfigError, match=match):
         load_config(path)
+
+
+def test_the_key_table_declares_every_run_config_field():
+    assert ([name for _, _, name, *_ in driver._KEYS if name not in ("mass", "gravity")]
+            == [f.name for f in dataclasses.fields(RunConfig)])
+
+
+@pytest.mark.parametrize("section, key", [(section, key) for section, key, *_, default
+                                          in driver._KEYS if default is driver._REQUIRED])
+@pytest.mark.parametrize("value", [None, ""], ids=["dropped", "empty"])
+def test_each_required_key_is_named_when_missing(tmp_path, section, key, value):
+    mutate = _del(section, key) if value is None else _set(section, key, value)
+    with pytest.raises(ConfigError, match=re.escape(f"[{section}] {key}: required key missing")):
+        load_config(write_config(tmp_path, mutate))
 
 
 def test_missing_config_file(tmp_path):
