@@ -18,10 +18,13 @@ NumPy and SciPy versions), per pair the end-to-end metrics of
 ``BENCHMARK.json`` and stepbench's raw wall figures, and per workload and
 metric the medians, the inclusive quartiles, the number of pairs the
 change won and its relative change of the median against the metric's
-bound.  Two verdicts sit beside them: ``gain_shown``, the change won at
-least 9 of the 10 pairs and beat the parent's median by more than the
-parent's interquartile range; and ``beyond_bound``, the change is worse
-than the parent's median by more than the metric's bound.  Per workload,
+bound, and under ``by_order`` the two sides' medians over the pairs that
+ran the parent first and over those that ran the change first.  Two
+verdicts sit beside them: ``gain_shown``, the change won at least 9 of the
+10 pairs, beat the parent's median by more than the parent's interquartile
+range, and beat it within each run order too, so that an effect of which
+side runs first cannot make the gain; and ``beyond_bound``, the change is
+worse than the parent's median by more than the metric's bound.  Per workload,
 ``raw_summary`` gives the same medians, quartiles and wins of the raw wall
 ``setup_s``, ``step_ms.p50``, ``step_ms.p90`` and ``sim_s_per_wall_s``,
 before stepbench scales them to its reference host speed, with no verdict:
@@ -118,9 +121,9 @@ def compare(a, b, lower):
 
 
 def summarise(pairs, spec):
-    """Medians, quartiles, wins, the relative change of the median and the
-    two verdicts, per end-to-end metric; ``change_worse_by`` is positive
-    when the change is worse."""
+    """Medians, quartiles, wins, the relative change of the median, the
+    medians per run order and the two verdicts, per end-to-end metric;
+    ``change_worse_by`` is positive when the change is worse."""
     out = {}
     for m in spec:
         name, lower = m["name"], m["better"] == "lower"
@@ -130,10 +133,18 @@ def summarise(pairs, spec):
         pa, pb, qa = s["parent_median"], s["change_median"], s["parent_quartiles"]
         worse = ((pb - pa) if lower else (pa - pb)) / abs(pa) if pa else 0.0
         beyond_iqr = ((pa - pb) if lower else (pb - pa)) > qa[1] - qa[0]
+        # even pairs ran the parent first, odd pairs the change
+        by_order = {order: {"parent_median": statistics.median(a[first::2]),
+                            "change_median": statistics.median(b[first::2])}
+                    for order, first in (("parent_first", 0), ("change_first", 1))}
+        better_in_each_order = all(
+            wins([h["parent_median"]], [h["change_median"]], lower) for h in by_order.values())
         s.update({
-            "change_worse_by": worse, "bound": m["bound"],
+            "change_worse_by": worse, "bound": m["bound"], "by_order": by_order,
             "better_beyond_parent_iqr": beyond_iqr,
-            "gain_shown": wins(a, b, lower) >= 0.9 * len(pairs) and beyond_iqr,
+            "better_in_each_order": better_in_each_order,
+            "gain_shown": (wins(a, b, lower) >= 0.9 * len(pairs) and beyond_iqr
+                           and better_in_each_order),
             "beyond_bound": worse > m["bound"],
         })
     return out

@@ -221,8 +221,10 @@ def load_config(path) -> RunConfig:
     """Parse and validate a run configuration, resolving all defaults."""
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
-    # no interpolation: a '%' in a value is the character itself
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
+    # no interpolation: a '%' in a value is the character itself; and no
+    # header can name a section "\n", so [DEFAULT] is an ordinary section
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None,
+                                   default_section="\n")
     cp.optionxform = str  # keys are case-sensitive (T_w vs t_w)
     try:
         with open(path, encoding="utf-8") as f:
@@ -471,7 +473,9 @@ class _Outputs(contextlib.ExitStack):
         super().__init__()
         self._cfg, self._mesh = cfg, mesh
         self._locator = SensorLocator(mesh, state, cfg.sensors) if cfg.sensors else None
-        run_path = output_path(cfg.out_dir, cfg.csv_name, "[output] directory")
+        # a csv path with a directory part is at fault if that directory is missing
+        run_path = output_path(cfg.out_dir, cfg.csv_name, "[output] csv"
+                               if os.path.dirname(cfg.csv_name) else "[output] directory")
         sensor_path = (output_path(cfg.out_dir, "sensors.csv", "[output] directory")
                        if cfg.sensors else None)
         self._run = self.enter_context(open(run_path, "w", encoding="utf-8"))

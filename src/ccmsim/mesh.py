@@ -33,6 +33,7 @@ boundaries appear in BOUNDARY — untagged exterior edges carry the natural
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -107,9 +108,7 @@ class Mesh:
 
 def tri_areas(coords: np.ndarray, conn: np.ndarray) -> np.ndarray:
     """Signed areas of the triangles ``conn`` over node coordinates ``coords``."""
-    p0 = coords[conn[:, 0]]
-    p1 = coords[conn[:, 1]]
-    p2 = coords[conn[:, 2]]
+    p0, p1, p2 = coords.take(conn.T, axis=0)    # one gather of all three corners
     return 0.5 * ((p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1])
                   - (p2[:, 0] - p0[:, 0]) * (p1[:, 1] - p0[:, 1]))
 
@@ -165,16 +164,63 @@ _TRIANGLE_ROW = np.dtype([("id", np.int64), ("tri", np.int64, 3), ("region", np.
 _TRIANGLE_TOKENS = (int,) * 5
 
 
+def _ints(tokens) -> np.ndarray:
+    """int64 array of ``tokens`` (a string or nested lists of them), each read
+    as ``int()`` reads it; OverflowError past int64."""
+    return np.array(tokens, dtype=np.int64)
+
+
+def _split(lines, columns):
+    """The tokens of each of ``lines``, which must have ``columns`` each."""
+    parts = list(map(str.split, lines))
+    if set(map(len, parts)) - {columns}:
+        raise ValueError("a line without %d columns" % columns)
+    return parts
+
+
+def _boundary(lines):
+    """The node pairs and the tags of BOUNDARY lines."""
+    parts = _split(lines, 3)
+    return _ints([p[:2] for p in parts]).reshape(-1, 2), [p[2] for p in parts]
+
+
+def _region_roles(lines):
+    """The role of each region id of REGION_ROLE lines."""
+    parts = _split(lines, 2)
+    roles = [p[1] for p in parts]
+    if not set(roles) <= set(ROLES):
+        raise ValueError("an unknown role")
+    return dict(zip(_ints([p[0] for p in parts]).tolist(), roles))
+
+
+def _strip_rows(lines):
+    """The node ids of each row of STRIP lines, one view each of one array,
+    and which rows are flagged ``V``."""
+    parts = list(map(str.split, lines))
+    if not np.array_equal(_ints([p[0] for p in parts]), np.arange(len(parts))):
+        raise ValueError("rows are not consecutive")
+    virtual = [p[1:2] == ["V"] for p in parts]
+    ids = [p[1 + v:] for p, v in zip(parts, virtual)]
+    end = np.cumsum(list(map(len, ids)), dtype=np.int64).tolist()
+    flat = _ints(list(chain.from_iterable(ids)))
+    return [flat[a:b] for a, b in zip([0] + end, end)], np.array(virtual, dtype=bool)
+
+
 def load_mesh(path) -> Mesh:
     """Read and validate a version-1 mesh file.
 
-    The NODES and TRIANGLES blocks are each parsed by one ``np.loadtxt``
-    call.  Only a block that fails is read again one line at a time, to name
-    the offending line.  Messages name lines by their number in the file,
-    blank lines included.
+    The file is read in one call and split into lines once; blank lines are
+    skipped, and messages name lines by their number in the file, blank lines
+    included.  Each block is converted in one call: NODES and TRIANGLES by
+    ``np.loadtxt``, the integers of BOUNDARY, REGION_ROLE and STRIP by one
+    :func:`_ints` over all their tokens, which reads them as ``int()`` does.
+    Only a block that fails is read again one line at a time, to name the
+    offending line.
     """
     with open(path) as f:
-        stripped = list(map(str.strip, f))
+        # text mode has folded "\r\n" and "\r" into "\n"; str.splitlines()
+        # would also break a line at "\x0c", "\x85" and other separators
+        stripped = list(map(str.strip, f.read().split("\n")))
     lines = list(filter(None, stripped))     # blank lines are skipped
     _expect(lines and lines[0] == "CCMMESH 1", "missing 'CCMMESH 1' header")
     pos = 1
@@ -196,62 +242,72 @@ def load_mesh(path) -> Mesh:
         pos += 1
         return int(parts[1])
 
-    def block(name, row, tokens):
-        """The rows of the next ``<NAME> <count>`` block, of dtype ``row``,
-        with consecutive zero-based ids in the first field."""
+    def block(count, convert, check):
+        """``convert`` of the next ``count`` lines, made in whole-block calls.
+        It raises ValueError or OverflowError when a line fails
+        ``check(k, tokens)``, ``k`` its index in the block; only then are
+        the lines checked one at a time, to name the first that fails."""
         nonlocal pos
-        count = header(name.upper())
         if count < 0:
             raise ValueError("negative dimensions are not allowed")
-        if count == 0:
-            return np.empty(0, row)
         start = pos
-        error = ValueError("%s block does not parse" % name)
+        error = IndexError("the file ends inside the block")
         try:
-            rows = np.loadtxt(lines[pos:pos + count], dtype=row, comments=None, ndmin=1)
-            if np.array_equal(rows["id"], np.arange(count)):
+            if pos + count <= len(lines):
+                result = convert(lines[pos:pos + count])
                 pos += count
-                return rows
-        except ValueError as exc:
+                return result
+        except (ValueError, OverflowError) as exc:
             error = exc
         # name the first line that fails: a missing line, a wrong column
         # count or id, or a token that does not convert
-        for i in range(count):
-            parts = lines[pos].split()
-            expect(len(parts) == len(tokens) and int(parts[0]) == i, pos,
-                   "%s must be consecutive starting at 0 (line %d)", name)
-            for convert, token in zip(tokens, parts):
-                convert(token)
+        for k in range(count):
+            check(k, lines[pos].split())
             pos += 1
-        # every line reads one at a time: NumPy rejected a token that Python
-        # accepts (such as "1_0"), so name the block's first line
+        # every line reads one at a time: np.loadtxt rejected a token that
+        # Python accepts (such as "1_0"), so name the block's first line
         pos = start
         raise error
 
+    def table(name, row, tokens):
+        """The rows, of dtype ``row``, of the next ``<NAME> <count>`` block,
+        with consecutive zero-based ids in the first field."""
+        count = header(name.upper())
+
+        def convert(chunk):
+            rows = np.loadtxt(chunk, dtype=row, comments=None, ndmin=1)
+            if not np.array_equal(rows["id"], np.arange(count)):
+                raise ValueError("%s block does not parse" % name)
+            return rows
+
+        def check(k, parts):
+            expect(len(parts) == len(tokens) and int(parts[0]) == k, pos,
+                   "%s must be consecutive starting at 0 (line %d)", name)
+            for convert_token, token in zip(tokens, parts):
+                convert_token(token)
+
+        return block(count, convert, check) if count else np.empty(0, row)
+
+    def check_boundary(k, parts):
+        expect(len(parts) == 3, pos, "bad BOUNDARY line %d")
+        _ints(parts[:2])
+
+    def check_region_role(k, parts):
+        expect(len(parts) == 2, pos, "bad REGION_ROLE line %d")
+        _expect(parts[1] in ROLES, "unknown role %r" % parts[1])
+        _ints(parts[0])
+
+    def check_strip_row(k, parts):
+        expect(int(parts[0]) == k, pos, "rows must be consecutive (line %d)")
+        _ints(parts[1 + (parts[1:2] == ["V"]):])
+
     try:
-        nodes = block("nodes", _NODE_ROW, _NODE_TOKENS)["xy"].copy()
-        tri_rows = block("triangles", _TRIANGLE_ROW, _TRIANGLE_TOKENS)
+        nodes = table("nodes", _NODE_ROW, _NODE_TOKENS)["xy"].copy()
+        tri_rows = table("triangles", _TRIANGLE_ROW, _TRIANGLE_TOKENS)
         tris, region = tri_rows["tri"].copy(), tri_rows["region"].copy()
         del tri_rows
-
-        b = header("BOUNDARY")
-        edges = np.empty((b, 2), dtype=np.int64)
-        tags = []
-        for i in range(b):
-            parts = lines[pos].split()
-            expect(len(parts) == 3, pos, "bad BOUNDARY line %d")
-            edges[i] = (int(parts[0]), int(parts[1]))
-            tags.append(parts[2])
-            pos += 1
-
-        r = header("REGION_ROLE")
-        roles = {}
-        for i in range(r):
-            parts = lines[pos].split()
-            expect(len(parts) == 2, pos, "bad REGION_ROLE line %d")
-            _expect(parts[1] in ROLES, "unknown role %r" % parts[1])
-            roles[int(parts[0])] = parts[1]
-            pos += 1
+        edges, tags = block(header("BOUNDARY"), _boundary, check_boundary)
+        roles = block(header("REGION_ROLE"), _region_roles, check_region_role)
 
         strip = None
         if pos < len(lines):
@@ -262,18 +318,7 @@ def load_mesh(path) -> Mesh:
             h_row = float(kv["h_row"])
             n_rows = int(kv["rows"])
             pos += 1
-            rows = []
-            virt = np.zeros(n_rows, dtype=bool)
-            for k in range(n_rows):
-                parts = lines[pos].split()
-                expect(int(parts[0]) == k, pos, "rows must be consecutive (line %d)")
-                rest = parts[1:]
-                if rest and rest[0] == "V":
-                    virt[k] = True
-                    rest = rest[1:]
-                rows.append(np.array(list(map(int, rest)), dtype=np.int64))
-                pos += 1
-            strip = StripLayout(h_row, rows, virt)
+            strip = StripLayout(h_row, *block(n_rows, _strip_rows, check_strip_row))
         expect(pos == len(lines), pos - 1, "trailing content after line %d")
     except (IndexError, ValueError, OverflowError) as exc:
         if pos >= len(lines):
@@ -312,17 +357,17 @@ def validate_mesh(mesh: Mesh, tol: float = 1e-12) -> None:
             "non-virtual triangle %s has non-positive area" % (bad[:5].tolist(),))
 
     # each listed boundary edge must be an edge of exactly one non-virtual
-    # triangle: count the sorted node pairs of all their edges
-    tri = mesh.triangles[real]
+    # triangle: count the sorted node pairs of their edges, of those that
+    # start at the lower node of a listed edge
+    tri = np.compress(real, mesh.triangles, axis=0)
     nxt = tri[:, [1, 2, 0]]
-    lo, hi = np.minimum(tri, nxt), np.maximum(tri, nxt)
+    lo, hi = np.minimum(tri, nxt).ravel(), np.maximum(tri, nxt).ravel()
     listed = np.sort(mesh.boundary_edges, axis=1)
     base = max(n, int(listed.max(initial=-1)) + 1)
     keys = listed[:, 0] * base + listed[:, 1]
-    pairs, count = np.unique((lo * base + hi).ravel(), return_counts=True)
-    pairs, count = np.append(pairs, base * base), np.append(count, 0)    # sentinel
-    at = np.searchsorted(pairs, keys)
-    k = np.where(pairs[at] == keys, count[at], 0)
+    near = np.isin(lo, listed[:, 0])
+    pairs = np.sort(lo[near] * base + hi[near])
+    k = np.searchsorted(pairs, keys, side="right") - np.searchsorted(pairs, keys)
     wrong = np.flatnonzero(k != 1)
     if wrong.size:
         i = wrong[0]

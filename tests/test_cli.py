@@ -82,19 +82,25 @@ def forbid_slabs(monkeypatch):
     monkeypatch.setattr(stfem.SlabOperator, "__init__", no_slab)
 
 
-@pytest.mark.parametrize("blocked", ["out-is-a-file", "csv-is-a-directory"])
+@pytest.mark.parametrize("blocked", ["out-is-a-file", "csv-is-a-directory",
+                                     "csv-in-a-missing-directory"])
 def test_run_unwritable_output_exits_2_before_the_first_slab(tmp_path, capsys, monkeypatch,
                                                              blocked):
+    key = "[output] directory"
     cfg = make_config(tmp_path)
     out = tmp_path / "taken"
     if blocked == "out-is-a-file":
         out.write_text("")
-    else:
+    elif blocked == "csv-is-a-directory":
         (out / "run.csv").mkdir(parents=True)
+    else:
+        # the csv path names a directory that is not there: the csv key is at fault
+        cfg = make_config(tmp_path, "csv = sub/run.csv\n")
+        key = "[output] csv"
     forbid_slabs(monkeypatch)
     assert main(["run", "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: [output] directory: cannot write ") and str(out) in err
+    assert err.startswith(f"error: {key}: cannot write ") and str(out) in err
 
 
 @pytest.mark.parametrize("case", ["cbf", "meshupdate"])

@@ -128,6 +128,7 @@ CONFIG_ERRORS = [
     ("removed-numerics-section", _set("numerics", "solver_tol", 1e-8),
      r"\[numerics\]: unknown section"),
     ("removed-h-row", _set("mesh", "h_row", 0.125), r"\[mesh\] h_row: unknown key"),
+    ("default-section", _set("DEFAULT", "dt", 1), r"^\[DEFAULT\]: unknown section$"),
     ("negative-vtk-every", _set("output", "vtk_every", -1), "vtk_every"),
     ("no-out-dir", _del("output", "directory"), "directory"),
     ("bad-sensors", _set("output", "sensors", "1,2,3"), "sensors"),

@@ -375,19 +375,55 @@ def assert_same_mesh(a, b):
             assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
 
 
-@pytest.mark.parametrize("name", sorted(_BUILDERS))
-def test_block_parser_matches_the_line_reader(tmp_path, fixture_dir, name):
-    path = Path(fixture_dir, name)
+def _past_header(edit):
+    """``edit`` applied to the text below the 'CCMMESH 1' line."""
+    def spell(text):
+        head, rest = text.split("\n", 1)
+        return head + "\n" + edit(rest)
+    return spell
+
+
+# the same mesh file with other line ends and blanks; "\x0c" and "\x85" are
+# whitespace inside a line, where str.splitlines() would end it
+SPELLINGS = {
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+    "lone-cr": lambda text: text.replace("\n", "\r"),
+    "tabs": _past_header(lambda text: text.replace(" ", "\t")),
+    "trailing-blanks": lambda text: text.replace("\n", " \t\n"),
+    "form-feed-inside": _past_header(lambda text: text.replace(" ", " \x0c")),
+    "nel-inside": _past_header(lambda text: text.replace(" ", "\x85")),
+    "no-final-newline": lambda text: text.rstrip("\n"),
+}
+
+
+def respell(path, spelling, text):
+    """Write ``text`` to ``path`` as ``SPELLINGS[spelling]`` spells it (None: as is)."""
+    if spelling is not None:
+        text = SPELLINGS[spelling](text)
+    Path(path).write_text(text, encoding="utf-8", newline="")
+    return path
+
+
+@pytest.mark.parametrize("name, spelling",
+                         [pytest.param(name, None, id=name) for name in sorted(_BUILDERS)]
+                         + [pytest.param("strip_square.mesh", spelling,
+                                         id="strip_square.mesh-" + spelling)
+                            for spelling in SPELLINGS])
+def test_block_parser_matches_the_line_reader(tmp_path, fixture_dir, name, spelling):
+    original = Path(fixture_dir, name)
+    path = respell(tmp_path / "spelled.mesh", spelling, original.read_text())
     mesh = load_mesh(path)
     assert_same_mesh(mesh, load_mesh_by_line(path))
     save_mesh(mesh, tmp_path / name)
-    assert (tmp_path / name).read_bytes() == path.read_bytes()
+    assert (tmp_path / name).read_bytes() == original.read_bytes()
 
 
 @settings(max_examples=25, deadline=None)
 @given(n=st.integers(4, 12), strip=st.booleans(), n_virt=st.integers(2, 4),
-       scale=st.floats(0.01, 100.0), shift=st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)))
-def test_block_parser_matches_the_line_reader_on_drawn_meshes(n, strip, n_virt, scale, shift):
+       scale=st.floats(0.01, 100.0), shift=st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+       spelling=st.sampled_from([None, *SPELLINGS]))
+def test_block_parser_matches_the_line_reader_on_drawn_meshes(n, strip, n_virt, scale, shift,
+                                                              spelling):
     # an affine map keeps the mesh valid and gives coordinates of arbitrary bits
     mesh = meshgen.make_strip_square(n, n_virt=n_virt) if strip else meshgen.make_unit_square(n)
     mesh.nodes = mesh.nodes * scale + np.array(shift)
@@ -396,6 +432,7 @@ def test_block_parser_matches_the_line_reader_on_drawn_meshes(n, strip, n_virt, 
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "drawn.mesh")
         save_mesh(mesh, path)
+        respell(path, spelling, Path(path).read_text())
         loaded = load_mesh(path)
         assert_same_mesh(loaded, load_mesh_by_line(path))
         assert_same_mesh(loaded, mesh)
@@ -417,8 +454,9 @@ def test_generators_match_the_loop_builder(n, n_virt):
                          built_by_loop(meshgen.make_strip_square, n, n_virt))
 
 
-def corrupt(tmp_path, edit):
-    """make_unit_square(3) written with ``edit`` applied to its lines.
+def corrupt(tmp_path, edit, spelling=None):
+    """make_unit_square(3) written with ``edit`` applied to its lines, and
+    spelled as ``SPELLINGS[spelling]`` says.
 
     File line 19 holds ``TRIANGLES 18``, so triangle k is on line 20 + k;
     ``lines[i]`` is file line i + 1.
@@ -427,8 +465,7 @@ def corrupt(tmp_path, edit):
     lines = (tmp_path / "ok.mesh").read_text().splitlines()
     assert lines[18] == "TRIANGLES 18"
     edit(lines)
-    (tmp_path / "bad.mesh").write_text("\n".join(lines) + "\n")
-    return tmp_path / "bad.mesh"
+    return respell(tmp_path / "bad.mesh", spelling, "\n".join(lines) + "\n")
 
 
 def _set(line, text):
@@ -468,19 +505,28 @@ def test_bad_line_inside_a_block_is_named(tmp_path, edit, message):
     assert str(new.value) == str(old.value)
 
 
-@pytest.mark.parametrize("edit, message", [
-    # a NODES line with a fourth column, at file line 5 + 2
-    (_set(5, "2 0.5 0 7"), r"^nodes must be consecutive starting at 0 \(line 7\)$"),
-    # the 5th TRIANGLES line has a token that is no integer, at file line 24 + 2
-    (_set(24, "4 5 x 6 0"), r"^bad line 26: '4 5 x 6 0' \(invalid literal"),
-], ids=["nodes-4-columns", "non-numeric"])
-def test_messages_count_blank_lines(tmp_path, edit, message):
+# a NODES line with a fourth column, at file line 5 + 2
+_FOURTH_COLUMN = (_set(5, "2 0.5 0 7"), r"^nodes must be consecutive starting at 0 \(line 7\)$")
+# the 5th TRIANGLES line has a token that is no integer, at file line 24 + 2
+_NON_NUMERIC = (_set(24, "4 5 x 6 0"), r"^bad line 26: '4 5 x 6 0' \(invalid literal")
+
+
+@pytest.mark.parametrize("edit, message, spelling", [
+    pytest.param(*_FOURTH_COLUMN, None, id="nodes-4-columns"),
+    pytest.param(*_NON_NUMERIC, None, id="non-numeric"),
+    *(pytest.param(*_FOURTH_COLUMN, spelling, id="nodes-4-columns-" + spelling)
+      for spelling in SPELLINGS),
+    # spellings that leave the text of the named line as it was
+    *(pytest.param(*_NON_NUMERIC, spelling, id="non-numeric-" + spelling)
+      for spelling in ("crlf", "lone-cr", "trailing-blanks", "no-final-newline")),
+])
+def test_messages_count_blank_lines(tmp_path, edit, message, spelling):
     # two blank lines above the first NODES line move every later line of
     # the file down by two, and the message names the line where it is now
     def blank_lines_first(lines):
         edit(lines)
         lines[2:2] = ["", "  \t"]
-    path = corrupt(tmp_path, blank_lines_first)
+    path = corrupt(tmp_path, blank_lines_first, spelling)
     for load in (load_mesh, load_mesh_by_line):
         with pytest.raises(MeshFormatError, match=message):
             load(path)
@@ -507,3 +553,51 @@ def test_integer_too_large_is_a_bad_line(tmp_path):
     path = corrupt(tmp_path, _set(39, "99999999999999999999 1 bottom"))
     with pytest.raises(MeshFormatError, match=r"^bad line 39: '99999999999999999999 1 bottom'"):
         load_mesh(path)
+
+
+# spellings of an integer v that int() reads as v
+_AS_INT_READS = {
+    "plus": lambda v: "+%d" % v,
+    "underscore": lambda v: "0_%d" % v,
+    "arabic-indic": lambda v: "".join(chr(0x660 + int(d)) for d in str(v)),
+}
+# tokens that int() rejects or that do not fit int64, and the reason a message gives
+_NOT_INT64 = {
+    "1.5": "invalid literal for int() with base 10: '1.5'",
+    "0x10": "invalid literal for int() with base 10: '0x10'",
+    "99999999999999999999": "Python int too large to convert to C long",
+}
+# a token of the second line of each block: an edge's node, a region id, a
+# strip node
+_INT_SITES = [("BOUNDARY", 0), ("REGION_ROLE", 0), ("STRIP", 2)]
+
+
+def respelled_int(tmp_path, block, column, spell):
+    """make_strip_square(4) written with token ``column`` of the second line
+    of ``block`` replaced by ``spell(its value)``; the file, and the line's
+    number and text."""
+    path = tmp_path / "band.mesh"
+    save_mesh(meshgen.make_strip_square(4, n_virt=2), path)
+    lines = path.read_text().splitlines()
+    k = next(i for i, line in enumerate(lines) if line.startswith(block + " ")) + 2
+    tokens = lines[k].split()
+    tokens[column] = spell(int(tokens[column]))
+    lines[k] = " ".join(tokens)
+    return respell(path, None, "\n".join(lines) + "\n"), k + 1, lines[k]
+
+
+# the strip's row index, too, is read as int() reads it
+@pytest.mark.parametrize("block, column", _INT_SITES + [("STRIP", 0)])
+@pytest.mark.parametrize("spelling", sorted(_AS_INT_READS))
+def test_small_blocks_read_integers_as_int_does(tmp_path, block, column, spelling):
+    path, _, _ = respelled_int(tmp_path, block, column, _AS_INT_READS[spelling])
+    assert_same_mesh(load_mesh(path), meshgen.make_strip_square(4, n_virt=2))
+
+
+@pytest.mark.parametrize("block, column", _INT_SITES)
+@pytest.mark.parametrize("token", sorted(_NOT_INT64))
+def test_small_blocks_name_a_token_that_is_no_int64(tmp_path, block, column, token):
+    path, number, text = respelled_int(tmp_path, block, column, lambda v: token)
+    with pytest.raises(MeshFormatError) as exc:
+        load_mesh(path)
+    assert str(exc.value) == "bad line %d: %r (%s)" % (number, text, _NOT_INT64[token])
