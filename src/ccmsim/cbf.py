@@ -32,6 +32,9 @@ from .stfem import SlabOperator, SlabSolution
 
 __all__ = ["FluxResult", "recover_flux", "series_flux_reference"]
 
+_SERIES_TRUNCATION = 1e-14
+_SERIES_MIN_TERMS = 3
+
 
 @dataclass
 class FluxResult:
@@ -87,7 +90,7 @@ def recover_flux(op: SlabOperator, sol: SlabSolution, edges: np.ndarray,
     return FluxResult(nodes=nodes, nodal_flux=-float(rho_cp) * g, q_s_avg=q_s_avg)
 
 
-def series_flux_reference(t: float, truncation: float = 1e-14, min_terms: int = 3) -> float:
+def series_flux_reference(t: float) -> float:
     """Reference boundary flux for the unit-slab cooling problem.
 
     A unit-length rod at uniform temperature 1 with an insulated left end
@@ -96,10 +99,10 @@ def series_flux_reference(t: float, truncation: float = 1e-14, min_terms: int = 
 
         q_hat(t) = 2 * sum_{n>=1} exp(-lam_n^2 t),   lam_n = (2n-1)*pi/2.
 
-    Terms are added until one falls below ``truncation`` (with a floor of
-    ``min_terms`` terms).  ``t`` must be positive: the series diverges at
-    t = 0 (the flux is singular there); a ``t`` so small that the series
-    needs more than 100001 terms is a ValueError too.
+    Terms are added until one falls below ``_SERIES_TRUNCATION`` (with a
+    floor of ``_SERIES_MIN_TERMS`` terms).  ``t`` must be positive: the
+    series diverges at t = 0 (the flux is singular there); a ``t`` so small
+    that the series needs more than 100001 terms is a ValueError too.
     """
     if t <= 0.0:
         raise ValueError("series flux reference requires t > 0")
@@ -108,6 +111,6 @@ def series_flux_reference(t: float, truncation: float = 1e-14, min_terms: int = 
         lam = (2 * n - 1) * math.pi / 2.0
         term = math.exp(-lam * lam * t)
         total += term
-        if n >= min_terms and term < truncation:
+        if n >= _SERIES_MIN_TERMS and term < _SERIES_TRUNCATION:
             return 2.0 * total
     raise ValueError(f"flux series needs more than 100001 terms at t = {t:g}")

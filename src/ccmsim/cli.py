@@ -15,7 +15,7 @@ import os
 import sys
 
 from . import meshgen, verify
-from .driver import check_values, load_config, output_path, run
+from .driver import _float, _tags, check_values, load_config, output_path, run
 from .errors import ConfigError, NumericalError
 
 __all__ = ["main"]
@@ -97,26 +97,18 @@ def _cmd_verify(args) -> int:
         for h, dt, e, r in zip(table.h, table.dt, table.error, table.runtime):
             print(f"{h:g},{dt:g},{e:.6e},{r:.3f}")
     else:
-        err = verify.run_meshupdate_case(args.h, **given)
-        table = verify.ErrorTable(norm_kind="max_over_time_L2")
-        table.add_row(args.h, given.get("dt", 1.0), err, 0.0)
-        print(f"max L2 error at h={args.h:g}: {err:.6e}")
+        table = verify.meshupdate_convergence((args.h,), **given)
+        print(f"max L2 error at h={args.h:g}: {table.error[0]:.6e}")
     table.to_csv(path)
     print(f"wrote {path}")
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    values = []
-    for chunk in args.values.split(","):
-        chunk = chunk.strip()
-        if chunk:
-            try:
-                values.append(float(chunk))
-            except ValueError as exc:
-                raise ConfigError(f"--values: not a number: {chunk!r}") from exc
-            if not math.isfinite(values[-1]):
-                raise ConfigError(f"--values: not finite: {chunk!r}")
+    try:
+        values = [_float(chunk) for chunk in _tags(args.values)]
+    except ValueError as exc:
+        raise ConfigError(f"--values: {exc}") from exc
     if not values:
         raise ConfigError("--values: no values given")
 

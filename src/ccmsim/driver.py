@@ -229,7 +229,7 @@ def load_config(path) -> RunConfig:
     try:
         with open(path, encoding="utf-8") as f:
             cp.read_file(f)
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"config parse error in {path}: {exc}") from exc
 
     given = {section: dict(cp.items(section)) for section in cp.sections()}
@@ -591,7 +591,7 @@ def _set_up(cfg: RunConfig):
     farfield_nodes)`` of a run; ``state`` is None for a mesh without a band."""
     try:
         mesh = load_mesh(cfg.mesh_path)
-    except (OSError, MeshFormatError) as exc:
+    except (OSError, UnicodeDecodeError, MeshFormatError) as exc:
         raise ConfigError(f"[mesh] path: cannot load {cfg.mesh_path}: {exc}") from exc
     state = None
     if mesh.strip is not None:
@@ -624,6 +624,10 @@ def _set_up(cfg: RunConfig):
         log.warning(msg)
         warnings.append(msg)
 
+    for name in ("tip_tags", "side_tags", "farfield_tags"):
+        missing = tuple(t for t in getattr(cfg, name) or () if t not in mesh.boundary_tags)
+        if missing:
+            raise ConfigError(f"{_KEY_OF[name]}: no boundary edges tagged {missing!r}")
     tip_edges = mesh.tagged_edges(cfg.tip_tags)
     if tip_edges.shape[0] == 0:
         raise ConfigError(f"[source] tip_tags: no boundary edges tagged {cfg.tip_tags!r}")

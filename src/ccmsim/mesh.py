@@ -20,14 +20,14 @@ Mesh file format (version 1, plain text, whitespace separated)::
     STRIP h_row=<value> rows=<count>
     <row_index> [V] <node_id> <node_id> ...
 
-Node and triangle ids are consecutive and zero based.  Roles are one of
-``static``, ``strip``, ``update``, ``virtual``; the ``virtual`` label marks
-element bands that start life outside the strip window (they rotate into use
-as the strip recycles, so the label records the *initial* state only).  Rows
-are listed in ascending order along the recycling axis; a leading ``V`` flags
-rows whose nodes start outside the strip window.  Only tagged physical
-boundaries appear in BOUNDARY — untagged exterior edges carry the natural
-(insulated) condition implicitly.
+The file is read as UTF-8, and blank lines are skipped.  Node and triangle
+ids are consecutive and zero based.  Roles are one of ``static``, ``strip``,
+``update``, ``virtual``; the ``virtual`` label marks element bands that start
+life outside the strip window (they rotate into use as the strip recycles, so
+the label records the *initial* state only).  Rows are listed in ascending
+order along the recycling axis; a leading ``V`` flags rows whose nodes start
+outside the strip window.  Only tagged physical boundaries appear in BOUNDARY
+— untagged exterior edges carry the natural (insulated) condition implicitly.
 """
 
 from __future__ import annotations
@@ -39,6 +39,8 @@ import numpy as np
 
 ROLES = ("static", "strip", "update", "virtual")
 ROLE_CODE = {role: code for code, role in enumerate(ROLES)}
+# validate_mesh's tolerance on triangle areas and on the spread of a strip row
+_TOL = 1e-12
 
 
 class MeshFormatError(Exception):
@@ -127,7 +129,7 @@ def format_rows(fmt: str, rows) -> str:
 
 
 def save_mesh(mesh: Mesh, path) -> None:
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         f.write("CCMMESH 1\n")
         f.write("NODES %d\n" % mesh.n_nodes)
         # node ids ride along as float64, exact below 2**53, and print by %d
@@ -217,7 +219,7 @@ def load_mesh(path) -> Mesh:
     Only a block that fails is read again one line at a time, to name the
     offending line.
     """
-    with open(path) as f:
+    with open(path, encoding="utf-8") as f:
         # text mode has folded "\r\n" and "\r" into "\n"; str.splitlines()
         # would also break a line at "\x0c", "\x85" and other separators
         stripped = list(map(str.strip, f.read().split("\n")))
@@ -333,7 +335,7 @@ def load_mesh(path) -> Mesh:
 # ---------------------------------------------------------------------------
 # validation
 
-def validate_mesh(mesh: Mesh, tol: float = 1e-12) -> None:
+def validate_mesh(mesh: Mesh) -> None:
     """Structural checks; raises MeshFormatError on the first violation.
 
     Checks: index ranges, positive orientation of all non-virtual triangles,
@@ -352,7 +354,7 @@ def validate_mesh(mesh: Mesh, tol: float = 1e-12) -> None:
 
     real = code != ROLE_CODE["virtual"]
     areas = tri_areas(mesh.nodes, mesh.triangles)
-    bad = np.where(real & (areas <= tol))[0]
+    bad = np.where(real & (areas <= _TOL))[0]
     _expect(bad.size == 0,
             "non-virtual triangle %s has non-positive area" % (bad[:5].tolist(),))
 
@@ -396,7 +398,7 @@ def validate_mesh(mesh: Mesh, tol: float = 1e-12) -> None:
         c = mesh.nodes[all_ids, _strip_axis(mesh, s)]
         ords = c[start]
         spread = np.maximum.reduceat(c, start) - np.minimum.reduceat(c, start)
-        _expect(np.all(spread <= tol * np.maximum(1.0, np.abs(ords)) + tol),
+        _expect(np.all(spread <= _TOL * np.maximum(1.0, np.abs(ords)) + _TOL),
                 "strip row not aligned on a line")
         d = np.diff(ords)
         _expect(np.allclose(d, s.h_row, rtol=1e-9, atol=1e-12),

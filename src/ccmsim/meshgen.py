@@ -21,11 +21,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mesh import Mesh, StripLayout, tri_areas, validate_mesh
-from .motion import zipper_triangles
+from .mesh import ROLE_CODE, ROLES, Mesh, StripLayout, validate_mesh
+from .motion import zipper_flip, zipper_triangles
 
-STATIC, STRIP, UPDATE, VIRTUAL = 0, 1, 2, 3
-_ROLES = {STATIC: "static", STRIP: "strip", UPDATE: "update", VIRTUAL: "virtual"}
 STRIP_MIN_ROWS = 4      # fewest rows per side of make_strip_square
 
 
@@ -33,7 +31,8 @@ class _Builder:
     """Accumulates nodes/triangles/edges and compacts unused nodes at the end.
 
     Nodes and triangles are kept as one array block per lattice or zipper,
-    in the order they are added.
+    in the order they are added; a triangle's region id is its role's code
+    in ROLE_CODE.
     """
 
     def __init__(self):
@@ -46,15 +45,15 @@ class _Builder:
         self.virtual_rows: list[bool] = []
         self.h_row: float | None = None
 
-    def lattice(self, us, vs, axis, region_fn, ring=False, record_rows=False,
-                virtual_lines=()):
+    def lattice(self, us, vs, axis, region_fn, virtual_lines=None):
         """Add a block of nodes on the tensor grid us x vs.
 
         ``axis`` maps (u, v) to physical coordinates: axis=0 means x=u,
         axis=1 means y=u.  ``region_fn(iu, iv)`` gives the region id of
-        cell (iu, iv) or -1 to omit it.  ``ring=True`` appends the wrap
-        band joining the last u-line back to the first.  ``record_rows``
-        registers each u-line as a strip row (ring order = ascending u).
+        cell (iu, iv) or -1 to omit it.  A block given ``virtual_lines``,
+        the u-lines that start outside the window, is the recycling strip:
+        it appends the wrap band joining the last u-line back to the first
+        and registers each u-line as a strip row (ring order = ascending u).
         Nodes run u-line by u-line; each kept cell adds two triangles, cells
         in the order of their u-band, then of v.
         Returns the (len(us), len(vs)) array of node ids.
@@ -66,7 +65,8 @@ class _Builder:
         uv = (np.repeat(us, nv), np.tile(vs, nu))
         self.pts.append(np.column_stack(uv if axis == 0 else uv[::-1]))
         self.n_pts += nu * nv
-        n_bands = nu - 1 + (1 if ring else 0)
+        strip = virtual_lines is not None
+        n_bands = nu - 1 + strip
         reg = np.array([[region_fn(iu, iv) for iv in range(nv - 1)] for iu in range(n_bands)],
                         dtype=np.int64).reshape(n_bands, nv - 1)
         keep = reg >= 0
@@ -81,7 +81,7 @@ class _Builder:
             tris[1::2] = np.column_stack([n00, n11, n10])
         self.tris.append(tris)
         self.regions.append(np.repeat(reg[keep], 2))
-        if record_rows:
+        if strip:
             self.h_row = float(us[1] - us[0])
             self.rows.extend(gid)
             self.virtual_rows.extend(iu in virtual_lines for iu in range(nu))
@@ -89,11 +89,10 @@ class _Builder:
 
     def zipper(self, static_col, ring_col, ell0):
         """Stitch a static column to a strip edge column (ring order)."""
-        trial = zipper_triangles(static_col, ring_col, ell0, flip=False)
-        flip = bool(tri_areas(np.concatenate(self.pts), trial[:1])[0] <= 0)
+        flip = zipper_flip(np.concatenate(self.pts), static_col, ring_col, ell0)
         tris = zipper_triangles(static_col, ring_col, ell0, flip)
         self.tris.append(tris)
-        self.regions.append(np.full(len(tris), UPDATE, dtype=np.int64))
+        self.regions.append(np.full(len(tris), ROLE_CODE["update"], dtype=np.int64))
 
     def edge(self, a, b, tag):
         self.edges.append((int(a), int(b), tag))
@@ -118,7 +117,7 @@ class _Builder:
             rows = [np.sort(remap[row[used[row]]]) for row in self.rows]
             strip = StripLayout(self.h_row, rows,
                                 np.array(self.virtual_rows, dtype=bool))
-        roles = {int(r): _ROLES[int(r)] for r in np.unique(region)}
+        roles = {int(r): ROLES[int(r)] for r in np.unique(region)}
         mesh = Mesh(pts[used], tris, region, edges, tags, roles, strip)
         validate_mesh(mesh)
         return mesh
@@ -131,7 +130,7 @@ def make_unit_square(n: int) -> Mesh:
     left/right/bottom/top."""
     b = _Builder()
     xs = np.arange(n + 1) / n
-    gid = b.lattice(xs, xs, axis=0, region_fn=lambda iu, iv: STATIC)
+    gid = b.lattice(xs, xs, axis=0, region_fn=lambda iu, iv: ROLE_CODE["static"])
     b.edge_run(gid[0, :], "left")
     b.edge_run(gid[-1, :], "right")
     b.edge_run(gid[:, 0], "bottom")
@@ -162,13 +161,12 @@ def make_strip_square(n: int, n_virt: int = 2) -> Mesh:
     b = _Builder()
 
     def strip_region(iu, iv):
-        return STRIP if iu < n else VIRTUAL
+        return ROLE_CODE["strip"] if iu < n else ROLE_CODE["virtual"]
 
-    gs = b.lattice(lines, xs_strip, axis=1, region_fn=strip_region, ring=True,
-                   record_rows=True,
+    gs = b.lattice(lines, xs_strip, axis=1, region_fn=strip_region,
                    virtual_lines=set(range(n + 1, L)))
-    gl = b.lattice(ys_static, xs_left, axis=1, region_fn=lambda iu, iv: STATIC)
-    gr = b.lattice(ys_static, xs_right, axis=1, region_fn=lambda iu, iv: STATIC)
+    gl = b.lattice(ys_static, xs_left, axis=1, region_fn=lambda iu, iv: ROLE_CODE["static"])
+    gr = b.lattice(ys_static, xs_right, axis=1, region_fn=lambda iu, iv: ROLE_CODE["static"])
     b.zipper(gl[:, -1], gs[:, 0], ell0=0)
     b.zipper(gr[:, 0], gs[:, -1], ell0=0)
     b.edge_run(gl[:, 0], "left")
@@ -211,12 +209,12 @@ def make_ramp_mesh() -> Mesh:
     def strip_region(iu, iv):
         if iv >= i_foot0 and face_line <= iu < cap_line:
             return -1                        # inside the cavity
-        return STRIP if iu < n_phys else VIRTUAL
+        return ROLE_CODE["strip"] if iu < n_phys else ROLE_CODE["virtual"]
 
     b = _Builder()
-    gs = b.lattice(lines, xs_strip, axis=1, region_fn=strip_region, ring=True,
-                   record_rows=True, virtual_lines=set(range(n_phys + 1, L)))
-    gl = b.lattice(ys_static, xs_left, axis=1, region_fn=lambda iu, iv: STATIC)
+    gs = b.lattice(lines, xs_strip, axis=1, region_fn=strip_region,
+                   virtual_lines=set(range(n_phys + 1, L)))
+    gl = b.lattice(ys_static, xs_left, axis=1, region_fn=lambda iu, iv: ROLE_CODE["static"])
     b.zipper(gl[:, -1], gs[:, 0], ell0=0)
 
     b.edge_run(gl[:, 0], "left")
@@ -265,13 +263,13 @@ def make_probe_mesh() -> Mesh:
         if i_foot0 <= iv < i_foot0 + 16:
             if _PROBE_NOSE[iv - i_foot0] <= iu < cap_line:
                 return -1                    # inside the probe cavity
-        return STRIP if iu < n_phys else VIRTUAL
+        return ROLE_CODE["strip"] if iu < n_phys else ROLE_CODE["virtual"]
 
     b = _Builder()
-    gs = b.lattice(lines, xs_strip, axis=1, region_fn=strip_region, ring=True,
-                   record_rows=True, virtual_lines=set(range(n_phys + 1, L)))
-    gl = b.lattice(ys_static, xs_left, axis=1, region_fn=lambda iu, iv: STATIC)
-    gr = b.lattice(ys_static, xs_right, axis=1, region_fn=lambda iu, iv: STATIC)
+    gs = b.lattice(lines, xs_strip, axis=1, region_fn=strip_region,
+                   virtual_lines=set(range(n_phys + 1, L)))
+    gl = b.lattice(ys_static, xs_left, axis=1, region_fn=lambda iu, iv: ROLE_CODE["static"])
+    gr = b.lattice(ys_static, xs_right, axis=1, region_fn=lambda iu, iv: ROLE_CODE["static"])
     b.zipper(gl[:, -1], gs[:, 0], ell0=0)
     b.zipper(gr[:, 0], gs[:, -1], ell0=0)
 
@@ -328,14 +326,14 @@ def make_hotwire_mesh() -> Mesh:
         if rod_lo <= iu < rod_hi and iv < rod_top:
             return -1
         if iu < n_virt - 1 or iu >= L - 1:
-            return VIRTUAL
-        return STRIP
+            return ROLE_CODE["virtual"]
+        return ROLE_CODE["strip"]
 
     b = _Builder()
-    gs = b.lattice(lines, vs_strip, axis=0, region_fn=strip_region, ring=True,
-                   record_rows=True, virtual_lines=set(range(n_virt - 1)))
+    gs = b.lattice(lines, vs_strip, axis=0, region_fn=strip_region,
+                   virtual_lines=set(range(n_virt - 1)))
     gt = b.lattice(xs_static, ys_static, axis=0,
-                   region_fn=lambda iu, iv: STATIC)
+                   region_fn=lambda iu, iv: ROLE_CODE["static"])
     b.zipper(gt[:, 0], gs[:, -1], ell0=n_virt - 1)
 
     b.edge_run(gt[:, -1], "top")

@@ -47,7 +47,6 @@ class MotionState:
     n_lines: int
     n_phys: int                # window intervals
     ell0: int                  # ring index of the line at the window start
-    grace: float               # exit overhang before a node wraps (= h_row)
     strip_nodes: np.ndarray    # all strip node ids
     c0: np.ndarray             # as-generated axis ordinate per strip node
     tri_code: np.ndarray       # role code per triangle (int8)
@@ -56,11 +55,6 @@ class MotionState:
     seams: list[Seam] = field(default_factory=list)
     displacement: float = 0.0
     n_slips: int = 0
-
-    @property
-    def offset(self) -> float:
-        """Displacement since the last slip, in [0, h_row)."""
-        return self.displacement - self.n_slips * self.h_row
 
 
 @dataclass
@@ -95,12 +89,20 @@ def zipper_triangles(static_nodes, ring_nodes, j0, flip):
     return out
 
 
+def zipper_flip(coords, static_nodes, ring_nodes, j0) -> bool:
+    """The ``flip`` of :func:`zipper_triangles` that gives the zipper of
+    ring shift ``j0`` positive areas on ``coords``."""
+    trial = zipper_triangles(static_nodes, ring_nodes, j0, flip=False)
+    return bool(tri_areas(coords, trial[:1])[0] <= 0)
+
+
 def _embed(state: MotionState, c0: np.ndarray, displacement: float) -> np.ndarray:
-    """Physical axis ordinates for ring ordinates ``c0`` at a displacement."""
+    """Physical axis ordinates for ring ordinates ``c0`` at a displacement;
+    a node wraps once it is one row past the window's exit edge."""
     if state.sign < 0:
-        base = state.w_lo - state.grace
+        base = state.w_lo - state.h_row
         return base + np.mod(c0 - base - displacement, state.circumference)
-    base = state.w_hi + state.grace
+    base = state.w_hi + state.h_row
     return base - np.mod(base - c0 - displacement, state.circumference)
 
 
@@ -160,7 +162,7 @@ def init_motion(mesh: Mesh, direction) -> MotionState:
 
     state = MotionState(axis=axis, sign=sign, h_row=h, w_lo=w_lo, w_hi=w_hi,
                         circumference=L * h, n_lines=L, n_phys=n_phys,
-                        ell0=ell0, grace=h, strip_nodes=strip_nodes, c0=c0,
+                        ell0=ell0, strip_nodes=strip_nodes, c0=c0,
                         tri_code=tri_code, tri_rows=tri_rows,
                         corner_nodes=first[corner_rows])
     state.seams = _discover_seams(mesh, state)
@@ -180,7 +182,7 @@ def _rows_are_lines(mesh: Mesh, axis: int) -> bool:
 def _discover_seams(mesh: Mesh, state: MotionState) -> list[Seam]:
     in_strip = np.zeros(mesh.n_nodes, dtype=bool)
     in_strip[state.strip_nodes] = True
-    upd = np.where(state.tri_code == 2)[0]
+    upd = np.where(state.tri_code == ROLE_CODE["update"])[0]
     if upd.size == 0:
         return []
     tv = 1 - state.axis
@@ -214,10 +216,7 @@ def _discover_seams(mesh: Mesh, state: MotionState) -> list[Seam]:
         if len(slots) != 2 * state.n_phys:
             raise ValueError("seam at %g: %d update triangles, expected %d"
                              % (v, len(slots), 2 * state.n_phys))
-        # pick the winding that gives positive areas in the initial position
-        trial = zipper_triangles(stat, col, state.ell0, flip=False)
-        flip = bool(tri_areas(mesh.nodes, trial[:1])[0] <= 0)
-        seams.append(Seam(stat, col, slots, flip))
+        seams.append(Seam(stat, col, slots, zipper_flip(mesh.nodes, stat, col, state.ell0)))
     return seams
 
 
@@ -269,7 +268,7 @@ def element_shapes(mesh: Mesh, state: MotionState) -> np.ndarray:
     to within half a ring of its first corner.
     """
     xe = mesh.nodes[mesh.triangles]
-    band = (state.tri_code == 1) | (state.tri_code == 3)
+    band = (state.tri_code == ROLE_CODE["strip"]) | (state.tri_code == ROLE_CODE["virtual"])
     c = xe[band, :, state.axis]
     c -= state.circumference * np.round((c - c[:, :1]) / state.circumference)
     xe[band, :, state.axis] = c

@@ -47,9 +47,8 @@ _QW = np.array([1 / 3, 1 / 3, 1 / 3])  # fractions of the element area
 
 @dataclass
 class ErrorTable:
-    """Rows of (h, dt, error, runtime-seconds) under a named error norm."""
+    """Rows of (h, dt, error, runtime-seconds)."""
 
-    norm_kind: str  # L2_spatial_at_t | max_over_time_L2 | relative_scalar
     h: list = field(default_factory=list)
     dt: list = field(default_factory=list)
     error: list = field(default_factory=list)
@@ -63,27 +62,18 @@ class ErrorTable:
         self.error.append(float(error))
         self.runtime.append(float(runtime))
 
-    def validate(self) -> None:
-        if any(self.h[i] < self.h[i + 1] for i in range(len(self.h) - 1)):
-            raise ValueError("error table rows must be sorted by h descending")
-        if any(not (math.isfinite(e) and e >= 0.0) for e in self.error):
-            raise ValueError("error norms must be finite and >= 0")
-
     def to_csv(self, path) -> None:
-        self.validate()
         with open(path, "w", encoding="utf-8") as f:
             f.write("h,dt,error,runtime\n")
             for h, dt, e, r in zip(self.h, self.dt, self.error, self.runtime):
                 f.write(f"{h:.17g},{dt:.17g},{e:.17g},{r:.17g}\n")
 
 
-def l2_error(coords: np.ndarray, conn: np.ndarray, field_values: np.ndarray,
-             exact, relative: bool = False) -> float:
+def l2_error(coords: np.ndarray, conn: np.ndarray, field_values: np.ndarray, exact) -> float:
     """L2 norm of (nodal field - exact) over the given triangles.
 
     ``exact`` maps an (k, 2) coordinate array to exact values.  A degree-2
-    quadrature rule integrates the squared difference element-wise; the
-    relative variant divides by the norm of the exact field.
+    quadrature rule integrates the squared difference element-wise.
     """
     conn = np.asarray(conn, dtype=np.int64).reshape(-1, 3)
     if conn.size == 0:
@@ -92,16 +82,12 @@ def l2_error(coords: np.ndarray, conn: np.ndarray, field_values: np.ndarray,
     area = np.abs(tri_areas(coords, conn))
     fv = field_values[conn]                            # (ne, 3)
     acc = 0.0
-    ref = 0.0
     for (xi, eta), wq in zip(_QP, _QW):
         nsh = np.array([1.0 - xi - eta, xi, eta])
         xq = np.einsum("a,eai->ei", nsh, p)
         fq = fv @ nsh
         eq = np.asarray(exact(xq), dtype=float)
         acc += wq * np.sum(area * (fq - eq) ** 2)
-        ref += wq * np.sum(area * eq**2)
-    if relative:
-        return math.sqrt(acc) / math.sqrt(ref)
     return math.sqrt(acc)
 
 
@@ -146,7 +132,7 @@ def run_cbf_case(h: float = 0.02, dt: float = 0.05, n_steps: int = 20) -> ErrorT
     T = np.ones(mesh.n_nodes)
     plan = driver.slab_plan(mesh, None)
 
-    table = ErrorTable(norm_kind="relative_scalar")
+    table = ErrorTable()
     for q in q_ref:
         tic = time.perf_counter()
         op, sol, T, _ = driver.slab_step(
@@ -160,7 +146,7 @@ def run_cbf_case(h: float = 0.02, dt: float = 0.05, n_steps: int = 20) -> ErrorT
 
 
 def run_meshupdate_case(h: float, velocity: float = 0.005, dt: float = 1.0,
-                        n_steps: int = 20, n_virt: int = 2) -> float:
+                        n_steps: int = 20) -> float:
     """Sliding-band benchmark: stationary field T = x under mesh motion.
 
     A vertical band of the unit-square mesh (0.3 < x < 0.7) slides
@@ -172,7 +158,7 @@ def run_meshupdate_case(h: float, velocity: float = 0.005, dt: float = 1.0,
     steps, computed on the active elements.  A step that would move the
     band by half its ring or more is a ConfigError before the first slab.
     """
-    mesh = meshgen.make_strip_square(grid_cells(h, meshgen.STRIP_MIN_ROWS), n_virt=n_virt)
+    mesh = meshgen.make_strip_square(grid_cells(h, meshgen.STRIP_MIN_ROWS))
     state = motion.init_motion(mesh, (0.0, -1.0))
     if velocity * dt >= state.circumference / 2:
         raise ConfigError(f"dt: the band moves {velocity * dt:g} per step; half its ring "
@@ -193,13 +179,13 @@ def run_meshupdate_case(h: float, velocity: float = 0.005, dt: float = 1.0,
     return max_err
 
 
-def meshupdate_convergence(hs=(0.2, 0.1, 0.05, 0.025), velocity: float = 0.005,
-                           dt: float = 1.0, n_steps: int = 20) -> ErrorTable:
+def meshupdate_convergence(hs=(0.2, 0.1, 0.05, 0.025), dt: float = 1.0,
+                           n_steps: int = 20) -> ErrorTable:
     """Run the sliding-band benchmark over a family of grid sizes."""
-    table = ErrorTable(norm_kind="max_over_time_L2")
+    table = ErrorTable()
     for h in sorted(hs, reverse=True):
         tic = time.perf_counter()
-        err = run_meshupdate_case(h, velocity=velocity, dt=dt, n_steps=n_steps)
+        err = run_meshupdate_case(h, dt=dt, n_steps=n_steps)
         table.add_row(h, dt, err, time.perf_counter() - tic)
     return table
 

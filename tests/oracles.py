@@ -21,8 +21,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import solve_banded
 
-from ccmsim import meshgen, stfem
-from ccmsim.mesh import ROLES, Mesh, MeshFormatError, StripLayout, tri_areas, validate_mesh
+from ccmsim import stfem
+from ccmsim.mesh import (ROLE_CODE, ROLES, Mesh, MeshFormatError, StripLayout, tri_areas,
+                         validate_mesh)
 from ccmsim.motion import zipper_triangles
 
 
@@ -197,7 +198,7 @@ def load_mesh_by_line(path):
         if not cond:
             raise MeshFormatError(msg)
 
-    with open(path) as f:
+    with open(path, encoding="utf-8") as f:
         numbered = [(i, ln.strip()) for i, ln in enumerate(f, 1) if ln.strip()]
     at = [i for i, _ in numbered]
     lines = [ln for _, ln in numbered]
@@ -244,13 +245,16 @@ def load_mesh_by_line(path):
             pos += 1
 
         r = header("REGION_ROLE")
-        roles = {}
+        region_ids = np.empty(r, dtype=np.int64)
+        role_names = []
         for i in range(r):
             parts = lines[pos].split()
             _expect(len(parts) == 2, "bad REGION_ROLE line %d" % at[pos])
             _expect(parts[1] in ROLES, "unknown role %r" % parts[1])
-            roles[int(parts[0])] = parts[1]
+            region_ids[i] = int(parts[0])
+            role_names.append(parts[1])
             pos += 1
+        roles = dict(zip(region_ids.tolist(), role_names))
 
         strip = None
         if pos < len(lines):
@@ -274,7 +278,7 @@ def load_mesh_by_line(path):
                 pos += 1
             strip = StripLayout(h_row, rows, virt)
         _expect(pos == len(lines), "trailing content after line %d" % at[pos - 1])
-    except (IndexError, ValueError) as exc:
+    except (IndexError, ValueError, OverflowError) as exc:
         if pos >= len(lines):
             raise MeshFormatError("file ends early after line %d" % at[-1]) from exc
         raise MeshFormatError("bad line %d: %r (%s)" % (at[pos], lines[pos], exc)) from exc
@@ -361,15 +365,15 @@ class BuilderByLoop:
         self.virtual_rows: list[bool] = []
         self.h_row: float | None = None
 
-    def lattice(self, us, vs, axis, region_fn, ring=False, record_rows=False,
-                virtual_lines=()):
+    def lattice(self, us, vs, axis, region_fn, virtual_lines=None):
         """Add a block of nodes on the tensor grid us x vs.
 
         ``axis`` maps (u, v) to physical coordinates: axis=0 means x=u,
         axis=1 means y=u.  ``region_fn(iu, iv)`` gives the region id of
-        cell (iu, iv) or -1 to omit it.  ``ring=True`` appends the wrap
-        band joining the last u-line back to the first.  ``record_rows``
-        registers each u-line as a strip row (ring order = ascending u).
+        cell (iu, iv) or -1 to omit it.  A block given ``virtual_lines``,
+        the u-lines that start outside the window, is the recycling strip:
+        it appends the wrap band joining the last u-line back to the first
+        and registers each u-line as a strip row (ring order = ascending u).
         Returns the (len(us), len(vs)) array of node ids.
         """
         us = np.asarray(us, dtype=float)
@@ -379,7 +383,7 @@ class BuilderByLoop:
         for u in us:
             for v in vs:
                 self.pts.append((u, v) if axis == 0 else (v, u))
-        n_bands = len(us) - 1 + (1 if ring else 0)
+        n_bands = len(us) - 1 if virtual_lines is None else len(us)
         for iu in range(n_bands):
             nxt = (iu + 1) % len(us)
             for iv in range(len(vs) - 1):
@@ -396,7 +400,7 @@ class BuilderByLoop:
                 else:
                     self.tris.append((n00, nv, n11, reg))
                     self.tris.append((n00, n11, nu, reg))
-        if record_rows:
+        if virtual_lines is not None:
             self.h_row = float(us[1] - us[0])
             for iu in range(len(us)):
                 self.rows.append([int(n) for n in gid[iu]])
@@ -409,7 +413,7 @@ class BuilderByLoop:
         trial = zipper_triangles(static_col, ring_col, ell0, flip=False)
         flip = bool(tri_areas(pts, trial[:1])[0] <= 0)
         for a, b, c in zipper_triangles(static_col, ring_col, ell0, flip):
-            self.tris.append((int(a), int(b), int(c), meshgen.UPDATE))
+            self.tris.append((int(a), int(b), int(c), ROLE_CODE["update"]))
 
     def edge(self, a, b, tag):
         self.edges.append((int(a), int(b), tag))
@@ -436,7 +440,7 @@ class BuilderByLoop:
                              dtype=np.int64) for row in self.rows]
             strip = StripLayout(self.h_row, rows,
                                 np.array(self.virtual_rows, dtype=bool))
-        roles = {int(r): meshgen._ROLES[int(r)] for r in np.unique(region)}
+        roles = {int(r): ROLES[int(r)] for r in np.unique(region)}
         mesh = Mesh(pts[used], tris, region, edges, tags, roles, strip)
         validate_mesh(mesh)
         return mesh

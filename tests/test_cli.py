@@ -1,5 +1,6 @@
 import configparser
 import os
+import shutil
 import subprocess
 import sys
 
@@ -241,6 +242,7 @@ def test_verify_meshupdate(tmp_path):
     lines = (tmp_path / "meshupdate_errors.csv").read_text().strip().splitlines()
     assert lines[0] == "h,dt,error,runtime"
     assert len(lines) == 2
+    assert float(lines[1].split(",")[3]) > 0.0         # the case's measured runtime
 
 
 def test_verify_meshupdate_honours_dt_and_steps(tmp_path):
@@ -292,6 +294,59 @@ def test_run_corrupt_mesh_exits_2(tmp_path, capsys, content, match):
     assert main(["run", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert "[mesh] path" in err and match in err
+
+
+def copy_power_3kw(tmp_path, fixture_dir):
+    """power_3kw.ini and its ramp.mesh, copied side by side into ``tmp_path``;
+    the paths of the copies."""
+    for name in ("power_3kw.ini", "ramp.mesh"):
+        shutil.copy(os.path.join(fixture_dir, name), tmp_path)
+    return tmp_path / "power_3kw.ini", tmp_path / "ramp.mesh"
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("bad, text, with_byte, message", [
+    # in a comment of the config, or on a line of its own after the mesh's header
+    ("config", b"# 3000 W", b"# \xff 3000 W", "config parse error in {config}: "),
+    ("mesh", b"1\nNODES", b"1\n\xff\nNODES", "[mesh] path: cannot load {mesh}: "),
+])
+def test_undecodable_input_file_exits_2_before_the_first_slab(
+        tmp_path, fixture_dir, capsys, monkeypatch, command, bad, text, with_byte, message):
+    paths = dict(zip(("config", "mesh"), copy_power_3kw(tmp_path, fixture_dir)))
+    data = paths[bad].read_bytes()
+    assert text in data
+    paths[bad].write_bytes(data.replace(text, with_byte, 1))
+    forbid_slabs(monkeypatch)
+    out = str(tmp_path / "out")
+    argv = (["run", "--config", str(paths["config"]), "--out", out] if command == "run" else
+            ["sweep", "--config", str(paths["config"]), "--key", "source.q_h",
+             "--values", "3000", "--out", out])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + message.format(**paths))
+    assert "'utf-8' codec can't decode byte 0xff" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("section, key, given, missing", [
+    ("source", "side_tags", "nose,sid", "sid"),
+    ("mesh", "farfield_tags", "botom", "botom"),
+    ("source", "tip_tags", "tip,tpi", "tpi"),
+])
+def test_misspelt_boundary_tag_exits_2_before_the_first_slab(
+        tmp_path, fixture_dir, capsys, monkeypatch, section, key, given, missing):
+    config, _ = copy_power_3kw(tmp_path, fixture_dir)
+    ini = configparser.ConfigParser(interpolation=None)
+    ini.optionxform = str
+    ini.read(config)
+    ini[section][key] = given
+    with open(config, "w") as f:
+        ini.write(f)
+    forbid_slabs(monkeypatch)
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: [{section}] {key}: no boundary edges tagged ('{missing}',)")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("ids, match", [

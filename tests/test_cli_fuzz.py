@@ -4,8 +4,9 @@ The CLI's contract is exit 0 on success, 2 for bad input (before step 0)
 and 3 for a numerical failure, which leaves ``abort_state.vtk`` behind;
 never a Python traceback.  These properties perturb the numeric keys of
 the ramp and hotwire fixtures, their mode and time step, their string keys
-with characters an INI file may treat specially, and the options of
-``verify`` and ``sweep``, over short runs.
+with characters an INI file may treat specially, the config's bytes with
+one that is no UTF-8, and the options of ``verify`` and ``sweep``, over
+short runs.
 """
 
 import configparser
@@ -42,7 +43,9 @@ def scale():
 
 @st.composite
 def configs(draw):
-    """Sections of a perturbed ramp or hotwire config, 2-6 steps long."""
+    """Sections of a perturbed ramp or hotwire config, 2-6 steps long, and
+    None or a byte that is no UTF-8 with where in the file it goes, as a
+    fraction of the file's length."""
     ini = configparser.ConfigParser(interpolation=None)
     ini.optionxform = str
     ini.read(os.path.join(FIXTURE_DIR, draw(st.sampled_from(["power_3kw", "hotwire"])) + ".ini"))
@@ -70,7 +73,8 @@ def configs(draw):
         value = base or cfg[section][key]
         at = draw(st.integers(0, len(value)))
         cfg[section][key] = value[:at] + draw(st.text("%;,#=", min_size=1, max_size=3)) + value[at:]
-    return cfg
+    junk = draw(st.none() | st.tuples(st.sampled_from([b"\x80", b"\xff"]), st.floats(0.0, 1.0)))
+    return cfg, junk
 
 
 def call(argv):
@@ -93,18 +97,26 @@ def assert_exit_contract(code, err, out_dir=None):
 
 
 @settings(max_examples=15, deadline=None)
-@given(cfg=configs(), command=st.sampled_from(["run", "sweep"]),
+@given(case=configs(), command=st.sampled_from(["run", "sweep"]),
        values=st.lists(st.one_of(scale(), st.sampled_from(NOT_NUMBERS)), min_size=1,
                        max_size=2))
-def test_run_and_sweep_end_in_an_exit_code(cfg, command, values):
+def test_run_and_sweep_end_in_an_exit_code(case, command, values):
+    cfg, junk = case
     with tempfile.TemporaryDirectory() as tmp:
         out = cfg["output"]["directory"] = os.path.join(tmp, cfg["output"]["directory"])
         ini = configparser.ConfigParser(interpolation=None)
         ini.optionxform = str
         ini.read_dict(cfg)
+        text = io.StringIO()
+        ini.write(text)
+        data = text.getvalue().encode()
+        if junk is not None:
+            byte, where = junk
+            at = round(where * len(data))
+            data = data[:at] + byte + data[at:]
         path = os.path.join(tmp, "case.ini")
-        with open(path, "w") as f:
-            ini.write(f)
+        with open(path, "wb") as f:
+            f.write(data)
         if command == "run":
             argv = ["run", "--config", path]
         else:

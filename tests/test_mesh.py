@@ -598,6 +598,7 @@ def test_small_blocks_read_integers_as_int_does(tmp_path, block, column, spellin
 @pytest.mark.parametrize("token", sorted(_NOT_INT64))
 def test_small_blocks_name_a_token_that_is_no_int64(tmp_path, block, column, token):
     path, number, text = respelled_int(tmp_path, block, column, lambda v: token)
-    with pytest.raises(MeshFormatError) as exc:
-        load_mesh(path)
-    assert str(exc.value) == "bad line %d: %r (%s)" % (number, text, _NOT_INT64[token])
+    for load in (load_mesh, load_mesh_by_line):
+        with pytest.raises(MeshFormatError) as exc:
+            load(path)
+        assert str(exc.value) == "bad line %d: %r (%s)" % (number, text, _NOT_INT64[token])

@@ -106,7 +106,8 @@ def test_slip_sequence():
     slips = [motion.advance(mesh, state, 0.04).slips for _ in range(3)]
     assert slips == [0, 0, 1]
     assert state.n_slips == 1
-    assert state.offset == pytest.approx(0.02)
+    # displacement since the last slip
+    assert state.displacement - state.n_slips * state.h_row == pytest.approx(0.02)
 
 
 def test_many_small_steps_accumulate():
