@@ -7,9 +7,10 @@ Runs probe_temperature (60 steps), power_3kw (180), hotwire (180) and
 power_1kw (60) in a temporary directory, without VTK snapshots, and prints
 for each the number of slabs factored, the GMRES steps summed over all
 slabs, the full products with a slab operator (``SlabOperator._apply``
-calls), the final displacement and the mean U over the last 10% of the
-steps.  It times nothing, so its numbers are the same on any host; a change
-to the solver compares them with the parent's.
+calls), the evaluations of the melt closures' residual in their root
+solves (``velocity.solve_scalar``), the final displacement and the mean U
+over the last 10% of the steps.  It times nothing, so its numbers are the
+same on any host; a change to the solver compares them with the parent's.
 """
 
 from __future__ import annotations
@@ -22,15 +23,16 @@ import tempfile
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from ccmsim import driver, stfem  # noqa: E402
+from ccmsim import driver, stfem, velocity  # noqa: E402
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
 RUNS = [("probe_temperature", 60), ("power_3kw", 180), ("hotwire", 180), ("power_1kw", 60)]
 
 
 def main() -> None:
-    work, products = [], []
+    work, products, evaluations = [], [], []
     solve, apply = stfem.SlabOperator.solve, stfem.SlabOperator._apply
+    solve_scalar = velocity.solve_scalar
 
     def counted(op):
         sol = solve(op)
@@ -41,11 +43,18 @@ def main() -> None:
         products.append(None)
         return apply(op, x)
 
+    def evaluated(f, lo, hi, **kwargs):
+        def g(U):
+            evaluations.append(None)
+            return f(U)
+        return solve_scalar(g, lo, hi, **kwargs)
+
     stfem.SlabOperator.solve = counted
     stfem.SlabOperator._apply = applied
+    velocity.solve_scalar = evaluated
     logging.disable(logging.WARNING)         # the runs' own warnings, not the table
     print(f"{'fixture':<18} {'steps':>5} {'factored':>8} {'gmres':>6} {'products':>8} "
-          f"{'displacement (m)':>17} {'mean U (m/s)':>13}")
+          f"{'closure f':>9} {'displacement (m)':>17} {'mean U (m/s)':>13}")
     with tempfile.TemporaryDirectory() as tmp:
         for name, n_steps in RUNS:
             cfg = driver.load_config(os.path.join(ROOT, "fixtures", name + ".ini"))
@@ -53,9 +62,10 @@ def main() -> None:
                                       out_dir=os.path.join(tmp, name))
             work.clear()
             products.clear()
+            evaluations.clear()
             summary = driver.run(cfg).summary
             print(f"{name:<18} {n_steps:>5} {sum(f for f, _ in work):>8} "
-                  f"{sum(k for _, k in work):>6} {len(products):>8} "
+                  f"{sum(k for _, k in work):>6} {len(products):>8} {len(evaluations):>9} "
                   f"{summary.final_displacement:>17.9e} "
                   f"{summary.mean_velocity_last_10pct:>13.9e}")
 

@@ -229,7 +229,7 @@ def load_config(path) -> RunConfig:
     try:
         with open(path, encoding="utf-8") as f:
             cp.read_file(f)
-    except (configparser.Error, UnicodeDecodeError) as exc:
+    except (OSError, configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"config parse error in {path}: {exc}") from exc
 
     given = {section: dict(cp.items(section)) for section in cp.sections()}
@@ -640,11 +640,11 @@ def _set_up(cfg: RunConfig):
     return mesh, state, plan, U_eq, warnings, tip_edges, dir_nodes, far_nodes
 
 
-def _closure(cfg: RunConfig, op: SlabOperator, sol, tip_edges):
+def _closure(cfg: RunConfig, U: float, op: SlabOperator, sol, tip_edges):
     """``(U_next, q_s, q_min, q_max, clamped, stalled)`` of the melt closure
-    on the slab's tip flux into the solid; an equilibrium run keeps U_eq."""
+    on the slab's tip flux into the solid; an equilibrium run keeps its U."""
     if cfg.coupling == "equilibrium":
-        return _equilibrium_velocity(cfg), 0.0, 0.0, 0.0, False, False
+        return U, 0.0, 0.0, 0.0, False, False
     fr = recover_flux(op, sol, tip_edges, cfg.rho_s * cfg.cp_s)
     q_raw = -fr.q_s_avg       # positive when heat enters the solid
     into_solid = -fr.nodal_flux
@@ -695,7 +695,7 @@ def run(config: RunConfig) -> RunReport:
                         f"step {step}: the source tip left the active slab at displacement "
                         f"{displacement:.6g} m ({slips_total} slips, {U * cfg.dt:.6g} m this "
                         f"step)")
-                U_next, q_s, q_min, q_max, clamped, stalled = _closure(cfg, op, sol, tip_edges)
+                U_next, q_s, q_min, q_max, clamped, stalled = _closure(cfg, U, op, sol, tip_edges)
 
                 if not far_warned and np.any(np.abs(T[far_nodes] - cfg.T_s) > 0.1):
                     msg = (f"step {step}: far-field boundary temperature strayed more "

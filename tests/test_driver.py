@@ -13,7 +13,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ccmsim import driver, meshgen, motion, stfem, verify
+from ccmsim import driver, meshgen, motion, stfem, velocity, verify
 from ccmsim.cbf import FluxResult, recover_flux
 from ccmsim.driver import RunConfig, load_config, run
 from ccmsim.errors import ConfigError
@@ -294,9 +294,11 @@ def test_toy_run_deterministic(tmp_path):
 
 @pytest.mark.parametrize("coupling", ["equilibrium", "transient"])
 def test_each_step_builds_one_slab_and_one_mask(tmp_path, monkeypatch, coupling):
-    # set-up builds the run's one slab plan and no mask; each step computes
-    # one mask after the band moves (even a zero move from rest) and builds
-    # one slab on it; sensors and snapshots reuse that mask
+    # set-up builds the run's one slab plan and no mask, and evaluates the
+    # closed-form U_eq (twice for a transient run: with and without solid
+    # preheating); each step computes one mask after the band moves (even a
+    # zero move from rest) and builds one slab on it; sensors and snapshots
+    # reuse that mask, and an equilibrium run keeps its U
     events = []
 
     def counted(name, fn):
@@ -310,11 +312,14 @@ def test_each_step_builds_one_slab_and_one_mask(tmp_path, monkeypatch, coupling)
     monkeypatch.setattr(motion, "active_elements",
                         counted("mask", motion.active_elements))
     cfg = load_config(write_config(tmp_path, _set("source", "coupling", coupling)))
+    monkeypatch.setattr(velocity, "u_eq_temperature",
+                        counted("U_eq", velocity.u_eq_temperature))
     cfg.n_steps = 4
     cfg.vtk_every = 2
     cfg.sensors = ((0.85, 0.43),)
     run(cfg)
-    assert events == ["plan"] + ["mask", "slab"] * 4
+    n_eq = 1 if coupling == "equilibrium" else 2
+    assert events == ["plan"] + ["U_eq"] * n_eq + ["mask", "slab"] * 4
 
 
 @pytest.mark.parametrize("loop", ["run", "cooling", "sliding band"])

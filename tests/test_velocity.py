@@ -1,10 +1,14 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from ccmsim.errors import NumericalError
 from ccmsim.velocity import (
@@ -19,6 +23,7 @@ from ccmsim.velocity import (
     u_transient_temperature,
 )
 
+from conftest import REPO_ROOT
 from oracles import bisect_root
 
 # water ice pressed by a warm probe, the main benchmark configuration
@@ -137,6 +142,58 @@ def test_transient_power_monotone_and_bounded(f1, f2):
     assert u_more <= Q_1KW / (ICE.rho_s * ICE.h_m) * (1.0 + 1e-12)
 
 
+# the closures' residuals as velocity.py writes them: the same rounding
+def eq_power_residual(p, q_h, U):
+    conv = shape_F(p, U) / (20.0 * p.alpha_l)
+    return (p.rho_s * U * p.h_m_star / q_h) * (7.0 * conv + 1.0) + 3.0 * conv - 1.0
+
+
+def power_residual(p, q_h, q_s, U):
+    conv = shape_F(p, U) / (20.0 * p.alpha_l)
+    return ((p.rho_s * p.h_m * U + q_s) / q_h) * (7.0 * conv + 1.0) + 3.0 * conv - 1.0
+
+
+def temperature_residual(p, T_w, q_s, U):
+    cube = ((T_w - p.T_m) * p.kappa_l) ** 3
+    return 1.0 - 8.0 * p.mu_l * U * (p.rho_s * U * p.h_m + q_s) ** 3 * p.R**3 / (cube * p.F_ex)
+
+
+def log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.builds(CcmParams, rho_s=log_uniform(1e2, 2e4), cp_s=log_uniform(1e2, 1e4),
+                   rho_l=log_uniform(1e2, 2e4), cp_l=log_uniform(1e2, 1e4),
+                   kappa_l=log_uniform(0.05, 5.0), mu_l=log_uniform(1e-4, 1.0),
+                   h_m=log_uniform(1e3, 1e6), T_m=st.just(300.0),
+                   T_s=st.floats(100.0, 300.0), R=log_uniform(1e-3, 1.0),
+                   F_ex=log_uniform(0.1, 1e4)),
+       dT=st.floats(1.0, 200.0), q_h=log_uniform(1e2, 1e6), frac=st.floats(0.0, 0.999))
+@example(p=dataclasses.replace(WAX, h_m=1e3), dT=10.0, q_h=Q_1KW, frac=0.0)  # h_m*/h_m = 71
+def test_each_closure_brackets_its_root_and_pins_it_to_the_last_place(p, dT, q_h, frac):
+    # each closure's bracket [0, hi] holds for any parameters, h_m*/h_m > 21.5
+    # too, and its U has the residual change sign within a few units in the
+    # last place, unless U is an end of the bracket with |f| < 1e-12
+    T_w = p.T_m + dT
+    q_s = frac * q_h
+    u_cold = u_eq_temperature(dataclasses.replace(p, T_s=p.T_m), T_w)
+    cases = [
+        (u_eq_power(p, q_h), q_h / (p.rho_s * p.h_m_star),
+         lambda U: eq_power_residual(p, q_h, U)),
+        (u_transient_power(p, q_h, q_s)[0], (q_h - q_s) / (p.rho_s * p.h_m),
+         lambda U: power_residual(p, q_h, q_s, U)),
+        (u_transient_temperature(p, T_w, q_s), 2.0 * u_cold,
+         lambda U: temperature_residual(p, T_w, q_s, U)),
+    ]
+    eps = 8.0 * math.ulp(1.0)
+    for U, hi, f in cases:
+        if U in (0.0, hi) and abs(f(U)) < 1e-12:
+            continue
+        assert 0.0 < U < hi
+        assert f(U * (1.0 - eps)) * f(U * (1.0 + eps)) <= 0.0
+
+
 def test_shape_factor():
     assert shape_F(ICE, 0.0) == 0.0
     u = 1e-4
@@ -162,16 +219,14 @@ def test_solve_scalar_simple_root():
     assert solve_scalar(lambda x: x * x - 2.0, 0.0, 2.0) == pytest.approx(math.sqrt(2.0), rel=1e-12)
 
 
-def test_solve_scalar_expands_bracket():
-    # root far above the initial interval: [0, 0.1] must be widened
-    assert solve_scalar(lambda x: x - 1.5, 0.0, 0.1) == pytest.approx(1.5, rel=1e-12)
-
-
 def test_solve_scalar_errors():
     with pytest.raises(ValueError, match="lo < hi"):
         solve_scalar(lambda x: x, 1.0, 1.0)
     with pytest.raises(NumericalError, match="no sign change"):
         solve_scalar(lambda x: x * x + 1.0, 0.0, 1.0)
+    # an infinite solid flux makes f(0) = 1 - 0 * inf a NaN
+    with pytest.raises(NumericalError, match="no sign change"):
+        u_transient_temperature(ICE, 353.0, math.inf)
 
 
 def test_solve_scalar_agrees_with_bisection_oracle():
@@ -186,3 +241,22 @@ def test_solve_scalar_agrees_with_bisection_oracle():
         got = solve_scalar(f, 0.0, 3.0, tol=1e-13)
         ref = bisect_root(f, 0.0, 3.0)
         assert got == pytest.approx(ref, abs=1e-9)
+        # the compiled solver is scipy.optimize.brentq's, with the same tolerances
+        assert got == brentq(f, 0.0, 3.0, xtol=math.ulp(0.0), rtol=4.0 * math.ulp(1.0))
+
+
+def test_closures_run_without_importing_scipy_optimize():
+    # importing scipy.optimize loads all its solvers: 16 MB of resident memory
+    code = """if True:
+        import sys
+        from ccmsim import driver, velocity
+        p = velocity.CcmParams(*[1.0] * 8, 0.0, 1.0, 1.0)     # T_s = 0, the rest 1
+        velocity.u_eq_power(p, 1.0)
+        velocity.u_transient_temperature(p, 2.0, 0.5)
+        print("scipy.optimize" in sys.modules)
+    """
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
