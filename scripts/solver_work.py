@@ -5,12 +5,15 @@
 
 Runs probe_temperature (60 steps), power_3kw (180), hotwire (180) and
 power_1kw (60) in a temporary directory, without VTK snapshots, and prints
-for each the number of slabs factored, the GMRES steps summed over all
-slabs, the full products with a slab operator (``SlabOperator._apply``
-calls), the evaluations of the melt closures' residual in their root
-solves (``velocity.solve_scalar``), the final displacement and the mean U
-over the last 10% of the steps.  It times nothing, so its numbers are the
-same on any host; a change to the solver compares them with the parent's.
+for each the number of slabs factored, how many of them were refactored
+(factored although their structure held an LU when ``solve`` was called:
+a band step too far from the held LU's, or a held LU with which GMRES
+failed), the GMRES steps summed over all slabs, the full products with a
+slab operator (``SlabOperator._apply`` calls), the evaluations of the melt
+closures' residual in their root solves (``velocity.solve_scalar``), the
+final displacement and the mean U over the last 10% of the steps.  It
+times nothing, so its numbers are the same on any host; a change to the
+solver compares them with the parent's.
 """
 
 from __future__ import annotations
@@ -35,8 +38,9 @@ def main() -> None:
     solve_scalar = velocity.solve_scalar
 
     def counted(op):
+        held = op.structure.lu is not None
         sol = solve(op)
-        work.append((sol.factored, sol.refinements))
+        work.append((sol.factored, held and sol.factored, sol.refinements))
         return sol
 
     def applied(op, x):
@@ -53,8 +57,8 @@ def main() -> None:
     stfem.SlabOperator._apply = applied
     velocity.solve_scalar = evaluated
     logging.disable(logging.WARNING)         # the runs' own warnings, not the table
-    print(f"{'fixture':<18} {'steps':>5} {'factored':>8} {'gmres':>6} {'products':>8} "
-          f"{'closure f':>9} {'displacement (m)':>17} {'mean U (m/s)':>13}")
+    print(f"{'fixture':<18} {'steps':>5} {'factored':>8} {'refactored':>10} {'gmres':>6} "
+          f"{'products':>8} {'closure f':>9} {'displacement (m)':>17} {'mean U (m/s)':>13}")
     with tempfile.TemporaryDirectory() as tmp:
         for name, n_steps in RUNS:
             cfg = driver.load_config(os.path.join(ROOT, "fixtures", name + ".ini"))
@@ -64,8 +68,9 @@ def main() -> None:
             products.clear()
             evaluations.clear()
             summary = driver.run(cfg).summary
-            print(f"{name:<18} {n_steps:>5} {sum(f for f, _ in work):>8} "
-                  f"{sum(k for _, k in work):>6} {len(products):>8} {len(evaluations):>9} "
+            factored, refactored, gmres = map(sum, zip(*work))
+            print(f"{name:<18} {n_steps:>5} {factored:>8} {refactored:>10} "
+                  f"{gmres:>6} {len(products):>8} {len(evaluations):>9} "
                   f"{summary.final_displacement:>17.9e} "
                   f"{summary.mean_velocity_last_10pct:>13.9e}")
 

@@ -316,6 +316,8 @@ def check_values(cfg: RunConfig) -> None:
     except (OverflowError, ZeroDivisionError) as exc:
         raise ConfigError(f"{key}: the melt closure fails in floating point: "
                           f"{exc.args[-1]}") from exc
+    except NumericalError as exc:
+        raise ConfigError(f"{key}: the melt closure fails: {exc}") from exc
     if not all(math.isfinite(U) and U > 0.0 for U in velocities):
         raise ConfigError(f"{key}: the melt velocity is not a positive finite number")
 

@@ -108,8 +108,17 @@ Such a slab is not factored: the held LU preconditions GMRES, which
 corrects the changed values as it corrects what the zipper fit misses.  A
 slab of another structure lets the held one go before it is assembled and
 is factored anew, and so is a slab whose GMRES does not converge with the
-held LU.  A bare :class:`SlabProblem` has a one-off plan, so it is always
-factored.
+held LU.  So is a slab whose band step, its largest element displacement,
+lies outside [1/2, 2] of the step the held LU was factored at
+(HELD_STEP_RATIO): within that range the LU's mesh-velocity term is wrong by
+at most its own size, which costs GMRES 1-2 steps more than a fresh LU.  A
+transient run starts from rest, so its first slabs move a fraction of the
+later step; without the rule the later slabs of that structure would each
+take 6-7 GMRES steps on a factor made when the band had barely moved,
+against 2 on their own.  The
+bound is inclusive, so a step that only halves or doubles keeps the LU; a
+static slab's step is 0, so a static run keeps its one LU.  A bare
+:class:`SlabProblem` has a one-off plan, so it is always factored.
 """
 
 from __future__ import annotations
@@ -153,6 +162,12 @@ RIGID_TOL = 1e-12
 # (non-Dirichlet) rows, the ones solved for, relative to their right-hand
 # side once the Dirichlet values are moved there
 SOLVER_TOL = 1e-10
+# A held LU serves a slab whose band step (see SlabOperator) lies within this
+# factor of the band step the LU was factored at, either way, bounds
+# included: within it the LU's mesh-velocity term is wrong by at most its own
+# size.  Further off GMRES pays: on power_3kw, slabs at 5.5e-4 m took 6-7
+# GMRES steps on a factor made at 6.6e-5 m, against 2 with their own.
+HELD_STEP_RATIO = 2.0
 # GMRES stops once its residual estimate is below REFINE_TOL or after
 # MAX_REFINEMENTS steps (each one solve with the LU and one product with the
 # exact operator); the solve then fails unless the true residual meets
@@ -350,7 +365,8 @@ class SlabStructure:
     of ``M'`` on the plan's pattern, also as the CSC ``jump``, and the
     complex CSC ``mn`` of ``M' + i dt alpha K' / 2``, which :meth:`refresh`
     makes again when ``dt alpha`` changes and nothing else writes into), the
-    entries of the fixed columns, and the LU.
+    entries of the fixed columns, and the LU with the band step ``lu_step``
+    of the slab it was factored for.
 
     A slab starts its solve at the Dirichlet values, zero on the free nodes,
     so the product of that start with the operator reaches only the fixed
@@ -386,7 +402,7 @@ class SlabStructure:
         rows, cols = self.zipper_index
         pos = np.flatnonzero(np.concatenate([self.fixed, self.fixed])[cols])
         self.zipper_fixed = (pos, cols[pos], *np.unique(rows[pos], return_inverse=True))
-        self.half_dt_alpha = self.mn = self.lu = None
+        self.half_dt_alpha = self.mn = self.lu = self.lu_step = None
 
     def refresh(self, plan, dt, alpha):
         """Make ``mn`` for this ``dt alpha`` unless it is made for it."""
@@ -434,6 +450,10 @@ class SlabOperator:
     the residual methods as well as for GMRES.  ``node_active`` marks the
     nodes of the slab's active elements, the rows that are solved for
     unless they carry Dirichlet values.
+
+    The slab's band step is the largest displacement component ``d_e`` of an
+    active rigid element (a band moves along one axis, so it is the band's
+    ``U dt``); it is 0 on a static slab.
     """
 
     def __init__(self, problem: SlabProblem):
@@ -462,13 +482,16 @@ class SlabOperator:
         # as it is; a displacement component zero at every node would
         # subtract +0.0 throughout
         mn = None
+        self._band_step = 0.0
         rc = plan.rconn
         for grad, c in zip((plan.grad_x, plan.grad_y),
                            np.ascontiguousarray((p.coords_new - p.coords_old).T)):
             if c.any():
                 if mn is None:
                     mn = rec.mn.data.copy()
-                mn.imag -= grad @ (rec.w * ((c[rc[0]] + c[rc[1]] + c[rc[2]]) / 3.0) / 6.0)
+                d = rec.w * ((c[rc[0]] + c[rc[1]] + c[rc[2]]) / 3.0)
+                self._band_step = max(self._band_step, np.abs(d).max(initial=0.0))
+                mn.imag -= grad @ (d / 6.0)
         self._mn = (rec.mn if mn is None
                     else sp.csc_matrix((mn, plan.indices, plan.indptr), shape=(n, n)))
         # the jump load: each element's bottom-face mass times t_prev
@@ -505,16 +528,25 @@ class SlabOperator:
         rows at the fixed nodes, which keeps those rows out of the LU's fill.
 
         Adding the zipper COO to the pattern drops the entries that sum to
-        zero (those of inactive elements).
+        zero (those of inactive elements).  The COO also puts ``i`` on each
+        fixed node's diagonal, so that every fixed row has its diagonal
+        entry (an idle node's is ``lambda 0 + 1``); the fixed rows' entries
+        are then zeroed, their diagonal set to 1 and the zeros dropped.
         """
-        zc = self.structure.zc
-        rows, cols = np.repeat(zc, 3, axis=1).ravel(), np.tile(zc, (1, 3)).ravel()
+        zc, fixed = self.structure.zc, np.flatnonzero(self._fixed)
+        rows = np.concatenate([np.repeat(zc, 3, axis=1).ravel(), fixed])
+        cols = np.concatenate([np.tile(zc, (1, 3)).ravel(), fixed])
         x_e, y_e = _zipper_fit(self._zke)
+        fit = np.concatenate([(x_e + 1j * y_e).ravel(), np.full(len(fixed), 1j)])
         n = self._mn.shape[0]
-        a = self._mn + sp.coo_matrix(((x_e + 1j * y_e).ravel(), (rows, cols)), shape=(n, n))
+        a = self._mn + sp.coo_matrix((fit, (rows, cols)), shape=(n, n))
         a.data = _LAM * a.data.real + a.data.imag
-        a.data[self._fixed[a.indices]] = 0.0
-        return a + sp.diags(self._fixed.astype(float), format="csc")
+        pos = np.flatnonzero(self._fixed.take(a.indices))      # the fixed rows' entries
+        col = np.searchsorted(a.indptr, pos, side="right") - 1
+        a.data[pos] = 0.0
+        a.data[pos[a.indices[pos] == col]] = 1.0
+        a.eliminate_zeros()
+        return a
 
     def _factor(self):
         """Factor this slab's ``lambda M' + N'`` and hold the LU in its structure."""
@@ -526,6 +558,7 @@ class SlabOperator:
             # far less LU fill than the default COLAMD.
             rec.lu = spla.splu(self._lhs(), permc_spec="MMD_AT_PLUS_A",
                                panel_size=PANEL_SIZE, relax=RELAX)
+            rec.lu_step = self._band_step
         except RuntimeError as exc:
             raise NumericalError("sparse factorization failed: %s" % exc)
 
@@ -621,14 +654,16 @@ class SlabOperator:
     # -- solve ---------------------------------------------------------------
 
     def solve(self) -> SlabSolution:
-        """Solve with the LU of this slab's structure if it holds one (see
-        the module docstring), else with a new one.
+        """Solve with the LU of this slab's structure if it holds one made
+        at a band step within HELD_STEP_RATIO of this slab's (see the module
+        docstring), else with a new one.
 
         If GMRES with the held LU does not reach REFINE_TOL, or its result
         misses SOLVER_TOL, the slab is factored and solved anew.
         """
         rec = self.structure
-        if rec.lu is not None:
+        if rec.lu is not None and (rec.lu_step / HELD_STEP_RATIO <= self._band_step
+                                   <= rec.lu_step * HELD_STEP_RATIO):
             x, ax, res, passes, reached = self._solve_with(rec.lu)
             if reached and res <= SOLVER_TOL:
                 return self._solution(x, ax, res, passes, factored=False)

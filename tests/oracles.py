@@ -519,6 +519,8 @@ class SlabOperatorEveryTerm(stfem.SlabOperator):
         dx, dy = ((c[rc[0]] + c[rc[1]] + c[rc[2]]) / 3.0
                   for c in np.ascontiguousarray((p.coords_new - p.coords_old).T))
         stiff = rec.mn.data.imag - plan.grad_x @ (w * dx / 6.0) - plan.grad_y @ (w * dy / 6.0)
+        # the band step that solve compares with the held LU's
+        self._band_step = max(np.abs(w * dx).max(initial=0.0), np.abs(w * dy).max(initial=0.0))
         rhs = rec.jump @ p.t_prev
 
         xo = p.coords_old[zc]
@@ -542,6 +544,25 @@ class SlabOperatorEveryTerm(stfem.SlabOperator):
         self._rhs = self._rhs_raw.copy()
         self._rhs[:, p.dirichlet_nodes] = p.dirichlet_values
         self._rhs[:, rec.idle] = p.t_prev[rec.idle]
+
+
+# ---------------------------------------------------------------------------
+# the factored matrix with its identity rows added as a second sparse sum
+
+def lhs_by_identity_sum(op):
+    """``lambda M' + N'`` of a slab operator, the zipper blocks by their fit,
+    its fixed rows zeroed and their identity added as ``sp.diags`` in a
+    second sparse sum; the reference for
+    :meth:`ccmsim.stfem.SlabOperator._lhs`, which puts the fixed diagonals
+    into the zipper COO, sets them to 1 and drops the zeros."""
+    zc = op.structure.zc
+    rows, cols = np.repeat(zc, 3, axis=1).ravel(), np.tile(zc, (1, 3)).ravel()
+    x_e, y_e = stfem._zipper_fit(op._zke)
+    n = op._mn.shape[0]
+    a = op._mn + sp.coo_matrix(((x_e + 1j * y_e).ravel(), (rows, cols)), shape=(n, n))
+    a.data = stfem._LAM * a.data.real + a.data.imag
+    a.data[op._fixed[a.indices]] = 0.0
+    return a + sp.diags(op._fixed.astype(float), format="csc")
 
 
 # ---------------------------------------------------------------------------

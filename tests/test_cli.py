@@ -445,18 +445,25 @@ def test_sweep_overflowing_the_closure_exits_2_before_the_first_slab(
     assert not (tmp_path / "sw").exists()
 
 
-@pytest.mark.parametrize("section, key, value", [("material.solid", "rho", "1e-120"),
-                                                 ("material.solid", "rho", "1e200"),
-                                                 ("material.liquid", "kappa", "1e-120")])
+EXTREME_VALUES = [("probe_temperature", "material.solid", "rho", "1e-120"),
+                  ("probe_temperature", "material.solid", "rho", "1e200"),
+                  ("probe_temperature", "material.liquid", "kappa", "1e-120"),
+                  ("power_3kw", "material.liquid", "kappa", "1e-150"),
+                  ("power_3kw", "source", "q_h", "1e60")]
+
+
+@pytest.mark.parametrize("fixture, section, key, value", EXTREME_VALUES,
+                         ids=["-".join(case[1:]) for case in EXTREME_VALUES])
 def test_extreme_material_value_exits_2_before_the_first_slab(
-        tmp_path, fixture_dir, capsys, monkeypatch, section, key, value):
-    # the closure's divisor underflows to zero, its cube overflows, or U_eq
-    # underflows to zero: the message names the value, not the source
+        tmp_path, fixture_dir, capsys, monkeypatch, fixture, section, key, value):
+    # the closure's divisor underflows to zero, its cube overflows, U_eq
+    # underflows to zero, or the power closure's root lies too far below its
+    # bracket for the root solve: the message names the value, not the source
     ini = configparser.ConfigParser()
     ini.optionxform = str
-    ini.read(os.path.join(fixture_dir, "probe_temperature.ini"))
+    ini.read(os.path.join(fixture_dir, fixture + ".ini"))
     ini[section][key] = value
-    ini["mesh"]["path"] = os.path.join(fixture_dir, "probe.mesh")
+    ini["mesh"]["path"] = os.path.join(fixture_dir, ini["mesh"]["path"])
     ini["output"]["directory"] = str(tmp_path / "out")
     with open(tmp_path / "case.ini", "w") as f:
         ini.write(f)

@@ -20,7 +20,8 @@ from ccmsim.stfem import (
     solve_slab,
 )
 
-from oracles import SlabOperatorEveryTerm, SlabPlanByUnique, prism_amplification, slab_residual
+from oracles import (SlabOperatorEveryTerm, SlabPlanByUnique, lhs_by_identity_sum,
+                     prism_amplification, slab_residual)
 
 
 def square_problem(n=8, dt=0.1, alpha=1.0, t_prev=None, **kw):
@@ -585,6 +586,72 @@ def test_band_factors_only_slabs_of_a_new_structure(monkeypatch):
     assert factored.count(True) == state.n_slips + 1
 
 
+def test_held_factor_serves_only_band_steps_near_its_own(monkeypatch):
+    # the band of test_band_factors_only_slabs_of_a_new_structure, its step
+    # growing 3x, then 1.5x, then falling 4x and growing 1.5x again, with a
+    # slip on the way.  (A 3x fall after 3x and 1.5x could land on the bound,
+    # 1/2 of the LU's step, where rounding of the node positions decides; the
+    # bound itself is tested on exact displacements below.)  A slab is
+    # factored exactly when its structure is new or its step is outside
+    # [1/2, 2] of the held LU's, and each solve matches a fresh one
+    mesh = meshgen.make_strip_square(8, n_virt=3)
+    state = motion.init_motion(mesh, (0.0, -1.0))
+    plan = driver.slab_plan(mesh, state)
+    background = np.random.default_rng(12).uniform(-1.0, 2.0, mesh.n_nodes)
+    flanks = np.unique(mesh.tagged_edges(("left", "right")))
+    T = background.copy()
+    calls = counted_splu(monkeypatch)
+    rows = [0.04] * 3 + [0.12] * 3 + [0.18] * 3 + [0.045] * 3 + [0.0675] * 3
+    held, lu_step, for_the_step, kept_a_new_step = None, None, 0, 0
+    for distance in np.array(rows) / 8:
+        before = len(calls)
+        op, sol, T, _ = driver.slab_step(
+            mesh, state, T, distance, plan=plan, dt=0.37, alpha=1.7,
+            dirichlet_nodes=flanks, dirichlet_values=background[flanks], background=background)
+        prob = op.problem
+        structure = (prob.active.copy(), prob.conn[plan.zipper[prob.active]])
+        new = held is None or not all(map(np.array_equal, structure, held))
+        near = not new and lu_step / 2 <= distance <= 2 * lu_step
+        kept_a_new_step += near and distance != lu_step
+        for_the_step += not (new or near)
+        held = structure
+        assert sol.factored == (not near) and len(calls) - before == int(not near)
+        assert_matches_fresh_solve(prob, sol)
+        if sol.factored:
+            lu_step = distance
+            assert op.structure.lu_step == pytest.approx(distance, rel=1e-9)
+    assert state.n_slips >= 1 and kept_a_new_step >= 3 and for_the_step >= 2
+
+
+def test_held_factor_keeps_a_band_step_halved_or_doubled(monkeypatch):
+    # the unit square translated down as a whole, by binary fractions of its
+    # mesh spacing, so that every element's displacement is exact: one
+    # structure throughout.  A step at exactly twice or half the held LU's
+    # keeps it (the bound is inclusive), 4x and a stop do not, and a static
+    # slab keeps the LU made at rest
+    mesh = meshgen.make_unit_square(8)
+    plan = driver.slab_plan(mesh, None)
+    fixed = np.unique(mesh.tagged_edges("right"))
+    t_prev = np.linspace(0.0, 1.0, mesh.n_nodes)
+    calls = counted_splu(monkeypatch)
+    for distance, factored in ((1 / 64, True), (1 / 32, False), (1 / 16, True),
+                               (1 / 32, False), (0.0, True), (0.0, False), (1 / 64, True)):
+        prob = SlabProblem(mesh.nodes, mesh.nodes - [0.0, distance], mesh.triangles, dt=0.1,
+                           alpha=1.0, t_prev=t_prev, dirichlet_nodes=fixed,
+                           dirichlet_values=np.zeros(len(fixed)), plan=plan,
+                           active=np.ones(mesh.n_triangles, dtype=bool))
+        before = len(calls)
+        op = SlabOperator(prob)
+        sol = op.solve()
+        assert sol.factored == factored and len(calls) - before == int(factored)
+        assert op.structure is plan.structure
+        if factored:
+            assert op.structure.lu_step == distance
+        else:
+            assert sol.refinements > 0 or distance == 0.0
+        assert_matches_fresh_solve(prob, sol)
+
+
 @pytest.mark.parametrize("h, factored, error", [(0.05, 4, 0.005864535820984752),
                                                 (0.025, 8, 0.0026400930573970307)])
 def test_slab_whose_window_alone_changes_keeps_the_factor(monkeypatch, h, factored, error):
@@ -637,7 +704,7 @@ def test_structure_made_anew_every_step_gives_the_same_run(fixture_dir, tmp_path
         rec = structure(*args)
         if last and all(np.array_equal(getattr(rec, a), getattr(last[-1], a))
                         for a in ("active", "zc", "fixed")):
-            rec.lu = last[-1].lu
+            rec.lu, rec.lu_step = last[-1].lu, last[-1].lu_step
         last.append(rec)
         return rec
 
@@ -1054,3 +1121,46 @@ def test_held_complex_matrix_follows_dt_alpha():
         ref = SlabOperator(ref_prob)
         assert ref.structure is not rec
         assert same_bits(op._mn.data, ref._mn.data)
+
+
+# -- the factored matrix's identity rows -----------------------------------------
+
+
+def assert_lhs_matches_identity_sum(op):
+    a, ref = op._lhs(), lhs_by_identity_sum(op)
+    assert a.format == ref.format == "csc" and a.shape == ref.shape
+    for x, y in ((a.data, ref.data), (a.indices, ref.indices), (a.indptr, ref.indptr)):
+        assert same_bits(x, y)
+
+
+@pytest.mark.parametrize("name", ["power_3kw", "probe_temperature", "cooling"])
+def test_lhs_identity_rows_match_the_second_sum_on_fixture_slabs(fixture_dir, tmp_path,
+                                                                 monkeypatch, name):
+    # band slabs of the transient fixtures, moving and shearing, with idle
+    # nodes (the ring rows outside the window) and Dirichlet nodes; and the
+    # static cooling slab, which has no idle node and no zipper
+    ops = recorded_operators(monkeypatch)
+    if name == "cooling":
+        verify.run_cbf_case(h=0.02, dt=0.01, n_steps=1)
+    else:
+        cfg = driver.load_config(os.path.join(fixture_dir, name + ".ini"))
+        driver.run(dataclasses.replace(cfg, n_steps=4, vtk_every=0, out_dir=str(tmp_path)))
+    assert len(ops) == (1 if name == "cooling" else 4)
+    for op in ops:
+        assert len(op.problem.dirichlet_nodes)
+        assert op.structure.idle.any() == (name != "cooling")
+        assert_lhs_matches_identity_sum(op)
+    assert (name == "cooling") == (op._zipper is None)
+
+
+def test_lhs_identity_rows_match_the_second_sum_with_a_dirichlet_node_on_a_zipper():
+    # the zipper's entries in a fixed row and column, which no bundled
+    # fixture has
+    prob, zipper = band_slab(0.4 / 8)
+    rng = np.random.default_rng(26)
+    prob = fix_flanks(prob, rng.uniform(-1.0, 2.0, len(prob.coords_old)))
+    prob.dirichlet_nodes = np.union1d(prob.dirichlet_nodes, prob.conn[zipper][0])
+    prob.dirichlet_values = rng.uniform(-1.0, 2.0, len(prob.dirichlet_nodes))
+    op = SlabOperator(prob)
+    assert op.structure.idle.any() and len(op.structure.zipper_fixed[0])
+    assert_lhs_matches_identity_sum(op)
