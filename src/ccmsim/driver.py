@@ -296,7 +296,8 @@ def _closure_key(cfg: RunConfig) -> str:
 
 
 def check_values(cfg: RunConfig) -> None:
-    """Check the physical values of a built config; ConfigError names the key."""
+    """Check the physical values of a built config; ConfigError names the key.
+    The melt closures are evaluated, and checked, by the run's set-up."""
     if cfg.tip_area is not None and not cfg.tip_area > 0.0:
         raise ConfigError("[source] tip_area: must be positive")
     if not cfg.kappa_s > 0.0:
@@ -310,16 +311,6 @@ def check_values(cfg: RunConfig) -> None:
     except ValueError as exc:
         name = str(exc).partition(" ")[0].removeprefix("CcmParams.")
         raise ConfigError(f"{_KEY_OF[name]}: {exc}") from exc
-    key = _closure_key(cfg)
-    try:
-        velocities = _velocities(cfg)
-    except (OverflowError, ZeroDivisionError) as exc:
-        raise ConfigError(f"{key}: the melt closure fails in floating point: "
-                          f"{exc.args[-1]}") from exc
-    except NumericalError as exc:
-        raise ConfigError(f"{key}: the melt closure fails: {exc}") from exc
-    if not all(math.isfinite(U) and U > 0.0 for U in velocities):
-        raise ConfigError(f"{key}: the melt velocity is not a positive finite number")
 
 
 # ---------------------------------------------------------------------------
@@ -503,12 +494,14 @@ class _Outputs(contextlib.ExitStack):
             write_vtk(os.path.join(cfg.out_dir, f"state_{step + 1:06d}.vtk"),
                       mesh.nodes, mesh.triangles, T, active)
 
-    def abort(self, step: int, T: np.ndarray, state) -> None:
+    def abort(self, step: int, T: np.ndarray, state, displacement: float) -> None:
+        """Dump ``T`` on the band placed where the last completed step left it."""
         log.error("run aborted at step %d; writing state dump", step)
         mesh = self._mesh
-        # the band may have moved since the last step's mask was computed
-        active = (np.ones(mesh.n_triangles, dtype=bool) if state is None
-                  else motion.active_elements(mesh, state))
+        active = np.ones(mesh.n_triangles, dtype=bool)
+        if state is not None:
+            motion.place(mesh, state, displacement)
+            active = motion.active_elements(mesh, state)
         with contextlib.suppress(OSError):      # best effort
             write_vtk(os.path.join(self._cfg.out_dir, "abort_state.vtk"), mesh.nodes,
                       mesh.triangles, T, active)
@@ -542,8 +535,8 @@ def slab_step(mesh: Mesh, state, T: np.ndarray, distance: float, *, plan: SlabPl
     one: nothing moves, and every triangle is active).  The slab is
     assembled from ``plan`` (see :func:`slab_plan`) on the triangles active
     in the new position, less those touching a node that wrapped round the
-    ring.  Wrapped nodes are reseeded in ``T`` from the nodal field
-    ``background`` before the solve; nodes of no active triangle take
+    ring.  Wrapped nodes are reseeded from the nodal field ``background``
+    in a copy of ``T`` before the solve; nodes of no active triangle take
     ``background`` after it, the value at which a row entering the window
     joins the slab.  The operator keeps the plan's structure when this
     slab's has the same mask, zipper connectivity and Dirichlet nodes.
@@ -559,9 +552,10 @@ def slab_step(mesh: Mesh, state, T: np.ndarray, distance: float, *, plan: SlabPl
     if state is not None:
         coords_old = mesh.nodes.copy()
         wrapped = motion.advance(mesh, state, distance).wrapped_nodes
-        T[wrapped] = background[wrapped]
         window = act = motion.active_elements(mesh, state)
         if wrapped.size:
+            T = T.copy()
+            T[wrapped] = background[wrapped]
             act = window & ~np.isin(mesh.triangles, wrapped).any(axis=1)
         conn = mesh.triangles[act]
     prob = SlabProblem(coords_old, mesh.nodes, conn, dt=dt, alpha=alpha, t_prev=T,
@@ -579,18 +573,23 @@ def _equilibrium_velocity(cfg: RunConfig) -> float:
     return vel.u_eq_power(p, cfg.q_h)
 
 
-def _velocities(cfg: RunConfig) -> tuple[float, float]:
-    """``U_eq`` and the largest U of a step.  A transient U peaks at q_s = 0
-    (clamped), where the closure is ``U_eq`` without preheating."""
-    U_eq = _equilibrium_velocity(cfg)
-    if cfg.coupling == "equilibrium":
-        return U_eq, U_eq
-    return U_eq, _equilibrium_velocity(replace(cfg, T_s=cfg.T_m))
-
-
 def _set_up(cfg: RunConfig):
     """``(mesh, state, plan, U_eq, warnings, tip_edges, dirichlet_nodes,
     farfield_nodes)`` of a run; ``state`` is None for a mesh without a band."""
+    key = _closure_key(cfg)
+    try:
+        # the largest U of a step: at q_s = 0 (clamped), U_eq without preheating
+        U_eq = U_max = _equilibrium_velocity(cfg)
+        if cfg.coupling == "transient":
+            U_max = _equilibrium_velocity(replace(cfg, T_s=cfg.T_m))
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise ConfigError(f"{key}: the melt closure fails in floating point: "
+                          f"{exc.args[-1]}") from exc
+    except NumericalError as exc:
+        raise ConfigError(f"{key}: the melt closure fails: {exc}") from exc
+    if not all(math.isfinite(U) and U > 0.0 for U in (U_eq, U_max)):
+        raise ConfigError(f"{key}: the melt velocity is not a positive finite number")
+    log.info("equilibrium velocity U_eq = %.6e m/s", U_eq)
     try:
         mesh = load_mesh(cfg.mesh_path)
     except (OSError, UnicodeDecodeError, MeshFormatError) as exc:
@@ -606,14 +605,12 @@ def _set_up(cfg: RunConfig):
                               f"along {cfg.direction}: {exc}") from exc
     plan = slab_plan(mesh, state)
 
-    U_eq, U_max = _velocities(cfg)
-    log.info("equilibrium velocity U_eq = %.6e m/s", U_eq)
     warnings: list[str] = []
     if state is not None and U_max * cfg.dt >= state.circumference / 2:
         if cfg.alpha_s / U_max < np.spacing(state.circumference):
             # no step is short enough to resolve a diffusion length below
             # the rounding of the ring's coordinates: the closure is at fault
-            raise ConfigError(f"{_closure_key(cfg)}: the melt closure gives U up to "
+            raise ConfigError(f"{key}: the melt closure gives U up to "
                               f"{U_max:.6g} m/s, at which the solid's diffusion length "
                               f"alpha/U = {cfg.alpha_s / U_max:.6g} m is below the rounding "
                               f"of the band's ring ({np.spacing(state.circumference):.6g} m)")
@@ -684,12 +681,8 @@ def run(config: RunConfig) -> RunReport:
                     mesh, state, T, U * cfg.dt, plan=plan, dt=cfg.dt, alpha=cfg.alpha_s,
                     dirichlet_nodes=dir_nodes, dirichlet_values=dir_vals,
                     background=virgin, rate=rate)
-                if state is not None:
-                    displacement = state.displacement
-                    slips_total = state.n_slips
-                else:
-                    displacement += U * cfg.dt
-                    slips_total = 0
+                displacement += U * cfg.dt        # the band's, to the bit
+                slips_total = 0 if state is None else state.n_slips
                 if not op.node_active[tip_nodes].all():
                     # the band has carried the tip out of the window, or into
                     # rows that wrapped this step
@@ -715,7 +708,7 @@ def run(config: RunConfig) -> RunReport:
                 # let this step's slab go before the next one is assembled
                 op = sol = None
         except Exception:
-            out.abort(step, T, state)
+            out.abort(step, T, state, displacement)
             raise
 
     tail = max(1, cfg.n_steps // 10)

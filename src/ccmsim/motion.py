@@ -5,7 +5,10 @@ rigidly along one axis.  The rows live on a ring: each strip node keeps a
 constant *ring ordinate* (its as-generated coordinate along the motion
 axis); the embedding into physical space shifts with the accumulated
 displacement and wraps nodes that leave a one-row grace band past the
-window's exit edge back around to the entry side.  Connectivity inside the
+window's exit edge back around to the entry side.  The band is placed, not
+stepped: its coordinates, slip count and zipper connectivity are functions
+of the accumulated displacement alone (:func:`place`), so a move is undone
+by placing the band back where it was.  Connectivity inside the
 strip never changes — elements whose nodes straddle the wrap point (cyclic
 span greater than half the ring circumference) are deactivated, as are
 elements that have left the strip window.
@@ -60,7 +63,7 @@ class MotionState:
 @dataclass
 class AdvanceResult:
     slips: int
-    wrapped_nodes: np.ndarray  # ids re-seeded on the entry side this advance
+    wrapped_nodes: np.ndarray  # ids that wrapped round the ring in this move
 
 
 def zipper_triangles(static_nodes, ring_nodes, j0, flip):
@@ -96,14 +99,14 @@ def zipper_flip(coords, static_nodes, ring_nodes, j0) -> bool:
     return bool(tri_areas(coords, trial[:1])[0] <= 0)
 
 
-def _embed(state: MotionState, c0: np.ndarray, displacement: float) -> np.ndarray:
-    """Physical axis ordinates for ring ordinates ``c0`` at a displacement;
-    a node wraps once it is one row past the window's exit edge."""
+def _embed(state: MotionState, displacement: float) -> np.ndarray:
+    """Physical axis ordinates of the strip nodes at a displacement; a node
+    wraps once it is one row past the window's exit edge."""
     if state.sign < 0:
         base = state.w_lo - state.h_row
-        return base + np.mod(c0 - base - displacement, state.circumference)
+        return base + np.mod(state.c0 - base - displacement, state.circumference)
     base = state.w_hi + state.h_row
-    return base - np.mod(base - c0 - displacement, state.circumference)
+    return base - np.mod(base - state.c0 - displacement, state.circumference)
 
 
 def init_motion(mesh: Mesh, direction) -> MotionState:
@@ -114,6 +117,10 @@ def init_motion(mesh: Mesh, direction) -> MotionState:
     strip layout whose rows are listed in ring order (ascending along the
     axis) and at least two virtual row bands, which the zipper needs to
     stay clear of freshly wrapped nodes.
+
+    The as-generated position is the limit of placements as the displacement
+    goes to 0 from above, not the placement at 0, which puts the ring row on
+    the wrap point a circumference away; so the first move does not wrap it.
     """
     if mesh.strip is None:
         raise ValueError("mesh has no strip layout")
@@ -227,36 +234,36 @@ def _rebuild_zippers(mesh: Mesh, state: MotionState) -> None:
             seam.static_nodes, seam.ring_nodes, j0 % state.n_lines, seam.flip)
 
 
-def advance(mesh: Mesh, state: MotionState, distance: float) -> AdvanceResult:
-    """Translate the strip by ``distance`` (>= 0) along the motion direction.
-
-    Mutates the mesh coordinates and, on slips, the zipper connectivity.
-    Coordinates are recomputed from the ring ordinates each call, so there
-    is no incremental drift and a zero-distance advance is exactly a no-op.
-    Returns the slip count and the nodes that wrapped to the entry side
-    (their field values should be re-seeded by the caller).
-    """
-    if distance < 0:
-        raise ValueError("distance must be non-negative")
+def place(mesh: Mesh, state: MotionState, displacement: float) -> AdvanceResult:
+    """Put the band at the accumulated ``displacement``: its strip
+    coordinates, slip count and zippers.  The move must be shorter than half
+    the ring, either way.  Returns the slips since the last placement
+    (negative backwards) and the wrapped nodes, for the caller to re-seed."""
+    distance = displacement - state.displacement
     if distance == 0:
         return AdvanceResult(0, np.empty(0, dtype=np.int64))
-    if distance >= state.circumference / 2:
-        raise ValueError("advance distance exceeds half the ring circumference")
-    c_old = mesh.nodes[state.strip_nodes, state.axis].copy()
-    new_d = state.displacement + distance
-    c_new = _embed(state, state.c0, new_d)
+    if not abs(distance) < state.circumference / 2:      # a NaN too, before any write
+        raise ValueError(f"a move of {distance:.6g} m is not shorter than half the ring")
+    c_old = mesh.nodes[state.strip_nodes, state.axis]
+    c_new = _embed(state, displacement)
     mesh.nodes[state.strip_nodes, state.axis] = c_new
-    predicted = c_old + state.sign * distance
-    wrapped = state.strip_nodes[
-        np.abs(c_new - predicted) > state.circumference / 2]
-    state.displacement = new_d
-    slip_tol = 1e-9 * state.h_row
-    total_slips = int(np.floor((new_d + slip_tol) / state.h_row))
+    wrapped = state.strip_nodes[np.abs(c_new - (c_old + state.sign * distance))
+                                > state.circumference / 2]
+    state.displacement = displacement
+    total_slips = int(np.floor((displacement + 1e-9 * state.h_row) / state.h_row))
     slips = total_slips - state.n_slips
     if slips:
         state.n_slips = total_slips
         _rebuild_zippers(mesh, state)
     return AdvanceResult(slips, wrapped)
+
+
+def advance(mesh: Mesh, state: MotionState, distance: float) -> AdvanceResult:
+    """Translate the band by ``distance`` (>= 0): :func:`place` it at
+    ``state.displacement + distance``."""
+    if distance < 0:
+        raise ValueError("distance must be non-negative")
+    return place(mesh, state, state.displacement + distance)
 
 
 def element_shapes(mesh: Mesh, state: MotionState) -> np.ndarray:

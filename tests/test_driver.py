@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from ccmsim import driver, meshgen, motion, stfem, velocity, verify
 from ccmsim.cbf import FluxResult, recover_flux
 from ccmsim.driver import RunConfig, load_config, run
-from ccmsim.errors import ConfigError
+from ccmsim.errors import ConfigError, NumericalError
 from ccmsim.mesh import load_mesh, save_mesh
 
 from conftest import FIXTURE_DIR
@@ -294,11 +294,11 @@ def test_toy_run_deterministic(tmp_path):
 
 @pytest.mark.parametrize("coupling", ["equilibrium", "transient"])
 def test_each_step_builds_one_slab_and_one_mask(tmp_path, monkeypatch, coupling):
-    # set-up builds the run's one slab plan and no mask, and evaluates the
-    # closed-form U_eq (twice for a transient run: with and without solid
-    # preheating); each step computes one mask after the band moves (even a
-    # zero move from rest) and builds one slab on it; sensors and snapshots
-    # reuse that mask, and an equilibrium run keeps its U
+    # set-up evaluates the closed-form U_eq (twice for a transient run: with
+    # and without solid preheating) before it loads the mesh, then builds the
+    # run's one slab plan and no mask; each step computes one mask after the
+    # band moves (even a zero move from rest) and builds one slab on it;
+    # sensors and snapshots reuse that mask, and an equilibrium run keeps its U
     events = []
 
     def counted(name, fn):
@@ -319,7 +319,7 @@ def test_each_step_builds_one_slab_and_one_mask(tmp_path, monkeypatch, coupling)
     cfg.sensors = ((0.85, 0.43),)
     run(cfg)
     n_eq = 1 if coupling == "equilibrium" else 2
-    assert events == ["plan"] + ["U_eq"] * n_eq + ["mask", "slab"] * 4
+    assert events == ["U_eq"] * n_eq + ["plan"] + ["mask", "slab"] * 4
 
 
 @pytest.mark.parametrize("loop", ["run", "cooling", "sliding band"])
@@ -563,6 +563,53 @@ def test_abort_dump_written_for_any_failure(tmp_path, monkeypatch):
     with pytest.raises(RuntimeError, match="flux recovery broke"):
         run(cfg)
     assert os.path.exists(os.path.join(cfg.out_dir, "abort_state.vtk"))
+
+
+@pytest.mark.parametrize("stage, call", [("solve", 3), ("solve", 5), ("closure", 5)])
+def test_abort_dump_is_the_last_completed_step(tmp_path, monkeypatch, stage, call):
+    # the dump is the last completed step's field on the band where that step
+    # left it: byte for byte that step's snapshot in a run that does not fail.
+    # A failed solve has moved the band already (slab 5 also wraps nodes); a
+    # failure after the slab leaves the step's own position and field
+    cfg = load_config(write_config(tmp_path))
+    cfg.vtk_every = 1
+    reference = tmp_path / "reference"
+    run(dataclasses.replace(cfg, out_dir=str(reference)))
+    owner, name = (stfem.SlabOperator, "solve") if stage == "solve" else (driver, "_closure")
+    original, calls = getattr(owner, name), []
+
+    def failing(*args):
+        calls.append(None)
+        if len(calls) == call:
+            raise NumericalError("forced")
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, failing)
+    with pytest.raises(NumericalError, match="forced"):
+        run(cfg)
+    completed = call - 1 if stage == "solve" else call
+    dump = os.path.join(cfg.out_dir, "abort_state.vtk")
+    assert open(dump).read() == (reference / f"state_{completed:06d}.vtk").read_text()
+
+
+@pytest.mark.parametrize("name", ["probe_temperature", "power_3kw"])
+def test_each_closure_is_evaluated_once_before_step_0(tmp_path, monkeypatch, name):
+    # U_eq and the largest U of a step (the closure without preheating,
+    # T_s = T_m) are evaluated once each from reading the config to the end
+    # of a one-step run: load_config leaves them to the run's set-up
+    solid_temperatures = []
+
+    def counted(fn):
+        def wrapper(p, *args):
+            solid_temperatures.append(p.T_s)
+            return fn(p, *args)
+        return wrapper
+
+    for fn in ("u_eq_temperature", "u_eq_power"):
+        monkeypatch.setattr(velocity, fn, counted(getattr(velocity, fn)))
+    cfg = load_config(os.path.join(FIXTURE_DIR, name + ".ini"))
+    run(dataclasses.replace(cfg, n_steps=1, vtk_every=0, out_dir=str(tmp_path / "out")))
+    assert solid_temperatures == [cfg.T_s, cfg.T_m]
 
 
 def test_step_longer_than_a_row_warns(tmp_path):

@@ -258,9 +258,50 @@ def test_row_mask_matches_the_triangle_oracle(fixture_dir, name, data):
     k = data.draw(st.integers(1, 2 * state.n_lines), label="rows")
     d = data.draw(st.sampled_from([0.0, k * h, float(np.nextafter(k * h, 0.0))])
                   | st.floats(0.0, 2.0 * state.circumference), label="displacement")
-    # the band's position at displacement d, as motion.advance sets it
+    # the band's position at displacement d, as motion.place sets it
     moved = copy.copy(mesh)
     moved.nodes = mesh.nodes.copy()
-    moved.nodes[state.strip_nodes, state.axis] = motion._embed(state, state.c0, d)
+    moved.nodes[state.strip_nodes, state.axis] = motion._embed(state, d)
     npt.assert_array_equal(motion.active_elements(moved, state),
                            active_elements_by_triangle(moved, state))
+
+
+@pytest.mark.parametrize("name", ["strip_2", "strip_3", "probe", "ramp", "hotwire"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_placing_the_band_back_restores_it(fixture_dir, name, data):
+    # the band placed at d0, then at d1 more than one slip away on either
+    # side (less than half a ring), then at d0 again: its nodes, zippers and
+    # slip count are those of the first placement at d0 bit for bit (the
+    # as-generated mesh is not: its wrap row sits a circumference away), the
+    # two moves' slips cancel and they wrap the same nodes
+    mesh, state = copy.deepcopy(band_mesh(name, fixture_dir))
+    h, c = state.h_row, state.circumference
+    d0 = data.draw(st.integers(0, 2 * state.n_lines).map(lambda k: k * h)
+                   | st.floats(0.0, 2.0 * c), label="d0")
+    # leave the as-generated position (placing at 0 there changes nothing),
+    # then reach d0 in moves shorter than half a ring
+    start = h / 2
+    motion.place(mesh, state, start)
+    n = math.ceil(abs(d0 - start) / (0.4 * c))
+    for k in range(1, n + 1):
+        motion.place(mesh, state, d0 if k == n else start + (d0 - start) * k / n)
+    nodes, triangles, n_slips = mesh.nodes.tobytes(), mesh.triangles.tobytes(), state.n_slips
+
+    same = motion.place(mesh, state, d0)
+    assert same.slips == 0 and same.wrapped_nodes.size == 0
+    for side in (1.0, -1.0):                 # half a ring or more, either way
+        with pytest.raises(ValueError, match="half the ring"):
+            motion.place(mesh, state, np.nextafter(d0 + side * c / 2, side * np.inf))
+    with pytest.raises(ValueError, match="half the ring"):
+        motion.place(mesh, state, math.nan)
+    assert mesh.nodes.tobytes() == nodes and mesh.triangles.tobytes() == triangles
+
+    gap = data.draw(st.floats(h, 0.49 * c, exclude_min=True), label="gap")
+    d1 = d0 + data.draw(st.sampled_from([1.0, -1.0]), label="side") * gap
+    there = motion.place(mesh, state, d1)
+    back = motion.place(mesh, state, d0)
+    assert there.slips != 0 and there.slips + back.slips == 0
+    npt.assert_array_equal(there.wrapped_nodes, back.wrapped_nodes)
+    assert mesh.nodes.tobytes() == nodes and mesh.triangles.tobytes() == triangles
+    assert state.n_slips == n_slips and state.displacement == d0
