@@ -11,11 +11,17 @@ Stage A is :func:`slab_step`, the step core shared by all three loops:
 and an equilibrium run applies the closed-form velocity from the first
 step on.
 
-Configuration is a flat INI file; every section and key is declared once,
-in a row of ``_KEYS`` below that parses it, gives its default and names it
-in errors (unknown sections and keys are errors).
+Configuration is a flat INI file; each key is declared once, with its
+section, parser and default, on the :class:`RunConfig` field it sets
+(unknown sections and keys are errors).
 Outputs: a per-step CSV, an optional sensor-trace CSV, and periodic VTK
-snapshots of the deformed mesh with an element activity mask.
+snapshots of the deformed mesh with an element activity mask.  Each step's
+slab runs from ``t_n`` to ``t_n + dt``.  In its ``run.csv`` row, ``time`` is
+``t_n`` and ``velocity`` the U the slab moved at; ``displacement`` and
+``slip_count`` are at the slab's end, and the ``flux_*`` columns are
+averages over the slab.  A ``sensors.csv`` row's ``time`` is the slab's
+end, ``t_n + dt``.  ``state_<k>.vtk`` is the state at the end of the k-th
+step, t = k dt.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from . import motion
 from . import velocity as vel
 from .cbf import recover_flux
 from .errors import ConfigError, NumericalError
-from .mesh import Mesh, MeshFormatError, format_rows, load_mesh
+from .mesh import Mesh, MeshFormatError, format_rows, load_mesh, tri_areas
 from .stfem import SlabOperator, SlabPlan, SlabProblem
 
 __all__ = [
@@ -52,59 +58,6 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
-
-@dataclass
-class RunConfig:
-    """Validated, fully-resolved configuration of one simulation run; the
-    INI key and default of each field are in ``_KEYS``."""
-
-    # solid
-    rho_s: float
-    cp_s: float
-    kappa_s: float
-    T_s: float
-    # liquid
-    rho_l: float
-    cp_l: float
-    kappa_l: float
-    mu_l: float
-    # melting
-    h_m: float
-    T_m: float
-    # source
-    mode: str
-    coupling: str
-    T_w: float | None
-    q_h: float | None
-    F_ex: float
-    R: float
-    tip_tags: tuple
-    side_tags: tuple
-    tip_area: float | None      # m^2 per unit depth; used to convert bulk watts
-    # time
-    dt: float
-    n_steps: int
-    # mesh
-    mesh_path: str
-    direction: tuple | None
-    farfield_tags: tuple | None  # None = every tag not in tip/side
-    # output
-    out_dir: str
-    vtk_every: int
-    csv_name: str
-    sensors: tuple
-
-    @property
-    def ccm_params(self) -> vel.CcmParams:
-        return vel.CcmParams(rho_s=self.rho_s, cp_s=self.cp_s, rho_l=self.rho_l,
-                             cp_l=self.cp_l, kappa_l=self.kappa_l, mu_l=self.mu_l,
-                             h_m=self.h_m, T_m=self.T_m, T_s=self.T_s, R=self.R,
-                             F_ex=self.F_ex)
-
-    @property
-    def alpha_s(self) -> float:
-        return self.kappa_s / (self.rho_s * self.cp_s)
-
 
 @dataclass
 class StepRecord:
@@ -178,40 +131,70 @@ def _choice(*options):
 
 _REQUIRED = object()    # the default of a key that must be given, and not empty
 
+
+def _ini(section: str, key: str, parse=_float, default=_REQUIRED):
+    """A RunConfig field read from ``key`` in ``[section]`` by ``parse``;
+    ``default`` when the key is absent."""
+    return field(metadata={"ini": (section, key, parse, default)})
+
+
+@dataclass
+class RunConfig:
+    """Validated, fully-resolved configuration of one simulation run; each
+    field names its INI section and key, parser and default."""
+
+    rho_s: float = _ini("material.solid", "rho")
+    cp_s: float = _ini("material.solid", "cp")
+    kappa_s: float = _ini("material.solid", "kappa")
+    T_s: float = _ini("material.solid", "T_s")
+    rho_l: float = _ini("material.liquid", "rho")
+    cp_l: float = _ini("material.liquid", "cp")
+    kappa_l: float = _ini("material.liquid", "kappa")
+    mu_l: float = _ini("material.liquid", "mu")
+    h_m: float = _ini("melting", "h_m")
+    T_m: float = _ini("melting", "T_m")
+    mode: str = _ini("source", "mode", _choice("temperature", "power"))
+    coupling: str = _ini("source", "coupling", _choice("equilibrium", "transient"))
+    T_w: float | None = _ini("source", "T_w", default=None)
+    q_h: float | None = _ini("source", "q_h", default=None)
+    F_ex: float = _ini("source", "F_ex", default=None)
+    R: float = _ini("source", "R")
+    tip_tags: tuple = _ini("source", "tip_tags", _tags)
+    side_tags: tuple = _ini("source", "side_tags", _tags, ())
+    # m^2 per unit depth; used to convert bulk watts
+    tip_area: float | None = _ini("source", "tip_area", default=None)
+    dt: float = _ini("time", "dt")
+    n_steps: int = _ini("time", "n_steps", _int)
+    mesh_path: str = _ini("mesh", "path", str)
+    direction: tuple | None = _ini("mesh", "direction", _point, None)
+    # None = every tag not in tip/side
+    farfield_tags: tuple | None = _ini("mesh", "farfield_tags", _tags, None)
+    out_dir: str = _ini("output", "directory", str)
+    vtk_every: int = _ini("output", "vtk_every", _int, 10)
+    csv_name: str = _ini("output", "csv", str, "run.csv")
+    sensors: tuple = _ini("output", "sensors", _points, ())
+
+    @property
+    def ccm_params(self) -> vel.CcmParams:
+        return vel.CcmParams(rho_s=self.rho_s, cp_s=self.cp_s, rho_l=self.rho_l,
+                             cp_l=self.cp_l, kappa_l=self.kappa_l, mu_l=self.mu_l,
+                             h_m=self.h_m, T_m=self.T_m, T_s=self.T_s, R=self.R,
+                             F_ex=self.F_ex)
+
+    @property
+    def alpha_s(self) -> float:
+        return self.kappa_s / (self.rho_s * self.cp_s)
+
+
 # (section, key, RunConfig field, parser, default): every key of the INI
-# file.  mass and gravity are not fields; load_config turns them into F_ex.
-_KEYS = [
-    ("material.solid", "rho", "rho_s", _float, _REQUIRED),
-    ("material.solid", "cp", "cp_s", _float, _REQUIRED),
-    ("material.solid", "kappa", "kappa_s", _float, _REQUIRED),
-    ("material.solid", "T_s", "T_s", _float, _REQUIRED),
-    ("material.liquid", "rho", "rho_l", _float, _REQUIRED),
-    ("material.liquid", "cp", "cp_l", _float, _REQUIRED),
-    ("material.liquid", "kappa", "kappa_l", _float, _REQUIRED),
-    ("material.liquid", "mu", "mu_l", _float, _REQUIRED),
-    ("melting", "h_m", "h_m", _float, _REQUIRED),
-    ("melting", "T_m", "T_m", _float, _REQUIRED),
-    ("source", "mode", "mode", _choice("temperature", "power"), _REQUIRED),
-    ("source", "coupling", "coupling", _choice("equilibrium", "transient"), _REQUIRED),
-    ("source", "T_w", "T_w", _float, None),
-    ("source", "q_h", "q_h", _float, None),
-    ("source", "F_ex", "F_ex", _float, None),
-    ("source", "mass", "mass", _float, None),
-    ("source", "gravity", "gravity", _float, None),
-    ("source", "R", "R", _float, _REQUIRED),
-    ("source", "tip_tags", "tip_tags", _tags, _REQUIRED),
-    ("source", "side_tags", "side_tags", _tags, ()),
-    ("source", "tip_area", "tip_area", _float, None),
-    ("time", "dt", "dt", _float, _REQUIRED),
-    ("time", "n_steps", "n_steps", _int, _REQUIRED),
-    ("mesh", "path", "mesh_path", str, _REQUIRED),
-    ("mesh", "direction", "direction", _point, None),
-    ("mesh", "farfield_tags", "farfield_tags", _tags, None),
-    ("output", "directory", "out_dir", str, _REQUIRED),
-    ("output", "vtk_every", "vtk_every", _int, 10),
-    ("output", "csv", "csv_name", str, "run.csv"),
-    ("output", "sensors", "sensors", _points, ()),
-]
+# file, in the fields' order.  mass and gravity are not fields; load_config
+# turns them into F_ex.
+_KEYS = []
+for _f in fields(RunConfig):
+    _KEYS.append((*_f.metadata["ini"][:2], _f.name, *_f.metadata["ini"][2:]))
+    if _f.name == "F_ex":
+        _KEYS += [("source", "mass", "mass", _float, None),
+                  ("source", "gravity", "gravity", _float, None)]
 # each section's keys (the sections in the table's order), each field's key
 _SECTIONS = {section: {k for s, k, *_ in _KEYS if s == section} for section, *_ in _KEYS}
 _KEY_OF = {name: f"[{section}] {key}" for section, key, name, *_ in _KEYS}
@@ -349,8 +332,7 @@ def _barycentric(mesh: Mesh, idx, q):
     p0, p1, p2 = (mesh.nodes[tri[:, i]] for i in range(3))
     rx = q[:, 0, None] - p0[:, 0]                       # (points, triangles)
     ry = q[:, 1, None] - p0[:, 1]
-    d = ((p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1])
-         - (p2[:, 0] - p0[:, 0]) * (p1[:, 1] - p0[:, 1]))
+    d = 2.0 * tri_areas(mesh.nodes, tri)
     with np.errstate(divide="ignore", invalid="ignore"):
         l1 = ((p2[:, 1] - p0[:, 1]) * rx - (p2[:, 0] - p0[:, 0]) * ry) / d
         l2 = (-(p1[:, 1] - p0[:, 1]) * rx + (p1[:, 0] - p0[:, 0]) * ry) / d
@@ -365,13 +347,13 @@ class SensorLocator:
     Static triangles never move, so the ones that hold a point are found
     once, when the locator is made.  A moving triangle can hold a point
     only while its corners bracket the point's ordinate along the motion
-    axis.  A band triangle's corners lie on its corner rows, so the band's
-    row table (``corner_nodes``, ``tri_rows``) gives the band triangles at
-    the present displacement, a few row triples at a time; a zipper
-    triangle shears, and is judged by its own corners.  Each bracket is
-    widened by 1e-6 of its span, far more than the hit test's 1e-10 and
-    the 1e-9 of a row to which rows are lines.  Without a band (``state``
-    None) every triangle is static.
+    axis.  A band triangle's corners lie on its corner rows, so each row
+    triple of the band (``corner_nodes``) is judged once, and ``tri_rows``
+    gives the verdict to its triangles; a zipper triangle shears, and is
+    judged by its own corners.  Each bracket is widened by 1e-6 of its
+    span, far more than the hit test's 1e-10 and the 1e-9 of a row to which
+    rows are lines.  Without a band (``state`` None) every triangle is
+    static.
     """
 
     def __init__(self, mesh: Mesh, state, points):
@@ -379,33 +361,27 @@ class SensorLocator:
         self.points = np.asarray(points, dtype=float).reshape(-1, 2)
         static = np.arange(mesh.n_triangles)
         if state is not None:
-            code = state.tri_code
-            static = np.flatnonzero(code == motion.ROLE_CODE["static"])
-            self._zipper = np.flatnonzero(code == motion.ROLE_CODE["update"])
-            # the band triangles grouped by their row triple, in index order
-            self._band = np.argsort(state.tri_rows, kind="stable")
-            self._start = np.searchsorted(state.tri_rows[self._band],
-                                          np.arange(len(state.corner_nodes) + 1))
+            static = np.flatnonzero(state.tri_code == motion.ROLE_CODE["static"])
+            self._zipper = np.flatnonzero(state.tri_code == motion.ROLE_CODE["update"])
         self._static = static[_barycentric(mesh, static, self.points)[0].any(axis=0)]
 
     def candidates(self, active) -> np.ndarray:
         """Indices, ascending, of the ``active`` triangles that may hold a point."""
-        idx, st = self._static, self.state
-        if st is not None:
-            # corner ordinates of the zipper triangles, then of the row triples
-            nz = len(self._zipper)
-            c = self.mesh.nodes[np.concatenate([self.mesh.triangles[self._zipper],
-                                                st.corner_nodes]), st.axis]
-            # column by column: numpy reduces along a length-3 axis ten times slower
-            lo = np.minimum(np.minimum(c[:, 0], c[:, 1]), c[:, 2])
-            hi = np.maximum(np.maximum(c[:, 0], c[:, 1]), c[:, 2])
-            pad = 1e-6 * (hi - lo)
-            s = self.points[:, st.axis, None]
-            near = ((lo - pad <= s) & (s <= hi + pad)).any(axis=0)
-            band = [self._band[self._start[k]:self._start[k + 1]]
-                    for k in np.flatnonzero(near[nz:])]
-            idx = np.sort(np.concatenate([idx, self._zipper[near[:nz]], *band]))
-        return idx[active[idx]]
+        st = self.state
+        if st is None:
+            return self._static[active[self._static]]
+        # the spans of the zipper triangles, then of the row triples
+        nz = len(self._zipper)
+        lo, hi = motion.axis_span(self.mesh, st, np.concatenate(
+            [self.mesh.triangles[self._zipper], st.corner_nodes]))
+        pad = 1e-6 * (hi - lo)
+        s = self.points[:, st.axis, None]
+        near = ((lo - pad <= s) & (s <= hi + pad)).any(axis=0)
+        # the last entry serves the triangles outside the band
+        mask = np.append(near[nz:], False)[st.tri_rows]
+        mask[self._zipper] = near[:nz]
+        mask[self._static] = True
+        return np.flatnonzero(mask & active)
 
 
 def sample_sensors(sensors: SensorLocator, active, T: np.ndarray) -> np.ndarray:
@@ -447,9 +423,12 @@ def output_path(out_dir, name, key) -> str:
         os.makedirs(out_dir, exist_ok=True)
         open(path, "a", encoding="utf-8").close()
     except OSError as exc:
-        raise ConfigError(f"{key}: cannot write {exc.filename or path}: "
-                          f"{exc.strerror or exc}") from exc
+        raise _write_error(key, exc, path) from exc
     return path
+
+
+def _write_error(key, exc: OSError, path) -> ConfigError:
+    return ConfigError(f"{key}: cannot write {exc.filename or path}: {exc.strerror or exc}")
 
 
 def _write_row(f, values) -> None:
@@ -702,9 +681,12 @@ def run(config: RunConfig) -> RunReport:
                 records.append(StepRecord(t=t_n, U=U, displacement=displacement,
                                           q_s_avg=q_s, slip_count=slips_total,
                                           clamped=clamped, stalled=stalled))
-                out.step(step, [t_n, U, displacement, q_s, q_min, q_max, slips_total], T, act)
+                try:
+                    out.step(step, [t_n, U, displacement, q_s, q_min, q_max, slips_total], T, act)
+                except OSError as exc:
+                    raise _write_error("[output] directory", exc, cfg.out_dir) from exc
                 U = U_next
-                rate = np.where(op.node_active, sol.t_top - sol.t_bot, 0.0)
+                rate = sol.t_top - sol.t_bot      # 0 on the rows the solve fixes
                 # let this step's slab go before the next one is assembled
                 op = sol = None
         except Exception:

@@ -282,6 +282,14 @@ def element_shapes(mesh: Mesh, state: MotionState) -> np.ndarray:
     return xe
 
 
+def axis_span(mesh: Mesh, state: MotionState, corners) -> tuple[np.ndarray, np.ndarray]:
+    """``(lo, hi)``: the least and the greatest ordinate along the motion
+    axis of the three nodes in each row of ``corners`` (k, 3)."""
+    c0, c1, c2 = mesh.nodes[corners, state.axis].T
+    # column by column: numpy reduces along a length-3 axis several times slower
+    return np.minimum(np.minimum(c0, c1), c2), np.maximum(np.maximum(c0, c1), c2)
+
+
 def active_elements(mesh: Mesh, state: MotionState) -> np.ndarray:
     """Boolean mask of triangles to assemble on, in the current position.
 
@@ -292,10 +300,7 @@ def active_elements(mesh: Mesh, state: MotionState) -> np.ndarray:
     rows: each row is taken as the line of its own nodes, at the ordinate of
     its first node, and the mask is computed once per distinct triple.
     """
-    c0, c1, c2 = mesh.nodes[state.corner_nodes, state.axis].T             # (k,) each
-    # column by column: numpy reduces along a length-3 axis several times slower
-    cmax = np.maximum(np.maximum(c0, c1), c2)
-    cmin = np.minimum(np.minimum(c0, c1), c2)
+    cmin, cmax = axis_span(mesh, state, state.corner_nodes)
     torn = (cmax - cmin) > state.circumference / 2
     eps = 1e-9 * state.h_row
     inside = (cmax > state.w_lo + eps) & (cmin < state.w_hi - eps)

@@ -503,11 +503,8 @@ class SlabOperator:
         self._zke = np.empty((0, 6, 6))
         self._zipper = None
         if len(zc):
-            xo = p.coords_old[zc]
-            e1 = xo[:, 1] - xo[:, 0]
-            e2 = xo[:, 2] - xo[:, 0]
-            jump = (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])[:, None, None] * _M
-            self._zke = ke = _theta_blocks(xo, p.coords_new[zc], p.dt, p.alpha)
+            jump = 2.0 * tri_areas(p.coords_old, zc)[:, None, None] * _M
+            self._zke = ke = _theta_blocks(p.coords_old[zc], p.coords_new[zc], p.dt, p.alpha)
             ke[:, :3, :3] += jump
             rhs += np.bincount(zc.ravel(), np.einsum("eab,eb->ea", jump, p.t_prev[zc]).ravel(),
                                minlength=n)

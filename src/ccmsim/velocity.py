@@ -157,17 +157,19 @@ def solve_scalar(
     return root
 
 
-def u_eq_temperature(p: CcmParams, T_w: float) -> float:
-    """Equilibrium melting velocity for a source held at temperature T_w.
+def _film_velocity(p: CcmParams, T_w: float, h: float) -> float:
+    """Velocity of a source at T_w whose melt film takes ``h`` (J/kg) to
+    melt the solid: U = [ ((T_w - T_m) kappa_l)^3 F_ex / (8 mu_l (rho_s h R)^3) ]^(1/4)."""
+    return (((T_w - p.T_m) * p.kappa_l) ** 3 * p.F_ex
+            / (8.0 * p.mu_l * (p.rho_s * h * p.R) ** 3)) ** 0.25
 
-    Closed form: U = [ ((T_w - T_m) kappa_l)^3 * F_ex
-                       / (8 mu_l (rho_s h_m_star R)^3) ]^(1/4).
-    """
+
+def u_eq_temperature(p: CcmParams, T_w: float) -> float:
+    """Equilibrium melting velocity for a source held at temperature T_w:
+    the film velocity (:func:`_film_velocity`) with h = h_m_star."""
     if T_w <= p.T_m:
         raise ValueError("temperature-controlled melting needs T_w above the melting point")
-    num = ((T_w - p.T_m) * p.kappa_l) ** 3 * p.F_ex
-    den = 8.0 * p.mu_l * (p.rho_s * p.h_m_star * p.R) ** 3
-    return (num / den) ** 0.25
+    return _film_velocity(p, T_w, p.h_m_star)
 
 
 def u_eq_power(p: CcmParams, q_h: float) -> float:
@@ -208,9 +210,8 @@ def u_transient_temperature(p: CcmParams, T_w: float, q_s: float) -> float:
     def f(U: float) -> float:
         return 1.0 - 8.0 * p.mu_l * U * (p.rho_s * U * p.h_m + q_s) ** 3 * p.R**3 / (cube * p.F_ex)
 
-    # f(0) = 1; f(2 u_cold) <= 1 - 2^4 as f falls with q_s; u_cold: u_eq_temperature with h_m
-    u_cold = (cube * p.F_ex / (8.0 * p.mu_l * (p.rho_s * p.h_m * p.R) ** 3)) ** 0.25
-    return solve_scalar(f, 0.0, 2.0 * u_cold)
+    # f(0) = 1; f(2 u_cold) <= 1 - 2^4 as f falls with q_s; u_cold: the film velocity with h_m
+    return solve_scalar(f, 0.0, 2.0 * _film_velocity(p, T_w, p.h_m))
 
 
 def u_transient_power(p: CcmParams, q_h: float, q_s: float) -> tuple[float, bool]:

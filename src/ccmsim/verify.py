@@ -121,7 +121,7 @@ def run_cbf_case(h: float = 0.02, dt: float = 0.05, n_steps: int = 20) -> ErrorT
     except ValueError as exc:
         raise ConfigError(f"dt: the exact flux series cannot be summed at the first slab's "
                           f"midpoint t = {0.5 * dt:g} ({exc}); use a longer step") from exc
-    if not q_ref[-1] > 0.0:
+    if q_ref and not q_ref[-1] > 0.0:
         raise ConfigError(f"dt, n_steps: the exact flux underflows to zero by the last "
                           f"slab's midpoint t = {(n_steps - 0.5) * dt:g}; use fewer or "
                           f"shorter steps")

@@ -126,6 +126,25 @@ def test_sweep_unwritable_output_exits_2_before_the_first_slab(tmp_path, capsys,
     assert err.startswith("error: [output] directory: cannot write ") and str(out) in err
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_output_that_fails_after_the_first_step_exits_2(tmp_path, capsys, command):
+    cfg = make_config(tmp_path, "vtk_every = 1\n")
+    out = tmp_path / "taken"
+    args = ["run", "--config", cfg, "--out", str(out)]
+    if command == "sweep":
+        args = ["sweep", "--config", cfg, "--key", "source.T_w", "--values", "1.0",
+                "--out", str(out)]
+        out = out / "point_0"
+    blocked = out / "state_000002.vtk"          # the snapshot of the second step
+    blocked.mkdir(parents=True)
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: [output] directory: cannot write {blocked}: ")
+    assert "Traceback" not in err
+    assert len((out / "run.csv").read_text().splitlines()) == 3       # header and two rows
+    assert (out / "state_000001.vtk").is_file() and (out / "abort_state.vtk").is_file()
+
+
 @pytest.mark.parametrize("case, options, name", [
     ("cbf", ["--dt", "1e300"], "dt, n_steps"),         # the exact flux underflows
     ("meshupdate", ["--dt", "1e10"], "dt"),            # half the ring or more per step

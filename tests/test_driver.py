@@ -166,6 +166,14 @@ def test_the_key_table_declares_every_run_config_field():
             == [f.name for f in dataclasses.fields(RunConfig)])
 
 
+def test_mass_and_gravity_are_read_right_after_f_ex(tmp_path):
+    # a bad mass is named before a bad R, the field after F_ex
+    def mutate(s):
+        s["source"].update(mass="heavy", R="wide")
+    with pytest.raises(ConfigError, match=re.escape("[source] mass: not a number")):
+        load_config(write_config(tmp_path, mutate))
+
+
 @pytest.mark.parametrize("section, key", [(section, key) for section, key, *_, default
                                           in driver._KEYS if default is driver._REQUIRED])
 @pytest.mark.parametrize("value", [None, ""], ids=["dropped", "empty"])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ccmsim import meshgen
+from ccmsim import meshgen, stfem
 from ccmsim.verify import (
     ErrorTable,
     convergence_rate,
@@ -111,6 +111,15 @@ def test_meshupdate_case_exact_when_band_static():
     # zero sliding velocity: nothing moves, the stationary linear field
     # must be preserved to machine precision
     assert run_meshupdate_case(0.2, velocity=0.0, n_steps=3) <= 1e-12
+
+
+def test_cases_of_no_steps_build_no_slab(monkeypatch):
+    def no_slab(*args, **kwargs):
+        raise AssertionError("a slab was built")
+    monkeypatch.setattr(stfem.SlabOperator, "__init__", no_slab)
+    table = run_cbf_case(h=0.25, n_steps=0)
+    assert (table.h, table.dt, table.error, table.runtime) == ([], [], [], [])
+    assert run_meshupdate_case(0.25, n_steps=0) == 0.0
 
 
 def test_benchmark_grid_must_tile_unit_square():
