@@ -497,12 +497,15 @@ class _Outputs(contextlib.ExitStack):
 
 def slab_plan(mesh: Mesh, state) -> SlabPlan:
     """The run's slab plan: every triangle in its active shape; the zipper
-    triangles (none without a band, ``state`` None) are the ones that shear."""
+    triangles are the ones that shear and the strip and virtual triangles
+    the ones that move with the band (none of either without a band,
+    ``state`` None)."""
     if state is None:
-        return SlabPlan(mesh.n_nodes, mesh.triangles, mesh.nodes[mesh.triangles],
-                        np.zeros(mesh.n_triangles, dtype=bool))
+        none = np.zeros(mesh.n_triangles, dtype=bool)
+        return SlabPlan(mesh.n_nodes, mesh.triangles, mesh.nodes[mesh.triangles], none, none)
     return SlabPlan(mesh.n_nodes, mesh.triangles, motion.element_shapes(mesh, state),
-                    state.tri_code == motion.ROLE_CODE["update"])
+                    state.tri_code == motion.ROLE_CODE["update"],
+                    motion.band_triangles(state.tri_code))
 
 
 def slab_step(mesh: Mesh, state, T: np.ndarray, distance: float, *, plan: SlabPlan,

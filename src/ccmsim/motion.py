@@ -66,6 +66,12 @@ class AdvanceResult:
     wrapped_nodes: np.ndarray  # ids that wrapped round the ring in this move
 
 
+def band_triangles(tri_code) -> np.ndarray:
+    """Mask of the band's triangles, the 'strip' and 'virtual' roles, from
+    the role code per triangle."""
+    return (tri_code == ROLE_CODE["strip"]) | (tri_code == ROLE_CODE["virtual"])
+
+
 def zipper_triangles(static_nodes, ring_nodes, j0, flip):
     """Connectivity of one seam's zipper for ring shift ``j0``.
 
@@ -158,7 +164,7 @@ def init_motion(mesh: Mesh, direction) -> MotionState:
     # the band triangles' corner rows, one key per distinct sorted triple
     row_of = np.full(mesh.n_nodes, -1)
     row_of[strip_nodes] = np.repeat(np.arange(L), sizes)
-    band = (tri_code == ROLE_CODE["strip"]) | (tri_code == ROLE_CODE["virtual"])
+    band = band_triangles(tri_code)
     rows = np.sort(row_of[mesh.triangles[band]], axis=1)
     if np.any(rows < 0):
         raise ValueError("a band triangle has a corner off the strip rows")
@@ -275,7 +281,7 @@ def element_shapes(mesh: Mesh, state: MotionState) -> np.ndarray:
     to within half a ring of its first corner.
     """
     xe = mesh.nodes[mesh.triangles]
-    band = (state.tri_code == ROLE_CODE["strip"]) | (state.tri_code == ROLE_CODE["virtual"])
+    band = band_triangles(state.tri_code)
     c = xe[band, :, state.axis]
     c -= state.circumference * np.round((c - c[:, :1]) / state.circumference)
     xe[band, :, state.axis] = c

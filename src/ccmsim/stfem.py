@@ -33,24 +33,28 @@ A :class:`SlabPlan` holds what does not change from slab to slab: the
 shape data ``M_e``, ``K_e`` and the gradients ``G_e`` of every rigid
 element, one CSC pattern over all mesh nodes, and where each rigid element
 entry goes in it.  A run builds one plan before its first slab; a bare
-:class:`SlabProblem` gets a one-off plan of its own triangles.  Each slab
-then sums the rigid part of ``M' + i N'`` straight into the pattern, each
-element weighted by whether it is active (1 or 0), and puts the zipper
-blocks into one small 2n x 2n COO matrix.  A slab pays only for what moves:
-the mesh-velocity sum of a displacement component is formed only if that
-component is nonzero at some node (a band forms the one along its axis, a
-static slab neither), and a slab without zipper triangles runs no time
-quadrature, jump or COO for them.  A static slab's ``M' + i N'`` is then the
-structure's held complex matrix ``M' + i dt alpha K' / 2`` itself, which
-no slab writes into; a moving slab subtracts ``i`` times its mesh-velocity
-sums from a copy.  Each left-out term would have been an exact zero, so the
-values are those of the full assembly to the bit.
+:class:`SlabProblem` gets a one-off plan of its own triangles, in which only
+static elements are rigid.  A slab pays only for what moves.  Its structure
+(below) holds the rigid sums of its mask, each element weighted by whether
+it is active (1 or 0): ``M' + i dt alpha K' / 2``, ``K'`` the diffusion sum,
+and on the entries the band reaches its gradient sum
+``G = sum over band elements of w_e G_e / 6``, one per axis.
+The band translates rigidly (:func:`ccmsim.motion.place` sets every strip
+node from one displacement ``d``, and an active element has no wrapped
+node), so a slab's mesh-velocity sum is ``d . G``, and its ``N'`` is
+``dt alpha K' / 2 - d . G``: ``d`` is read at one node of an active band
+element, and only a nonzero component of it is subtracted.  A static slab's
+``M' + i N'`` is then the structure's held complex matrix
+``M' + i dt alpha K' / 2`` itself, which no slab writes into; a moving slab
+subtracts ``i d . G`` from a copy.  The zipper blocks go into one small
+2n x 2n COO matrix, and a slab without zipper triangles runs no time
+quadrature, jump or COO for them.
 Nodes of no active element become identity rows.  The exact slab
 operator, the rigid ``P (x) M' + D (x) N'`` plus the zipper matrix, is
-never assembled whole; it is applied matrix-free, for the solve and for
-the weak residual that flux recovery reads.  The solve's last residual
-check forms that product for the solution it returns, and the residual
-reuses it.
+never assembled whole; it is applied matrix-free, for the residual checks
+and for the weak residual that flux recovery reads.  The solve's last
+residual check forms that product for the solution it returns, and the
+residual reuses it.
 
 Only the LU needs the zipper blocks in the ``P (x) X_e + D (x) Y_e`` form:
 a fixed 2 x 4 matrix (``_PROJ``) fits each block's four 3 x 3 time blocks
@@ -66,33 +70,45 @@ eigenvalues 2 +- i sqrt(2), the negated poles of the amplification factor
 above, so in its eigenvectors the slab splits into ``(lambda M' + N') y = c``
 with lambda = 2 + i sqrt(2) and its complex conjugate: one complex n x n LU
 solves it, and the real solution is 2 Re(v y) for the eigenvector v.
-Dirichlet nodes stay identity rows.  The LU is exact on rigid slabs.  On
-a slab with zipper triangles it preconditions GMRES on the exact operator:
-the first solve ``x = x0 + K^-1 (b - A x0)`` is corrected by
-right-preconditioned GMRES, started from a zero correction and not
-restarted, whose residual is the true slab residual.  (Plain iterative
-refinement ``x += K^-1 (b - A x)`` contracts more slowly the further a step
-shears the zipper; GMRES does not depend on that contraction.)  Such a slab
-starts from the last slab's trajectory when the driver passes its rate
-(``SlabProblem.rate``): ``x0 = [t_prev, t_prev + rate]``, the field carried
-on at the last slab's change per step, which takes 1-1.5 fewer GMRES steps
-for one more product with the operator.  Any other slab starts from the
-Dirichlet values alone (x0 = 0 on the free rows): a rigid slab's own LU
-solves it in one step from any start, so a guess would only cost the
-product.  Either way the residual check is scaled by the free rows'
-residual at the Dirichlet values alone, the right-hand side of the
+Dirichlet nodes stay identity rows.  Besides its LU, the structure keeps
+the ``h = dt alpha / 2``, the band displacement ``d`` and the zipper fit
+the LU was factored with.  On the free rows the slab is then exactly
+``A = K + R``, K the operator the LU solves and
+``R = D (x) (dh K' - dd . G) + (Z - Z_fit)``: the changes of h and d since
+the factorization, and the zipper blocks less the LU's fit of them.  R is
+zero on a static or freshly factored rigid slab, the zipper remainder alone
+on a freshly factored band slab, and otherwise one real product on the
+band's entries (on the whole pattern if dt alpha changed) plus one small
+COO product.  The first solve ``x = x0 + K^-1 r0`` leaves the residual
+``-R K^-1 r0``, and right-preconditioned GMRES corrects it, started from a
+zero correction, each Arnoldi vector ``A K^-1 v`` formed as
+``v + R K^-1 v``.  (Plain iterative refinement ``x += K^-1 (b - A x)``
+contracts more slowly the further a step shears the zipper; GMRES does not
+depend on that contraction.)  ``v + R z`` cannot see the LU's own rounding,
+which on stiff slabs (large dt alpha / h^2) leaves a true residual far
+above the estimate, so the solve then forms the true residual with the
+exact operator and, while it is above REFINE_TOL and falling, restarts
+GMRES from it within MAX_REFINEMENTS steps in all.  A slab with zipper
+triangles starts from the last slab's trajectory when the driver passes
+its rate (``SlabProblem.rate``): ``x0 = [t_prev, t_prev + rate]``, the
+field carried on at the last slab's change per step, which takes 1-1.5
+fewer GMRES steps for one more product with the operator.  Any other slab
+starts from the Dirichlet values alone (x0 = 0 on the free rows): a rigid
+slab's own LU solves it in one step from any start, so a guess would only
+cost the product.  Either way the residual check is scaled by the free
+rows' residual at the Dirichlet values alone, the right-hand side of the
 equations solved for, so SOLVER_TOL means the same whatever the start.
 The Dirichlet values are zero on the free nodes, so that residual reaches
 only the fixed columns: it is formed from their entries alone (a few
 hundred, which the structure lists), to the bit the full product's, and a
-slab started there takes it as its first residual.  A rigid slab solved
-with its own LU thus makes one full product, that of the solution it
-returns, which flux recovery reuses.
+slab started there takes it as its first residual.  A slab thus makes at
+most two full products and one per restart: that of the rate's start, and
+that of the solution it returns, which flux recovery reuses.
 
 The plan also holds the current structure, a :class:`SlabStructure`:
 the slab's active mask, its active and fixed (Dirichlet or idle) nodes, the
-zipper connectivity, the rigid sums that depend on the mask alone (and on
-``dt alpha``), the entries of the fixed columns, and the LU made for it.
+zipper connectivity, the rigid sums that depend on the mask alone, the
+entries of the fixed columns, and the LU made for it.
 Connectivity inside the band never changes and only a slip rewires the
 zipper, so the mask, the zipper connectivity and the Dirichlet nodes fix
 the slab's pattern: :class:`SlabOperator` keeps the held
@@ -104,11 +120,10 @@ as in the bundled meshes; with two, the rows that wrap next to the window
 keep the entering row out of the slab for one more step, so a second slab
 changes too).  Between two slips the band only translates: the slabs after
 a slip keep its structure, and only ``U dt`` and the zipper's shear change.
-Such a slab is not factored: the held LU preconditions GMRES, which
-corrects the changed values as it corrects what the zipper fit misses.  A
-slab of another structure lets the held one go before it is assembled and
-is factored anew, and so is a slab whose GMRES does not converge with the
-held LU.  So is a slab whose band step, its largest element displacement,
+Such a slab is not factored: the held LU preconditions GMRES, and R carries
+the changed values.  A slab of another structure lets the held one go
+before it is assembled and is factored anew, and so is a slab whose GMRES
+does not converge with the held LU.  So is a slab whose band step ``|d|``
 lies outside [1/2, 2] of the step the held LU was factored at
 (HELD_STEP_RATIO): within that range the LU's mesh-velocity term is wrong by
 at most its own size, which costs GMRES 1-2 steps more than a fresh LU.  A
@@ -151,11 +166,9 @@ _DN = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])  # d(shape)/d(xi, eta)
 _P = np.array([[0.5, 0.5], [-0.5, 0.5]])
 _D = np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
 
-# The one-off plan of a bare SlabProblem treats an element as rigid (static
-# or translating) when its node displacements agree to this fraction of its
-# longest edge.  On the bundled meshes strip elements differ by rounding (at
-# most 7e-15 of an edge) and zipper triangles by at least 0.1, so the two
-# classes are far apart.
+# The one-off plan of a bare SlabProblem treats an element as rigid when it
+# is static: no node of it moves by more than this fraction of its longest
+# edge.  Every other element, translating or shearing, is integrated in time.
 RIGID_TOL = 1e-12
 
 # largest relative residual a slab solve may leave: |b - A x| over the free
@@ -169,10 +182,12 @@ SOLVER_TOL = 1e-10
 # GMRES steps on a factor made at 6.6e-5 m, against 2 with their own.
 HELD_STEP_RATIO = 2.0
 # GMRES stops once its residual estimate is below REFINE_TOL or after
-# MAX_REFINEMENTS steps (each one solve with the LU and one product with the
-# exact operator); the solve then fails unless the true residual meets
-# SOLVER_TOL.  On stiff slabs (large dt * alpha / h^2) the true residual's
-# rounding floor may lie above REFINE_TOL while the estimate goes below it.
+# MAX_REFINEMENTS steps in all (each one solve with the LU and one product
+# with what the LU leaves out); the true residual, formed with the exact
+# operator, restarts it while it is above REFINE_TOL and falling, and the
+# solve fails unless it meets SOLVER_TOL.  On stiff slabs (large
+# dt * alpha / h^2) the true residual's rounding floor may lie above
+# REFINE_TOL.
 REFINE_TOL = 1e-13
 MAX_REFINEMENTS = 50
 
@@ -264,20 +279,24 @@ class SlabPlan:
     ``conn`` (m, 3) and ``shapes`` (m, 3, 2) give every element the plan
     covers and its corner coordinates in a position where it has its true
     shape; ``zipper`` marks the elements that shear, whose blocks each slab
-    integrates anew.  The other, rigid, elements keep their connectivity and
-    shape in every slab, so their P1 mass ``M_e``, diffusion ``K_e`` and
-    gradients ``G_e`` (each times twice the area) are computed here once.
+    integrates anew, and ``band`` those that move with the band.  The other
+    elements are static.  Static and band elements are rigid: they keep
+    their connectivity and shape in every slab, so their P1 mass ``M_e``,
+    diffusion ``K_e`` and gradients ``G_e`` (each times twice the area) are
+    computed here once.
 
     The pattern holds the node pairs of the rigid elements.  A slab's rigid
     part of ``M' + i N'`` is linear in each element's weight ``w_e`` (1 if
     active, 0 if not) and displacement
-    ``d_e``: the sum of ``w_e M_e`` and that of
+    ``d_e`` (the band's ``d``, or 0): the sum of ``w_e M_e`` and that of
     ``w_e (dt alpha K_e / 2 - (d_e . G_e) / 6)``.  So ``mass``,
     ``diffusion``, ``grad_x`` and ``grad_y`` are sparse matrices from the
     elements to the pattern's data, whose values are the entries of
     ``M_e``, ``K_e`` and the two components of ``G_e``: each sum is one
     product with a vector of per-element factors.  The four share one
-    index structure.
+    index structure.  ``band_entries`` holds the data positions of the
+    pattern's entries that band elements reach, and the CSC ``indices`` and
+    ``indptr`` that these form by themselves.
 
     Element ``e``'s entry ``(a, b)``, number ``9e + 3a + b``, goes to row
     ``conn[e, a]`` and column ``conn[e, b]``, whose key is
@@ -292,13 +311,13 @@ class SlabPlan:
     the run's last slab, with its LU once one is made.
     """
 
-    def __init__(self, n, conn, shapes, zipper):
+    def __init__(self, n, conn, shapes, zipper, band):
         self.n = n
         self.structure = None
         self.zipper = np.asarray(zipper, dtype=bool)
+        self.band = np.asarray(band, dtype=bool)
         self.rigid = np.flatnonzero(~self.zipper)
         rconn = conn[self.rigid]
-        self.rconn = np.ascontiguousarray(rconn.T)                      # (3, r)
         x = shapes[self.rigid]
         e1 = x[:, 1] - x[:, 0]
         e2 = x[:, 2] - x[:, 0]
@@ -337,12 +356,19 @@ class SlabPlan:
         self.mass, self.diffusion, self.grad_x, self.grad_y = (
             sp.csr_matrix((v, elem, start), shape=(len(start) - 1, r))
             for v in (mass, diffusion, gxb, gyb))
+        # the slots in rows of band nodes hold every entry of a band element
+        band_node = np.zeros(n, dtype=bool)
+        band_node[conn.ravel()[np.repeat(self.band, 3)]] = True
+        pos = np.flatnonzero(band_node.take(self.indices)).astype(self.indices.dtype)
+        self.band_entries = (pos, self.indices.take(pos),
+                             np.searchsorted(pos, self.indptr).astype(self.indptr.dtype))
 
     @classmethod
     def of_problem(cls, problem):
-        """One-off plan of a bare problem's triangles.  An element is rigid
-        when its node displacements agree to RIGID_TOL of its longest edge;
-        its shape is taken from the old coordinates."""
+        """One-off plan of a bare problem's triangles, which has no band.  An
+        element is rigid when it is static, no node of it moving by more
+        than RIGID_TOL of its longest edge; every moving element is
+        integrated as shearing.  Shapes are taken from the old coordinates."""
         p = problem
         xo = p.coords_old[p.conn]
         disp = p.coords_new[p.conn] - xo
@@ -352,9 +378,9 @@ class SlabPlan:
         def sq(v):
             return np.einsum("ei,ei->e", v, v)
 
-        rigid = (np.maximum(sq(disp[:, 1] - disp[:, 0]), sq(disp[:, 2] - disp[:, 0]))
-                 <= RIGID_TOL ** 2 * np.maximum(np.maximum(sq(e1), sq(e2)), sq(e2 - e1)))
-        return cls(len(p.coords_old), p.conn, xo, ~rigid)
+        static = (np.einsum("eai,eai->ea", disp, disp).max(axis=1)
+                  <= RIGID_TOL ** 2 * np.maximum(np.maximum(sq(e1), sq(e2)), sq(e2 - e1)))
+        return cls(len(p.coords_old), p.conn, xo, ~static, np.zeros(len(p.conn), dtype=bool))
 
 
 class SlabStructure:
@@ -362,11 +388,16 @@ class SlabStructure:
     set of Dirichlet nodes share, the three arrays it keeps and is known by:
     the active and fixed nodes of the slab's triangles ``conn``, the COO
     indices of the zipper blocks, the rigid sums of the mask alone (the data
-    of ``M'`` on the plan's pattern, also as the CSC ``jump``, and the
-    complex CSC ``mn`` of ``M' + i dt alpha K' / 2``, which :meth:`refresh`
-    makes again when ``dt alpha`` changes and nothing else writes into), the
-    entries of the fixed columns, and the LU with the band step ``lu_step``
-    of the slab it was factored for.
+    on the plan's pattern of ``M'``, also as the CSC ``jump``, and the
+    complex CSC ``mn`` of ``M' + i dt alpha K' / 2``, ``K'`` the diffusion
+    sum, which :meth:`refresh` makes again when ``dt alpha`` changes and
+    nothing else writes into, and the band's gradient sum along each axis
+    that a slab moves it, ``grad``, see :meth:`gradient`), ``band_node``, a
+    node of an active band element (None if there is none), the entries of
+    the fixed columns, and
+    the LU with what the slab it was factored for had: ``lu_h`` its
+    ``dt alpha / 2``, ``lu_d`` its band displacement, ``lu_step`` the
+    length of that, and ``lu_fit`` its zipper blocks' fit (ne, 6, 6).
 
     A slab starts its solve at the Dirichlet values, zero on the free nodes,
     so the product of that start with the operator reaches only the fixed
@@ -388,12 +419,16 @@ class SlabStructure:
         self.idle = ~self.node_active
         self.fixed = self.idle.copy()
         self.fixed[dirichlet_nodes] = True
+        self.fixed_rows = np.flatnonzero(self.fixed)
         # in scipy's index type, which the zipper COO takes without a scan or a copy
         dof = np.concatenate([zc, zc + n], axis=1).astype(plan.indices.dtype)   # (nz, 6)
         self.zipper_index = (np.repeat(dof, 6, axis=1).ravel(), np.tile(dof, (1, 6)).ravel())
         self.w = active[plan.rigid].astype(float)
         self.mass = plan.mass @ self.w
         self.jump = sp.csc_matrix((self.mass, plan.indices, plan.indptr), shape=(n, n))
+        band = plan.band[active]
+        self.band_node = conn[np.argmax(band), 0] if band.any() else None
+        self.grad = [None, None]
         columns = np.repeat(np.arange(n), np.diff(plan.indptr))
         # an entry of active elements has a positive mass
         pos = np.flatnonzero(self.fixed[columns] & (self.mass != 0.0))
@@ -402,7 +437,17 @@ class SlabStructure:
         rows, cols = self.zipper_index
         pos = np.flatnonzero(np.concatenate([self.fixed, self.fixed])[cols])
         self.zipper_fixed = (pos, cols[pos], *np.unique(rows[pos], return_inverse=True))
-        self.half_dt_alpha = self.mn = self.lu = self.lu_step = None
+        self.half_dt_alpha = self.mn = None
+        self.lu = self.lu_h = self.lu_d = self.lu_step = self.lu_fit = None
+
+    def gradient(self, plan, axis):
+        """The band's gradient sum ``G = sum of w_e G_e / 6`` over the band
+        elements along ``axis``, as data on the plan's pattern; formed for
+        the first slab that moves the band along it."""
+        if self.grad[axis] is None:
+            wb = self.w * plan.band[plan.rigid] / 6.0
+            self.grad[axis] = (plan.grad_x, plan.grad_y)[axis] @ wb
+        return self.grad[axis]
 
     def refresh(self, plan, dt, alpha):
         """Make ``mn`` for this ``dt alpha`` unless it is made for it."""
@@ -436,7 +481,7 @@ class SlabSolution:
     t_bot: np.ndarray                 # (n,) trace at t_n   (jump-relaxed)
     t_top: np.ndarray                 # (n,) trace at t_n + dt
     residual_norm: float              # relative free-row residual, see SOLVER_TOL
-    refinements: int = 0              # GMRES steps after the first solve
+    refinements: int = 0              # GMRES steps after the first solve, restarts included
     factored: bool = True             # False: solved with the plan's held LU
 
 
@@ -451,9 +496,8 @@ class SlabOperator:
     nodes of the slab's active elements, the rows that are solved for
     unless they carry Dirichlet values.
 
-    The slab's band step is the largest displacement component ``d_e`` of an
-    active rigid element (a band moves along one axis, so it is the band's
-    ``U dt``); it is 0 on a static slab.
+    The slab's band step is ``|d|``, the length of the band's displacement
+    (its ``U dt``); it is 0 on a static slab.
     """
 
     def __init__(self, problem: SlabProblem):
@@ -476,24 +520,22 @@ class SlabOperator:
         self.node_active = rec.node_active
         self._fixed = rec.fixed
 
-        # rigid elements: M' + i N' summed into the plan's pattern, each
-        # element weighted by whether it is active in this slab.  A slab
-        # whose nodes did not move takes the structure's M' + i dt alpha K' / 2
-        # as it is; a displacement component zero at every node would
-        # subtract +0.0 throughout
-        mn = None
-        self._band_step = 0.0
-        rc = plan.rconn
-        for grad, c in zip((plan.grad_x, plan.grad_y),
-                           np.ascontiguousarray((p.coords_new - p.coords_old).T)):
-            if c.any():
-                if mn is None:
-                    mn = rec.mn.data.copy()
-                d = rec.w * ((c[rc[0]] + c[rc[1]] + c[rc[2]]) / 3.0)
-                self._band_step = max(self._band_step, np.abs(d).max(initial=0.0))
-                mn.imag -= grad @ (d / 6.0)
-        self._mn = (rec.mn if mn is None
-                    else sp.csc_matrix((mn, plan.indices, plan.indptr), shape=(n, n)))
+        # rigid elements: M' + i N', N' = dt alpha K' / 2 - d . G from the
+        # structure's sums and the band's displacement d, read at one node of
+        # an active band element.  A slab whose band did not move takes the
+        # structure's M' + i dt alpha K' / 2 as it is; a component of d that
+        # is zero would subtract +0.0 throughout
+        self._plan = plan
+        self._d = np.zeros(2)
+        if rec.band_node is not None:
+            self._d = p.coords_new[rec.band_node] - p.coords_old[rec.band_node]
+        self._band_step = float(np.hypot(*self._d))
+        self._mn = rec.mn
+        if self._d.any():
+            mn = rec.mn.data.copy()
+            for axis in np.flatnonzero(self._d):
+                mn.imag -= self._d[axis] * rec.gradient(plan, axis)
+            self._mn = sp.csc_matrix((mn, plan.indices, plan.indptr), shape=(n, n))
         # the jump load: each element's bottom-face mass times t_prev
         rhs = rec.jump @ p.t_prev
 
@@ -511,6 +553,8 @@ class SlabOperator:
             self._zipper = sp.coo_matrix((ke.ravel(), rec.zipper_index), shape=(2 * n, 2 * n))
         # A x of the solution solve returned, formed by its last residual check
         self._product = None
+        # the terms of R = A - K for the structure's LU, set by the solve
+        self._split = (None, None)
 
         self._rhs_raw = np.zeros((2, n))
         self._rhs_raw[0] = rhs
@@ -520,9 +564,10 @@ class SlabOperator:
 
     # -- the factor -----------------------------------------------------------
 
-    def _lhs(self):
-        """``lambda M' + N'``, the zipper blocks by their fit, with identity
-        rows at the fixed nodes, which keeps those rows out of the LU's fill.
+    def _lhs(self, x_e, y_e):
+        """``lambda M' + N'``, the zipper blocks by their fit ``(x_e, y_e)``
+        (see :func:`_zipper_fit`), with identity rows at the fixed nodes,
+        which keeps those rows out of the LU's fill.
 
         Adding the zipper COO to the pattern drops the entries that sum to
         zero (those of inactive elements).  The COO also puts ``i`` on each
@@ -530,10 +575,9 @@ class SlabOperator:
         entry (an idle node's is ``lambda 0 + 1``); the fixed rows' entries
         are then zeroed, their diagonal set to 1 and the zeros dropped.
         """
-        zc, fixed = self.structure.zc, np.flatnonzero(self._fixed)
+        zc, fixed = self.structure.zc, self.structure.fixed_rows
         rows = np.concatenate([np.repeat(zc, 3, axis=1).ravel(), fixed])
         cols = np.concatenate([np.tile(zc, (1, 3)).ravel(), fixed])
-        x_e, y_e = _zipper_fit(self._zke)
         fit = np.concatenate([(x_e + 1j * y_e).ravel(), np.full(len(fixed), 1j)])
         n = self._mn.shape[0]
         a = self._mn + sp.coo_matrix((fit, (rows, cols)), shape=(n, n))
@@ -546,18 +590,24 @@ class SlabOperator:
         return a
 
     def _factor(self):
-        """Factor this slab's ``lambda M' + N'`` and hold the LU in its structure."""
+        """Factor this slab's ``lambda M' + N'`` and hold the LU in its
+        structure, with the ``dt alpha / 2``, band displacement and zipper
+        fit it was made with."""
         rec = self.structure
         rec.lu = None                               # freed before the new one is made
+        x_e, y_e = _zipper_fit(self._zke)
         try:
             # The pattern is nearly symmetric (only the Dirichlet identity
             # rows break it), so a minimum-degree ordering of A^T + A keeps
             # far less LU fill than the default COLAMD.
-            rec.lu = spla.splu(self._lhs(), permc_spec="MMD_AT_PLUS_A",
+            rec.lu = spla.splu(self._lhs(x_e, y_e), permc_spec="MMD_AT_PLUS_A",
                                panel_size=PANEL_SIZE, relax=RELAX)
-            rec.lu_step = self._band_step
         except RuntimeError as exc:
             raise NumericalError("sparse factorization failed: %s" % exc)
+        rec.lu_h, rec.lu_d, rec.lu_step = rec.half_dt_alpha, self._d, self._band_step
+        # the fit's (ne, 6, 6) blocks P (x) X_e + D (x) Y_e
+        rec.lu_fit = (np.einsum("rs,eab->erasb", _P, x_e)
+                      + np.einsum("rs,eab->erasb", _D, y_e)).reshape(-1, 6, 6)
 
     # -- exact operator and its preconditioner --------------------------------
 
@@ -594,6 +644,43 @@ class SlabOperator:
         r[:, self._fixed] = 0.0
         return r
 
+    def _split_terms(self):
+        """The terms of ``R = A - K`` for the structure's LU: the real CSC
+        ``dh K' - dd . G`` of the rigid part, where ``dh`` and ``dd`` are this
+        slab's ``dt alpha / 2`` and band displacement less the LU's (on the
+        band's entries alone while ``dh`` is 0; ``K'`` is read off the held
+        ``dt alpha K' / 2``), and the COO of the zipper blocks less the LU's
+        fit; each None where it is zero."""
+        rec = self.structure
+        rigid = zipper = None
+        dh, dd = rec.half_dt_alpha - rec.lu_h, self._d - rec.lu_d
+        shape = self._mn.shape
+        if dd.any():
+            pos, indices, indptr = self._plan.band_entries
+            band = -sum(dd[a] * rec.gradient(self._plan, a)[pos] for a in np.flatnonzero(dd))
+            rigid = sp.csc_matrix((band, indices, indptr), shape=shape)
+        if dh:
+            data = (dh / rec.half_dt_alpha) * rec.mn.data.imag          # dh K'
+            if rigid is not None:
+                data[pos] += band
+            rigid = sp.csc_matrix((data, self._mn.indices, self._mn.indptr), shape=shape)
+        if self._zipper is not None:
+            zipper = sp.coo_matrix(((self._zke - rec.lu_fit).ravel(), rec.zipper_index),
+                                   shape=self._zipper.shape)
+        return rigid, zipper
+
+    def _remainder(self, z):
+        """``R z`` on the free rows (zero on the fixed rows) for ``z`` (2, n),
+        zero on the fixed rows, with the terms the solve set."""
+        rigid, zipper = self._split
+        rz = np.zeros_like(z) if zipper is None else (zipper @ z.ravel()).reshape(z.shape)
+        if rigid is not None:
+            # (D (x) N) z is N on each time level of D z
+            for rz_j, y_j in zip(rz, _D @ z):
+                rz_j += rigid @ y_j
+        rz[:, self.structure.fixed_rows] = 0.0
+        return rz
+
     def _precondition(self, lu, r):
         """Solve ``P (x) M' + D (x) N'`` (Dirichlet rows identity) for ``r``,
         which is zero on the Dirichlet rows, by the complex split of the
@@ -609,16 +696,16 @@ class SlabOperator:
         r[:, self._fixed] = 0.0
         return r, ax
 
-    def _gmres(self, lu, r, tol):
+    def _gmres(self, lu, r, tol, m):
         """Correction ``u`` with ``A u = r`` on the free rows by GMRES right-
         preconditioned with the LU, from ``u = 0`` and without restarts.
+        Each Arnoldi vector ``A K^-1 v`` is formed as ``v + R K^-1 v``.
 
         Stops once the Arnoldi estimate of ``|r - A u|`` is at most ``tol`` or
-        after MAX_REFINEMENTS steps; returns ``u``, the number of steps and
-        whether the estimate reached ``tol``.
+        after ``m`` steps; returns ``u``, the number of steps and whether the
+        estimate reached ``tol``.
         """
-        m = MAX_REFINEMENTS
-        h = np.zeros((m + 1, m))                  # Hessenberg matrix, rotated to R
+        h = np.zeros((m + 1, m))                  # Hessenberg matrix, rotated to triangular
         g = np.zeros(m + 1)                       # |r| e_1, rotated alike
         g[0] = np.linalg.norm(r)
         cs, sn = np.zeros(m), np.zeros(m)         # Givens rotations
@@ -626,8 +713,7 @@ class SlabOperator:
         k = 0
         while k < m and abs(g[k]) > tol:
             z.append(self._precondition(lu, v[k]))
-            w = self._apply(z[k])
-            w[:, self._fixed] = 0.0
+            w = v[k] + self._remainder(z[k])
             for j in range(k + 1):                # modified Gram-Schmidt
                 h[j, k] = np.vdot(v[j], w)
                 w -= h[j, k] * v[j]
@@ -661,11 +747,11 @@ class SlabOperator:
         rec = self.structure
         if rec.lu is not None and (rec.lu_step / HELD_STEP_RATIO <= self._band_step
                                    <= rec.lu_step * HELD_STEP_RATIO):
-            x, ax, res, passes, reached = self._solve_with(rec.lu)
+            x, ax, res, passes, reached = self._solve_with()
             if reached and res <= SOLVER_TOL:
                 return self._solution(x, ax, res, passes, factored=False)
         self._factor()
-        x, ax, res, passes, _ = self._solve_with(rec.lu)
+        x, ax, res, passes, _ = self._solve_with()
         if not res <= SOLVER_TOL:
             raise NumericalError("slab solve residual %.3e exceeds %.1e after %d refinement "
                                  "passes" % (res, SOLVER_TOL, passes))
@@ -677,40 +763,58 @@ class SlabOperator:
         self._product = (sol, ax)
         return sol
 
-    def _solve_with(self, lu):
-        """First solve with ``lu``, corrected by GMRES on the exact slab.
+    def _solve_with(self):
+        """First solve with the structure's LU, corrected by GMRES on the
+        exact slab.
 
         The solve starts from ``[t_prev, t_prev + rate]`` on a slab with
         zipper triangles whose problem has a ``rate``, and from the Dirichlet
-        values ``x_D`` (zero on the free rows) otherwise: the LU is inexact
-        only where the zipper shears, and a rigid slab's own LU solves it in
-        one step from any start, so there a guess would only cost a product.
+        values ``x_D`` (zero on the free rows) otherwise: a rigid slab's own
+        LU solves it in one step from any start, so there a guess would only
+        cost a product.
         ``_residual`` sets the fixed rows of the rate's start.  The free rows
         of ``b - A x_D``, the right-hand side of the equations solved for,
         scale the residual check whatever the start; they are formed from the
         fixed columns alone (``_start_residual``), and they are the first
         residual of a start at ``x_D``.
 
+        The first solve leaves the residual ``-R z`` for its correction
+        ``z``, which GMRES starts from.  The true residual of GMRES's result,
+        formed with the exact operator, also sees the LU's own rounding:
+        while it is above REFINE_TOL and below the last one, GMRES restarts
+        from it, within MAX_REFINEMENTS steps in all.
+
         Returns the solution (2, n), its product with the exact operator,
-        its relative free-row residual, the GMRES steps and whether GMRES
-        reached REFINE_TOL.
+        its relative free-row residual, the GMRES steps and whether the last
+        GMRES reached REFINE_TOL.
         """
+        lu = self.structure.lu
+        self._split = self._split_terms()
         r = self._start_residual()
         scale = max(np.linalg.norm(r), 1e-300)
+        tol = REFINE_TOL * scale
         p = self.problem
         if p.rate is not None and self._zipper is not None:
             x = np.stack([p.t_prev, p.t_prev + p.rate])
             r, _ = self._residual(x)
         else:
             x = np.where(self._fixed, self._rhs, 0.0)
-        x += self._precondition(lu, r)
-        r, ax = self._residual(x)
-        passes, reached = 0, True
-        if np.linalg.norm(r) > REFINE_TOL * scale:
-            u, passes, reached = self._gmres(lu, r, REFINE_TOL * scale)
-            x += u
+        z = self._precondition(lu, r)
+        x += z
+        # on the free rows b - A x is now -R z, as K z = r there; a slab
+        # whose R is zero goes straight to its true residual
+        r = -self._remainder(z) if any(t is not None for t in self._split) else None
+        passes, reached, last = 0, True, np.inf
+        while True:
+            if r is not None and np.linalg.norm(r) > tol:
+                u, k, reached = self._gmres(lu, r, tol, MAX_REFINEMENTS - passes)
+                x += u
+                passes += k
             r, ax = self._residual(x)
-        return x, ax, np.linalg.norm(r) / scale, passes, reached
+            res = np.linalg.norm(r)
+            if res <= tol or not reached or not res < last:
+                return x, ax, res / scale, passes, reached
+            last = res
 
     # -- residual functionals ----------------------------------------------
 

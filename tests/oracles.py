@@ -455,13 +455,13 @@ class SlabPlanByUnique(stfem.SlabPlan):
     slots; the reference for :class:`ccmsim.stfem.SlabPlan`, which sorts
     the keys once."""
 
-    def __init__(self, n, conn, shapes, zipper):
+    def __init__(self, n, conn, shapes, zipper, band):
         self.n = n
         self.structure = None
         self.zipper = np.asarray(zipper, dtype=bool)
+        self.band = np.asarray(band, dtype=bool)
         self.rigid = np.flatnonzero(~self.zipper)
         rconn = conn[self.rigid]
-        self.rconn = np.ascontiguousarray(rconn.T)
         x = shapes[self.rigid]
         e1 = x[:, 1] - x[:, 0]
         e2 = x[:, 2] - x[:, 0]
@@ -484,14 +484,21 @@ class SlabPlanByUnique(stfem.SlabPlan):
                       (gx[:, :, None] * gx[:, None, :] + gy[:, :, None] * gy[:, None, :])
                       / det2[:, None, None],
                       *grads))
+        # the slots in the rows of the band elements' nodes
+        reached = np.flatnonzero(np.isin(pairs % n, conn[self.band]))
+        pos = reached.astype(self.indices.dtype)
+        self.band_entries = (pos, self.indices[pos],
+                             np.searchsorted(pairs[reached] // n, np.arange(n + 1))
+                             .astype(self.indptr.dtype))
 
 
 # ---------------------------------------------------------------------------
 # a slab assembled with every term
 
 class SlabOperatorEveryTerm(stfem.SlabOperator):
-    """A slab operator whose assembly forms every term: both mesh-velocity
-    products, and the zipper's quadrature, jump, jump load and COO even on
+    """A slab operator whose assembly forms every term: the band's gradient
+    sums from the plan and both mesh-velocity terms ``d_x G_x`` and
+    ``d_y G_y``, and the zipper's quadrature, jump, jump load and COO even on
     an empty zipper; the reference for :class:`ccmsim.stfem.SlabOperator`,
     which leaves out the terms that the motion makes zero."""
 
@@ -514,13 +521,14 @@ class SlabOperatorEveryTerm(stfem.SlabOperator):
         self.node_active = rec.node_active
         self._fixed = rec.fixed
 
-        w = rec.w
-        rc = plan.rconn
-        dx, dy = ((c[rc[0]] + c[rc[1]] + c[rc[2]]) / 3.0
-                  for c in np.ascontiguousarray((p.coords_new - p.coords_old).T))
-        stiff = rec.mn.data.imag - plan.grad_x @ (w * dx / 6.0) - plan.grad_y @ (w * dy / 6.0)
+        # the band's displacement, at a node of an active band element
+        band = p.conn[plan.band[active]]
+        d = np.zeros(2) if not len(band) else p.coords_new[band[0, 0]] - p.coords_old[band[0, 0]]
+        wb = (active & plan.band)[plan.rigid] / 6.0
+        stiff = rec.mn.data.imag - d[0] * (plan.grad_x @ wb) - d[1] * (plan.grad_y @ wb)
         # the band step that solve compares with the held LU's
-        self._band_step = max(np.abs(w * dx).max(initial=0.0), np.abs(w * dy).max(initial=0.0))
+        self._plan, self._d, self._band_step = plan, d, float(np.hypot(*d))
+        self._split = (None, None)
         rhs = rec.jump @ p.t_prev
 
         xo = p.coords_old[zc]

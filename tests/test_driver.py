@@ -398,8 +398,7 @@ def test_slab_step_returns_the_solved_nodes_and_the_window(n_virt, rows):
 def seam_band(mesh, state):
     """Band triangles torn across the ring seam in the current position."""
     c = mesh.nodes[mesh.triangles, state.axis]
-    band = (state.tri_code == motion.ROLE_CODE["strip"]) | (state.tri_code == motion.ROLE_CODE["virtual"])
-    return band & (np.ptp(c, axis=1) > state.circumference / 2)
+    return motion.band_triangles(state.tri_code) & (np.ptp(c, axis=1) > state.circumference / 2)
 
 
 def slab_matrix(op):
@@ -412,11 +411,12 @@ def slab_matrix(op):
 def assert_same_slab(op, ref):
     """The plan-built slab ``op`` equals the one-off assembly ``ref`` to 1e-13:
     its exact operator and the matrix its LU would factor.  (The two may
-    class an element differently: a zipper triangle that does not shear in
-    this slab is rigid to the one-off plan.)"""
+    class an element differently: the one-off plan has no band, so a band
+    triangle that moves is shearing to it, and a zipper triangle that does
+    not move is rigid to it.)"""
     a, b = slab_matrix(op), slab_matrix(ref)
     assert abs(a - b).max() <= 1e-13 * abs(b).max()
-    a, b = op._lhs(), ref._lhs()
+    a, b = (o._lhs(*stfem._zipper_fit(o._zke)) for o in (op, ref))
     assert abs(a - b).max() <= 1e-13 * abs(b).max()
     for a, b in ((op._rhs_raw, ref._rhs_raw), (op._rhs, ref._rhs)):
         assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
