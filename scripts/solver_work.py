@@ -10,9 +10,12 @@ for each the number of slabs factored, how many of them were refactored
 a band step too far from the held LU's, or a held LU with which GMRES
 failed), the GMRES steps summed over all slabs and all their attempts
 (``SlabOperator._gmres`` steps, those of a held LU that failed included),
-the full products with a slab operator (``SlabOperator._apply`` calls), the
-applications of what the LU leaves out of it (``SlabOperator._remainder``
-calls, ``split``), the evaluations of the melt closures' residual in their
+the full products with a slab operator (``SlabOperator._apply`` calls: one
+per slab, that of the solution it returns, plus one per GMRES restart and
+per held LU that failed), the applications of what the LU leaves out of it
+(``SlabOperator._remainder`` calls, ``split``: the start's ``R u`` on a
+slab with a rate, the first solve's residual and one per GMRES step), the
+evaluations of the melt closures' residual in their
 root solves (``velocity.solve_scalar``), the band's slips and wrapped nodes
 summed over the steps (``motion.advance``), the final displacement and the
 mean U over the last 10% of the steps.  It times nothing, so its numbers

@@ -510,7 +510,7 @@ def slab_plan(mesh: Mesh, state) -> SlabPlan:
 
 def slab_step(mesh: Mesh, state, T: np.ndarray, distance: float, *, plan: SlabPlan,
               dt: float, alpha: float, dirichlet_nodes, dirichlet_values,
-              background: np.ndarray, rate=None):
+              background: np.ndarray):
     """One time step of the sliding-band method: move the band, solve a slab.
 
     Shifts the band by ``distance`` (``state`` is None for a mesh without
@@ -522,10 +522,6 @@ def slab_step(mesh: Mesh, state, T: np.ndarray, distance: float, *, plan: SlabPl
     ``background`` after it, the value at which a row entering the window
     joins the slab.  The operator keeps the plan's structure when this
     slab's has the same mask, zipper connectivity and Dirichlet nodes.
-    ``rate``, the last slab's ``t_top - t_bot`` (0 at its idle nodes), lets
-    a slab with zipper triangles start its solve from that trajectory (see
-    :mod:`ccmsim.stfem`); it changes where the solve starts, not what it
-    solves.
     Returns ``(operator, solution, T_new, window)``, ``window`` the mask of
     the triangles in the band's new window (all of them without a band).
     """
@@ -542,7 +538,7 @@ def slab_step(mesh: Mesh, state, T: np.ndarray, distance: float, *, plan: SlabPl
         conn = mesh.triangles[act]
     prob = SlabProblem(coords_old, mesh.nodes, conn, dt=dt, alpha=alpha, t_prev=T,
                        dirichlet_nodes=dirichlet_nodes, dirichlet_values=dirichlet_values,
-                       plan=plan, active=act, rate=rate)
+                       plan=plan, active=act)
     op = SlabOperator(prob)
     sol = op.solve()
     return op, sol, np.where(op.node_active, sol.t_top, background), window
@@ -648,7 +644,6 @@ def run(config: RunConfig) -> RunReport:
 
     virgin = np.full(len(mesh.nodes), cfg.T_s)   # recycled rows are virgin solid
     T = virgin.copy()
-    rate = None                                  # the last slab's t_top - t_bot
     U = U_eq if cfg.coupling == "equilibrium" else 0.0
     displacement = 0.0
     records: list[StepRecord] = []
@@ -662,7 +657,7 @@ def run(config: RunConfig) -> RunReport:
                 op, sol, T, act = slab_step(
                     mesh, state, T, U * cfg.dt, plan=plan, dt=cfg.dt, alpha=cfg.alpha_s,
                     dirichlet_nodes=dir_nodes, dirichlet_values=dir_vals,
-                    background=virgin, rate=rate)
+                    background=virgin)
                 displacement += U * cfg.dt        # the band's, to the bit
                 slips_total = 0 if state is None else state.n_slips
                 if not op.node_active[tip_nodes].all():
@@ -689,7 +684,6 @@ def run(config: RunConfig) -> RunReport:
                 except OSError as exc:
                     raise _write_error("[output] directory", exc, cfg.out_dir) from exc
                 U = U_next
-                rate = sol.t_top - sol.t_bot      # 0 on the rows the solve fixes
                 # let this step's slab go before the next one is assembled
                 op = sol = None
         except Exception:

@@ -79,31 +79,36 @@ the factorization, and the zipper blocks less the LU's fit of them.  R is
 zero on a static or freshly factored rigid slab, the zipper remainder alone
 on a freshly factored band slab, and otherwise one real product on the
 band's entries (on the whole pattern if dt alpha changed) plus one small
-COO product.  The first solve ``x = x0 + K^-1 r0`` leaves the residual
-``-R K^-1 r0``, and right-preconditioned GMRES corrects it, started from a
-zero correction, each Arnoldi vector ``A K^-1 v`` formed as
+COO product.  The first solve (see the start, below) leaves a residual
+that R alone forms, and right-preconditioned GMRES corrects it, started
+from a zero correction, each Arnoldi vector ``A K^-1 v`` formed as
 ``v + R K^-1 v``.  (Plain iterative refinement ``x += K^-1 (b - A x)``
 contracts more slowly the further a step shears the zipper; GMRES does not
 depend on that contraction.)  ``v + R z`` cannot see the LU's own rounding,
 which on stiff slabs (large dt alpha / h^2) leaves a true residual far
 above the estimate, so the solve then forms the true residual with the
 exact operator and, while it is above REFINE_TOL and falling, restarts
-GMRES from it within MAX_REFINEMENTS steps in all.  A slab with zipper
-triangles starts from the last slab's trajectory when the driver passes
-its rate (``SlabProblem.rate``): ``x0 = [t_prev, t_prev + rate]``, the
-field carried on at the last slab's change per step, which takes 1-1.5
-fewer GMRES steps for one more product with the operator.  Any other slab
-starts from the Dirichlet values alone (x0 = 0 on the free rows): a rigid
-slab's own LU solves it in one step from any start, so a guess would only
-cost the product.  Either way the residual check is scaled by the free
-rows' residual at the Dirichlet values alone, the right-hand side of the
-equations solved for, so SOLVER_TOL means the same whatever the start.
-The Dirichlet values are zero on the free nodes, so that residual reaches
+GMRES from it within MAX_REFINEMENTS steps in all.
+
+The start.  Every slab starts from the Dirichlet values ``x_D`` (zero on
+the free rows) plus ``u = [t_prev, t_prev + dt rate]`` on the free rows
+(zero on the fixed rows), the field carried on along the last slab's
+trajectory: the plan keeps that slab's ``rate = (t_top - t_bot) / dt``
+(none before a run's first slab, where ``u`` is 0).  As ``K = A - R`` on
+the free rows, the first solve from ``x_D + u``,
+``x_D + u + K^-1 (b - A (x_D + u))``, is ``x_D + K^-1 (r_D - R u)``, where
+``r_D`` is the free rows' residual at ``x_D``, and it leaves the residual
+``-R (z - u)`` for that correction z: the warm start costs one
+application of R, not a product with the operator.  A slab whose R is zero
+(a static or freshly factored rigid one) is solved in one step from any
+start, and the rate does not change it; on a band slab the start saves
+1-1.5 GMRES steps.  The residual check is scaled by ``r_D``, the
+right-hand side of the equations solved for, so SOLVER_TOL means the same
+whatever the start.  ``x_D`` is zero on the free nodes, so ``r_D`` reaches
 only the fixed columns: it is formed from their entries alone (a few
-hundred, which the structure lists), to the bit the full product's, and a
-slab started there takes it as its first residual.  A slab thus makes at
-most two full products and one per restart: that of the rate's start, and
-that of the solution it returns, which flux recovery reuses.
+hundred, which the structure lists), to the bit the full product's.  A
+slab thus makes one full product, that of the solution it returns, which
+flux recovery reuses, and one more per restart.
 
 The plan also holds the current structure, a :class:`SlabStructure`:
 the slab's active mask, its active and fixed (Dirichlet or idle) nodes, the
@@ -308,12 +313,14 @@ class SlabPlan:
     the element arrays by entry number.
 
     The plan also holds, in ``structure``, the :class:`SlabStructure` of
-    the run's last slab, with its LU once one is made.
+    the run's last slab, with its LU once one is made, and in ``rate`` the
+    (n,) ``(t_top - t_bot) / dt`` of the last slab solved on it (None
+    before the first), from which the next slab's solve starts.
     """
 
     def __init__(self, n, conn, shapes, zipper, band):
         self.n = n
-        self.structure = None
+        self.structure = self.rate = None
         self.zipper = np.asarray(zipper, dtype=bool)
         self.band = np.asarray(band, dtype=bool)
         self.rigid = np.flatnonzero(~self.zipper)
@@ -468,12 +475,10 @@ class SlabProblem:
     dirichlet_nodes: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
     dirichlet_values: np.ndarray = field(default_factory=lambda: np.empty(0))
     # the run's plan and the mask of its elements that ``conn`` lists, in
-    # order; without a plan, a one-off plan of conn
+    # order; without a plan, a one-off plan of conn.  The solve starts from
+    # the trajectory of the last slab solved on the plan (see SlabPlan.rate)
     plan: SlabPlan | None = None
     active: np.ndarray | None = None
-    # (n,) the last slab's t_top - t_bot, 0 at its idle nodes: a slab with
-    # zipper triangles starts its solve from [t_prev, t_prev + rate]
-    rate: np.ndarray | None = None
 
 
 @dataclass
@@ -641,7 +646,7 @@ class SlabOperator:
             ax.ravel()[rows] += np.bincount(slot, self._zke.ravel()[pos] * self._rhs.ravel()[cols],
                                             minlength=len(rows))
         r = self._rhs - ax
-        r[:, self._fixed] = 0.0
+        r[:, self.structure.fixed_rows] = 0.0
         return r
 
     def _split_terms(self):
@@ -690,10 +695,11 @@ class SlabOperator:
     def _residual(self, x):
         """Set the Dirichlet values in ``x``; return ``b - A x`` on the free
         rows (zero on the Dirichlet rows) and ``A x``."""
-        x[:, self._fixed] = self._rhs[:, self._fixed]
+        fixed = self.structure.fixed_rows
+        x[:, fixed] = self._rhs[:, fixed]
         ax = self._apply(x)
         r = self._rhs - ax
-        r[:, self._fixed] = 0.0
+        r[:, fixed] = 0.0
         return r, ax
 
     def _gmres(self, lu, r, tol, m):
@@ -758,31 +764,29 @@ class SlabOperator:
         return self._solution(x, ax, res, passes, factored=True)
 
     def _solution(self, x, ax, res, passes, factored):
-        """The solution ``x``, kept with its product ``ax`` for the residual."""
+        """The solution ``x``, kept with its product ``ax`` for the residual;
+        its trajectory becomes the plan's rate."""
         sol = SlabSolution(x[0], x[1], res, passes, factored=factored)
         self._product = (sol, ax)
+        self._plan.rate = (sol.t_top - sol.t_bot) / self.problem.dt
         return sol
 
     def _solve_with(self):
         """First solve with the structure's LU, corrected by GMRES on the
         exact slab.
 
-        The solve starts from ``[t_prev, t_prev + rate]`` on a slab with
-        zipper triangles whose problem has a ``rate``, and from the Dirichlet
-        values ``x_D`` (zero on the free rows) otherwise: a rigid slab's own
-        LU solves it in one step from any start, so there a guess would only
-        cost a product.
-        ``_residual`` sets the fixed rows of the rate's start.  The free rows
-        of ``b - A x_D``, the right-hand side of the equations solved for,
-        scale the residual check whatever the start; they are formed from the
-        fixed columns alone (``_start_residual``), and they are the first
-        residual of a start at ``x_D``.
-
-        The first solve leaves the residual ``-R z`` for its correction
-        ``z``, which GMRES starts from.  The true residual of GMRES's result,
-        formed with the exact operator, also sees the LU's own rounding:
-        while it is above REFINE_TOL and below the last one, GMRES restarts
-        from it, within MAX_REFINEMENTS steps in all.
+        The solve starts from ``x_D + u`` (see the module docstring): ``x_D``
+        the Dirichlet values, zero on the free rows, and ``u`` the plan's
+        rate carried on from ``t_prev`` on the free rows, zero elsewhere (and
+        0 without a rate).  The free rows of ``b - A x_D``, the right-hand
+        side of the equations solved for, are formed from the fixed columns
+        alone (``_start_residual``) and scale the residual check.  The first
+        solve ``x = x_D + z``, ``z = K^-1 (r_D - R u)``, leaves the residual
+        ``-R (z - u)``, which GMRES starts from; where R is zero, neither is
+        formed.  The true residual of GMRES's result, formed with the exact
+        operator, also sees the LU's own rounding: while it is above
+        REFINE_TOL and below the last one, GMRES restarts from it, within
+        MAX_REFINEMENTS steps in all.
 
         Returns the solution (2, n), its product with the exact operator,
         its relative free-row residual, the GMRES steps and whether the last
@@ -790,25 +794,24 @@ class SlabOperator:
         """
         lu = self.structure.lu
         self._split = self._split_terms()
+        split = any(t is not None for t in self._split)
         r = self._start_residual()
         scale = max(np.linalg.norm(r), 1e-300)
         tol = REFINE_TOL * scale
-        p = self.problem
-        if p.rate is not None and self._zipper is not None:
-            x = np.stack([p.t_prev, p.t_prev + p.rate])
-            r, _ = self._residual(x)
-        else:
-            x = np.where(self._fixed, self._rhs, 0.0)
+        p, u = self.problem, 0.0
+        if split and self._plan.rate is not None:
+            u = np.stack([p.t_prev, p.t_prev + p.dt * self._plan.rate])
+            u[:, self.structure.fixed_rows] = 0.0
+            r -= self._remainder(u)
         z = self._precondition(lu, r)
-        x += z
-        # on the free rows b - A x is now -R z, as K z = r there; a slab
-        # whose R is zero goes straight to its true residual
-        r = -self._remainder(z) if any(t is not None for t in self._split) else None
+        x = np.where(self._fixed, self._rhs, 0.0) + z
+        # on the free rows b - A x is now -R (z - u), as K z = r_D - R u there
+        r = -self._remainder(z - u) if split else None
         passes, reached, last = 0, True, np.inf
         while True:
             if r is not None and np.linalg.norm(r) > tol:
-                u, k, reached = self._gmres(lu, r, tol, MAX_REFINEMENTS - passes)
-                x += u
+                dx, k, reached = self._gmres(lu, r, tol, MAX_REFINEMENTS - passes)
+                x += dx
                 passes += k
             r, ax = self._residual(x)
             res = np.linalg.norm(r)

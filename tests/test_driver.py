@@ -674,10 +674,13 @@ def test_band_slabs_start_from_the_last_slabs_trajectory(fixture_dir, tmp_path, 
         rows = np.loadtxt(out / "run.csv", delimiter=",", skiprows=1)
         return rows[:, 1:3], [f for f, _ in work], sum(k for _, k in work)
 
+    def solved_cold(op):
+        op._plan.rate = None
+        return solved(op)
+
     monkeypatch.setattr(stfem.SlabOperator, "solve", solved)
     warm = outputs("warm")
-    step = driver.slab_step
-    monkeypatch.setattr(driver, "slab_step", lambda *args, rate, **kwargs: step(*args, **kwargs))
+    monkeypatch.setattr(stfem.SlabOperator, "solve", solved_cold)
     cold = outputs("cold")
     npt.assert_allclose(warm[0], cold[0], rtol=1e-9, atol=0.0)
     assert warm[1] == cold[1] and 1 < sum(warm[1]) < cfg.n_steps

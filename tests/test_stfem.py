@@ -666,8 +666,9 @@ def test_held_factor_keeps_a_band_step_halved_or_doubled(monkeypatch):
         assert_matches_fresh_solve(prob, sol)
 
 
-@pytest.mark.parametrize("h, factored, error", [(0.05, 4, 0.005864535820985027),
-                                                (0.025, 8, 0.002640093057399192)])
+@pytest.mark.parametrize("h, factored, error", [(0.05, 4, 0.005864535820964645),
+                                                (0.025, 8, 0.002640093057399192)],
+                         ids=["0.05", "0.025"])
 def test_slab_whose_window_alone_changes_keeps_the_factor(monkeypatch, h, factored, error):
     # two virtual rows: on the step after a slip the rows that wrap land
     # next to the window, which gains the entering row while the slab drops
@@ -958,40 +959,53 @@ def test_slab_without_the_terms_its_motion_zeroes_is_the_same_to_the_bit(monkeyp
 # -- warm start from the last slab's trajectory ---------------------------------
 
 
-def band_run(warm):
+def started_cold(monkeypatch):
+    """Clear the plan's rate before each slab's solve, so that every slab
+    starts from the Dirichlet values."""
+    solve = stfem.SlabOperator.solve
+
+    def cold(op):
+        op._plan.rate = None
+        return solve(op)
+
+    monkeypatch.setattr(stfem.SlabOperator, "solve", cold)
+
+
+def band_run():
     """The strip-square band of test_band_factors_only_slabs_of_a_new_structure,
-    16 steps of 0.35 of a row through driver.slab_step, each slab given the
-    last one's rate if ``warm``.  Checks each slab against a fresh solve and
+    16 steps of 0.35 of a row through driver.slab_step, each slab started
+    from the plan's rate.  Checks each slab against a fresh solve and
     returns the solutions."""
     mesh = meshgen.make_strip_square(8, n_virt=3)
     state = motion.init_motion(mesh, (0.0, -1.0))
     plan = driver.slab_plan(mesh, state)
     background = np.random.default_rng(12).uniform(-1.0, 2.0, mesh.n_nodes)
     flanks = np.unique(mesh.tagged_edges(("left", "right")))
-    T, last, solutions = background.copy(), None, []
+    T, solutions = background.copy(), []
     for _ in range(16):
         op, sol, T, _ = driver.slab_step(
             mesh, state, T, 0.35 / 8, plan=plan, dt=0.37, alpha=1.7,
-            dirichlet_nodes=flanks, dirichlet_values=background[flanks], background=background,
-            rate=last if warm else None)
+            dirichlet_nodes=flanks, dirichlet_values=background[flanks], background=background)
         assert_matches_fresh_solve(op.problem, sol)
-        last = np.where(op.node_active, sol.t_top - sol.t_bot, 0.0)
+        npt.assert_array_equal(plan.rate, (sol.t_top - sol.t_bot) / 0.37)
         solutions.append(sol)
     assert state.n_slips >= 3
     return solutions
 
 
-def test_warm_start_changes_where_the_solve_starts_not_what_it_solves():
-    warm, cold = band_run(warm=True), band_run(warm=False)
+def test_warm_start_changes_where_the_solve_starts_not_what_it_solves(monkeypatch):
+    warm = band_run()
+    started_cold(monkeypatch)
+    cold = band_run()
     assert [s.factored for s in warm] == [s.factored for s in cold]
     assert sum(s.refinements for s in warm) < sum(s.refinements for s in cold)
 
 
 def test_slab_without_zipper_ignores_the_rate():
     # a rigid slab's own LU solves it in one step from the Dirichlet values;
-    # a rate leaves its solve as it is, to the bit
+    # R is zero, so a rate leaves its solve as it is, to the bit
     prob, ref_prob = twin_slabs("static")
-    prob.rate = np.random.default_rng(22).uniform(-1.0, 1.0, len(prob.t_prev))
+    prob.plan.rate = np.random.default_rng(22).uniform(-1.0, 1.0, len(prob.t_prev))
     sol, ref = solve_slab(prob), solve_slab(ref_prob)
     assert same_bits(sol.t_bot, ref.t_bot) and same_bits(sol.t_top, ref.t_top)
     assert (sol.residual_norm, sol.refinements) == (ref.residual_norm, ref.refinements)
@@ -1002,15 +1016,17 @@ def test_wrong_rate_still_meets_the_tolerance_on_the_dirichlet_start_scale(monke
     # residual stays scaled by the right-hand side of the equations solved
     # for, not by the start's residual
     rng = np.random.default_rng(23)
-    prob = fix_flanks(band_slab(0.4 / 8)[0], rng.uniform(-1.0, 2.0, 76))
+    prob = fix_flanks(band_slab(0.4 / 8, planned=True)[0], rng.uniform(-1.0, 2.0, 76))
     cold = solve_slab(prob)
-    prob.rate = 1e3 * (cold.t_top - cold.t_bot)
+    wrong = 1e3 * (cold.t_top - cold.t_bot) / prob.dt
+    prob.plan.rate = wrong
     sol = solve_slab(prob)
     assert sol.residual_norm <= stfem.SOLVER_TOL
     assert free_row_residual(prob, sol) <= 1e-12
     assert_matches_fresh_solve(prob, sol)
     monkeypatch.setattr(stfem, "REFINE_TOL", 1e-6)
     monkeypatch.setattr(stfem, "SOLVER_TOL", 1e-6)
+    prob.plan.rate = wrong
     sol = solve_slab(prob)
     assert sol.residual_norm == pytest.approx(free_row_residual(prob, sol), rel=1e-6, abs=0.0)
     assert 1e-10 < sol.residual_norm <= 1e-6
@@ -1045,9 +1061,16 @@ def test_start_residual_of_the_cooling_slab(monkeypatch):
 
 
 def test_start_residual_of_warm_started_band_slabs(monkeypatch):
-    ops = recorded_operators(monkeypatch)
-    band_run(warm=True)
-    warm = [op for op in ops if op.problem.rate is not None and op._zipper is not None]
+    ops, warm = recorded_operators(monkeypatch), []
+    solve = stfem.SlabOperator.solve
+
+    def solved(op):
+        if op._plan.rate is not None and op._zipper is not None:
+            warm.append(op)
+        return solve(op)
+
+    monkeypatch.setattr(stfem.SlabOperator, "solve", solved)
+    band_run()
     assert len(warm) >= 10
     for op in ops:
         assert_start_residual_is_the_full_product(op)
@@ -1208,18 +1231,46 @@ def assert_split_is_exact(op):
     return op._split
 
 
+def assert_rate_start_is_exact(op, rate):
+    """With the structure's LU and the start ``u`` from ``rate``: on the
+    free rows, the start through R, ``x_D + K^-1 (r_D - R u)``, equals the
+    first solve from ``x_D + u`` with the exact operator's residual to 1e-12
+    relative, and ``-R (z - u)`` equals that iterate's true residual to
+    1e-12 of the largest entry of ``r_D``."""
+    p, lu, free = op.problem, op.structure.lu, ~op._fixed
+    op._split = op._split_terms()
+    x_d = np.where(op._fixed, op._rhs, 0.0)
+    u = np.stack([p.t_prev, p.t_prev + p.dt * rate])
+    u[:, op._fixed] = 0.0
+    r_d = op._start_residual()
+    z = op._precondition(lu, r_d - op._remainder(u))
+    x = x_d + z
+    x_rate = x_d + u
+    r_rate, _ = op._residual(x_rate.copy())
+    old = x_rate + op._precondition(lu, r_rate)
+    assert np.max(np.abs(x - old)[:, free]) <= 1e-12 * np.max(np.abs(old[:, free]))
+    true, _ = op._residual(x.copy())
+    assert np.any(true[:, free])
+    assert np.max(np.abs(-op._remainder(z - u) - true)) <= 1e-12 * np.max(np.abs(r_d))
+
+
 def split_checked(monkeypatch):
     """Check the split of every slab solved, with the LU it was solved
-    with, and while that LU is held, of the same slab at 1.5 times its dt;
-    returns, per case, the rigid terms of R seen."""
-    seen = {"held": [], "factored": [], "dt": []}
+    with, and while that LU is held, of the same slab at 1.5 times its dt,
+    and its start through R from the rate it had; returns, per case, the
+    rigid terms of R seen, and the held slabs whose start was checked."""
+    seen = {"held": [], "factored": [], "dt": [], "rate": []}
     solve = stfem.SlabOperator.solve
 
     def checked(op):
+        rate = op._plan.rate
         sol = solve(op)
         rigid, zipper = assert_split_is_exact(op)
         assert zipper is not None
         seen["factored" if sol.factored else "held"].append(rigid)
+        if not sol.factored and rate is not None:
+            assert_rate_start_is_exact(op, rate)
+            seen["rate"].append(op)
         if not sol.factored:
             other = stfem.SlabOperator(dataclasses.replace(op.problem, dt=1.5 * op.problem.dt))
             assert other.structure is op.structure
@@ -1235,16 +1286,19 @@ def test_the_split_of_a_slab_is_exact(fixture_dir, tmp_path, monkeypatch, case):
     # a freshly factored band slab (and a bare one, of the fresh solves that
     # band_run compares with) leaves out its zipper remainder alone; a held
     # one also the change of its band displacement, if any, and one held
-    # across a change of dt the change of dt alpha K' / 2 too
+    # across a change of dt the change of dt alpha K' / 2 too.  A held slab
+    # started from its rate through R starts where the exact operator's
+    # first solve from that rate would
     seen = split_checked(monkeypatch)
     if case == "strip_square":
-        band_run(warm=True)
+        band_run()
     else:
         cfg = driver.load_config(os.path.join(fixture_dir, "power_3kw.ini"))
         driver.run(dataclasses.replace(cfg, n_steps=30, vtk_every=0, out_dir=str(tmp_path)))
     assert len(seen["factored"]) >= 3 and all(r is None for r in seen["factored"])
     assert len(seen["held"]) >= 3 and any(r is not None for r in seen["held"])
     assert len(seen["dt"]) == len(seen["held"]) and all(r is not None for r in seen["dt"])
+    assert len(seen["rate"]) >= 3
 
 
 def test_held_lu_on_a_stiff_band_slab_restarts_from_the_true_residual(monkeypatch):
